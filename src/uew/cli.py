@@ -309,7 +309,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cvalue", required=True, help="constraint value")
     p.add_argument(
         "--bracket-min", type=float, default=-1e6, dest="bracket_min",
-        help="most negative alpha probed before giving up on a finite threshold",
+        help="most negative alpha probed before giving up on a finite threshold (finite, < 0)",
     )
     common(p)
     p.set_defaults(func=cmd_alpha0)

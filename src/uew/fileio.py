@@ -46,8 +46,10 @@ def operator_from_dict(doc: dict) -> HermitianOperator:
         raise ValueError(f"malformed operator document: {exc}") from exc
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("operator matrix must be square")
-    if np.max(np.abs(mat - mat.conj().T)) > LOAD_HERM_TOL:
-        raise ValueError("operator matrix is not Hermitian within 1e-10")
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, rejected below
+        dev = np.max(np.abs(mat - mat.conj().T))
+    if not dev <= LOAD_HERM_TOL:
+        raise ValueError("operator matrix is not finite and Hermitian within 1e-10")
     mat = (mat + mat.conj().T) / 2
     if len(dims) == 2 and dims[1] == 1:
         dims = (dims[0],)

@@ -91,8 +91,8 @@ class HermitianOperator:
 
     ``dims`` is the tuple of local dimensions: ``(dA, dB)`` for a bipartite
     operator, ``(d,)`` for a single-party one. The product of ``dims`` must
-    equal the matrix dimension. Hermiticity is checked entrywise at
-    construction (tolerance 1e-12) and then trusted.
+    equal the matrix dimension. Finiteness and Hermiticity are checked
+    entrywise at construction (tolerance 1e-12) and then trusted.
     """
 
     __slots__ = ("mat", "dims")
@@ -104,8 +104,9 @@ class HermitianOperator:
         n = m.shape[0]
         if n > MAX_TOTAL_DIM:
             raise ValueError(f"total dimension {n} exceeds cap {MAX_TOTAL_DIM}")
-        if np.max(np.abs(m - m.conj().T)) > HERM_TOL:
-            raise ValueError("matrix is not Hermitian within 1e-12")
+        # a non-finite entry makes the deviation NaN or inf, which fails too
+        if not np.max(np.abs(m - m.conj().T)) <= HERM_TOL:
+            raise ValueError("matrix is not finite and Hermitian within 1e-12")
         if dims is None:
             dims = (n,)
         dims = tuple(int(d) for d in dims)

@@ -802,6 +802,31 @@ def _alpha_feasible(L, spec, cfg, p_c, alpha):
     return sup <= bound + ALPHA0_FEAS_TOL
 
 
+def _alpha0_probe(L, spec, cfg, p_c, alpha):
+    """The _alpha_feasible predicate at alpha, plus a Newton step when it fails.
+
+    A failing probe's argmax s is feasible, so with lam = alpha/(1-alpha) the
+    validity margin F(lam) = sup_{<C> <= c} <L + lam C> - lam c - p_c obeys
+    F(lam) >= (<L>_s - p_c) + lam (<C>_s - c). Where that line meets the
+    tolerance, at alpha_t, every alpha < alpha_t is certified invalid.
+    Returns (valid, alpha_t); alpha_t is None for a valid probe, for
+    <C>_s >= c (no decreasing line), and for a non-finite step.
+    """
+    lam = alpha / (1.0 - alpha)
+    nbar = lam * spec.C + L
+    bound = lam * spec.c + p_c
+    res = sup_product_constrained(nbar, spec, HalfSpaceSide.LEQ, cfg)
+    if res.value <= bound + ALPHA0_FEAS_TOL:
+        return True, None
+    slope = res.constraint_value - spec.c
+    if not slope < 0:
+        return False, None
+    lam_t = (ALPHA0_FEAS_TOL - (expectation(L, res.argmax) - p_c)) / slope
+    if not (np.isfinite(lam_t) and lam_t > -1.0):
+        return False, None
+    return False, lam_t / (1.0 + lam_t)
+
+
 def compute_alpha0(
     L: HermitianOperator,
     spec: ConstraintSpec,
@@ -811,26 +836,55 @@ def compute_alpha0(
 ) -> Optional[float]:
     """Smallest rotation parameter whose witness stays valid on the <= side.
 
-    Bisection on the monotone feasibility predicate over
-    [bracket_min, 0]; returns None when the predicate already holds at
-    bracket_min (no finite threshold in the searchable range).
+    Locates the flip of the monotone predicate _alpha_feasible on
+    [bracket_min, 0] by safeguarded Newton (Dinkelbach) steps on the convex
+    validity margin. Each failing probe's argmax yields a tangent minorant
+    whose tolerance crossing is a certified lower end of the bracket; the
+    next probe goes there, so a valid tangent probe is the threshold itself.
+    A step shorter than the 1e-6 width is closed by one probe just above
+    it. Bisection takes over when a step is missing or leaves the bracket.
+
+    Returns the valid end of a bracket narrower than 1e-6, or None when the
+    predicate already holds at bracket_min (no finite threshold in the
+    searchable range). Raises ValueError for a non-finite or non-negative
+    bracket_min, and when the predicate fails at alpha = 0 (inconsistent
+    p_c). Being monotone, the predicate is probed at alpha = 0 only while
+    no point below it has been found valid.
     """
-    if not bracket_min < 0:
-        raise ValueError("bracket_min must be negative")
+    if not (np.isfinite(bracket_min) and bracket_min < 0):
+        raise ValueError("bracket_min must be finite and negative")
     if p_c is None:
         p_c = sup_product_constrained(L, spec, HalfSpaceSide.LEQ, cfg).value
-    if _alpha_feasible(L, spec, cfg, p_c, bracket_min):
+    valid, step = _alpha0_probe(L, spec, cfg, p_c, bracket_min)
+    if valid:
         return None
-    hi = 0.0
-    if not _alpha_feasible(L, spec, cfg, p_c, hi):
-        raise ValueError("feasibility fails at alpha = 0; inconsistent inputs")
-    lo = bracket_min
-    while hi - lo > 1e-6:
-        mid = 0.5 * (lo + hi)
-        if _alpha_feasible(L, spec, cfg, p_c, mid):
-            hi = mid
+    width = 1e-6
+    # tangent steps are capped at the probe count of a plain bisection, so a
+    # stalling iteration costs at most twice what the bisection would
+    tangents_left = max(1, int(np.ceil(np.log2(-bracket_min) - np.log2(width))))
+    lo, hi = bracket_min, None  # every alpha below lo fails; hi: least alpha found valid
+    while True:
+        top = 0.0 if hi is None else hi
+        if step is not None and lo < step < top and tangents_left:
+            tangents_left -= 1
+            short = step - lo <= width
+            lo, step = step, None
+            if top - lo <= width:
+                continue
+            x = lo + 0.5 * width if short else lo
+        elif hi is None:
+            x = 0.0  # bisection needs a valid upper end
+        elif hi - lo > width:
+            x = 0.5 * (lo + hi)
         else:
-            lo = mid
+            break
+        valid, step = _alpha0_probe(L, spec, cfg, p_c, x)
+        if valid:
+            hi = x
+        elif x == 0.0:
+            raise ValueError("feasibility fails at alpha = 0; inconsistent inputs")
+        else:
+            lo = x
     return float(hi)
 
 

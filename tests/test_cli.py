@@ -79,6 +79,12 @@ class TestRoundTrip:
         with pytest.raises(ValueError):
             operator_from_dict(doc)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_document(self, bad):
+        doc = {"dims": [2, 1], "matrix": [[[bad, 0], [0, 0]], [[0, 0], [1, 0]]]}
+        with pytest.raises(ValueError):
+            operator_from_dict(doc)
+
 
 class TestGs:
     def test_identity(self, files):
@@ -98,6 +104,18 @@ class TestGs:
         proc = run_cli("gs", "--test", str(bad))
         assert proc.returncode == 1
         assert "error" in proc.stderr
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_entry_exits_1(self, tmp_path, bad):
+        path = tmp_path / "bad.json"
+        doc = operator_to_dict(HermitianOperator.identity((2, 2)))
+        doc["matrix"][1][1] = [bad, 0.0]
+        path.write_text(json.dumps(doc))  # json writes NaN and Infinity literals
+        proc = run_cli("gs", "--test", str(path))
+        assert proc.returncode == 1
+        assert "finite" in proc.stderr
+        assert "Warning" not in proc.stderr
+        assert "g_s" not in proc.stdout
 
 
 class TestPc:
@@ -214,6 +232,16 @@ class TestAlpha0:
         assert grab(proc.stdout, "case") == "case-ii"
         a0 = float(grab(proc.stdout, "alpha0"))
         assert -0.5 < a0 < -0.2
+
+    def test_infinite_bracket_min_exits_1(self, files):
+        proc = run_cli(
+            "alpha0", "--test", str(files["C"]), "--constraint", str(files["L"]),
+            "--cvalue", "0.2", "--restarts", "24", "--seed", "3", "--bracket-min", "-inf",
+        )
+        assert proc.returncode == 1
+        assert "bracket_min" in proc.stderr
+        assert "infeasible" not in proc.stderr
+        assert "Warning" not in proc.stderr
 
     def test_identical_operators_exit_1(self, files):
         proc = run_cli(

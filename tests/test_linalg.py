@@ -52,6 +52,16 @@ class TestHermitianOperator:
         with pytest.raises(ValueError):
             HermitianOperator([[0, 1], [0, 0]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    def test_rejects_non_finite_entries(self, bad, where):
+        m = np.eye(2, dtype=complex)
+        i, j = where
+        m[i, j] = bad
+        m[j, i] = np.conj(bad)
+        with pytest.raises(ValueError):
+            HermitianOperator(m)
+
     def test_rejects_bad_dims(self):
         with pytest.raises(DimensionMismatch):
             HermitianOperator(np.eye(4), dims=(2, 3))

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import uew.optimize
+
 from conftest import GS_EXACT, PC_EXACT
 from uew import (
     AssumptionViolated,
@@ -248,6 +250,21 @@ class TestClassify:
         assert l1 is l2
 
 
+@pytest.fixture(scope="module")
+def swapped_bisection(swapped, cfg_small):
+    """p_c of the swapped instance and a plain bisection on the same predicate over [-1e6, 0]."""
+    L, spec = swapped["L"], swapped["spec"]
+    p_c = sup_product_constrained(L, spec, HalfSpaceSide.LEQ, cfg_small).value
+    lo, hi = -1e6, 0.0
+    while hi - lo > 1e-6:
+        mid = 0.5 * (lo + hi)
+        if _alpha_feasible(L, spec, cfg_small, p_c, mid):
+            hi = mid
+        else:
+            lo = mid
+    return p_c, hi
+
+
 class TestAlpha0:
     def test_case_i_has_no_finite_alpha0(self, example, cfg_small, pc_result):
         out = compute_alpha0(example["L"], example["spec"], cfg_small, p_c=pc_result.value)
@@ -286,6 +303,36 @@ class TestAlpha0:
     def test_inconsistent_inputs_raise(self, swapped, cfg_small):
         with pytest.raises(ValueError):
             compute_alpha0(swapped["L"], swapped["spec"], cfg_small, p_c=0.0)
+
+    @pytest.mark.parametrize("bracket_min", [-np.inf, np.nan, 0.0, 1.0])
+    def test_rejects_bad_bracket_min(self, swapped, cfg_small, bracket_min):
+        with pytest.raises(ValueError, match="bracket_min"):
+            compute_alpha0(swapped["L"], swapped["spec"], cfg_small, bracket_min=bracket_min, p_c=0.1)
+
+    def test_tangent_search_few_probes_and_matches_bisection(
+        self, swapped, cfg_small, swapped_bisection, monkeypatch
+    ):
+        p_c, reference = swapped_bisection
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return sup_product_constrained(*args, **kwargs)
+
+        monkeypatch.setattr(uew.optimize, "sup_product_constrained", counting)
+        a0 = compute_alpha0(swapped["L"], swapped["spec"], cfg_small, p_c=p_c)
+        assert len(calls) <= 16
+        assert abs(a0 - reference) <= 1e-6
+
+    def test_without_tangent_steps_falls_back_to_bisection(
+        self, swapped, cfg_small, swapped_bisection, monkeypatch
+    ):
+        p_c, reference = swapped_bisection
+        probe = uew.optimize._alpha0_probe
+        monkeypatch.setattr(
+            uew.optimize, "_alpha0_probe", lambda *args: (probe(*args)[0], None)
+        )
+        assert compute_alpha0(swapped["L"], swapped["spec"], cfg_small, p_c=p_c) == reference
 
 
 class TestRotatedBoundResidual:
