@@ -3,7 +3,9 @@
 Everything here is desk scale: dense row-major complex matrices with a
 total dimension cap of 64. Hermiticity and normalization are validated
 once at construction and trusted afterwards, so the hot loops (see-saw
-updates) stay cheap. All objects are immutable values.
+updates) stay cheap. All objects are immutable values. Eigensystems of
+every size come from LAPACK through ``numpy.linalg.eigh``; the see-saw in
+``optimize`` calls it batched over restarts.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ NORM_TOL = 1e-12
 HERM_TOL = 1e-12
 PHASE_TOL = 1e-12
 EIG_RESIDUAL_TOL = 1e-9
-JACOBI_OFF_TOL = 1e-12
 MAX_TOTAL_DIM = 64
 
 
@@ -105,7 +106,9 @@ class HermitianOperator:
         if n > MAX_TOTAL_DIM:
             raise ValueError(f"total dimension {n} exceeds cap {MAX_TOTAL_DIM}")
         # a non-finite entry makes the deviation NaN or inf, which fails too
-        if not np.max(np.abs(m - m.conj().T)) <= HERM_TOL:
+        with np.errstate(invalid="ignore"):
+            dev = np.max(np.abs(m - m.conj().T))
+        if not dev <= HERM_TOL:
             raise ValueError("matrix is not finite and Hermitian within 1e-12")
         if dims is None:
             dims = (n,)
@@ -247,89 +250,22 @@ def conditional_operator(M: HermitianOperator, k: Ket, party: str) -> HermitianO
     return HermitianOperator(red)
 
 
-def _eig2(mat: np.ndarray):
-    """Closed-form eigensystem of a 2x2 Hermitian matrix, ascending order."""
-    a = mat[0, 0].real
-    d = mat[1, 1].real
-    z = mat[0, 1]
-    r = abs(z)
-    mid = (a + d) / 2
-    rad = np.hypot((a - d) / 2, r)
-    lo, hi = mid - rad, mid + rad
-    if r <= 1e-300 and abs(a - d) <= 1e-300:
-        vecs = np.eye(2, dtype=complex)
-    else:
-        if r <= 1e-300:
-            vhi = np.array([1, 0], dtype=complex) if a >= d else np.array([0, 1], dtype=complex)
-        else:
-            vhi = np.array([z, hi - a], dtype=complex)
-            vhi /= np.linalg.norm(vhi)
-        vlo = np.array([-vhi[1].conjugate(), vhi[0].conjugate()])
-        vecs = np.column_stack([vlo, vhi])
-    return np.array([lo, hi]), vecs
-
-
-def _jacobi_eigh(mat: np.ndarray, off_tol: float = JACOBI_OFF_TOL, max_sweeps: int = 100):
-    """Cyclic Jacobi diagonalization of a complex Hermitian matrix.
-
-    Sweeps run until the off-diagonal Frobenius norm drops below
-    ``off_tol``. Returns (values ascending, column eigenvectors).
-    """
-    n = mat.shape[0]
-    A = np.array(mat, dtype=complex)
-    V = np.eye(n, dtype=complex)
-    for _ in range(max_sweeps):
-        off = np.sqrt(max(0.0, float(np.sum(np.abs(A) ** 2) - np.sum(np.abs(np.diag(A)) ** 2))))
-        if off <= off_tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                z = A[p, q]
-                r = abs(z)
-                if r <= off_tol / (4 * n):
-                    continue
-                u = z / r
-                tau = (A[q, q].real - A[p, p].real) / (2 * r)
-                if tau >= 0:
-                    t = 1.0 / (tau + np.hypot(1.0, tau))
-                else:
-                    t = -1.0 / (-tau + np.hypot(1.0, tau))
-                cth = 1.0 / np.hypot(1.0, t)
-                sth = t * cth
-                # columns, then rows: A <- J^H A J with
-                # J[p,p]=c, J[p,q]=s*u, J[q,p]=-s*conj(u), J[q,q]=c
-                colp = cth * A[:, p] - sth * np.conj(u) * A[:, q]
-                colq = sth * u * A[:, p] + cth * A[:, q]
-                A[:, p], A[:, q] = colp, colq
-                rowp = cth * A[p, :] - sth * u * A[q, :]
-                rowq = sth * np.conj(u) * A[p, :] + cth * A[q, :]
-                A[p, :], A[q, :] = rowp, rowq
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                vp = cth * V[:, p] - sth * np.conj(u) * V[:, q]
-                vq = sth * u * V[:, p] + cth * V[:, q]
-                V[:, p], V[:, q] = vp, vq
-    vals = np.diag(A).real.copy()
-    order = np.argsort(vals, kind="stable")
-    return vals[order], V[:, order]
-
-
 def eig_hermitian(M: HermitianOperator):
-    """All eigenvalues (ascending) and eigenvectors of a Hermitian operator."""
-    if M.dim == 1:
-        return np.array([M.mat[0, 0].real]), np.eye(1, dtype=complex)
-    if M.dim == 2:
-        return _eig2(M.mat)
-    return _jacobi_eigh(M.mat)
+    """All eigenvalues (ascending) and column eigenvectors of a Hermitian operator.
+
+    LAPACK's Hermitian solver (``numpy.linalg.eigh``) does every dimension.
+    """
+    return np.linalg.eigh(M.mat)
 
 
 def max_eigenpair(M: HermitianOperator) -> EigenPair:
     """Largest eigenvalue and eigenvector.
 
-    Uses the closed form for 2x2 and cyclic Jacobi otherwise. A degenerate
-    top eigenvalue (within 1e-12) is broken deterministically in favour of
-    the candidate whose canonicalized amplitudes are lexicographically
-    largest, which picks the lowest-index basis vector for diagonal ties.
+    The eigensystem comes from ``numpy.linalg.eigh`` (see ``eig_hermitian``).
+    A degenerate top eigenvalue (within 1e-12) is broken deterministically
+    in favour of the candidate whose canonicalized amplitudes are
+    lexicographically largest, which picks the lowest-index basis vector
+    for diagonal ties.
     """
     vals, vecs = eig_hermitian(M)
     top = vals[-1]

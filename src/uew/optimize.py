@@ -3,10 +3,12 @@
 Three cooperating search mechanisms live here:
 
 * a see-saw that alternates exact single-party eigenvector updates, used
-  for unconstrained suprema;
+  for unconstrained suprema; all restarts run as one (R, d, d) stack, one
+  einsum and one batched ``numpy.linalg.eigh`` per half step;
 * an exhaustive per-party angle-grid oracle, kept deliberately independent
   of the see-saw so the two can cross-check each other;
-* a constrained pipeline (feasibility short-circuit, coarse feasible grid,
+* a constrained pipeline (feasibility short-circuit, coarse feasible grid
+  whose qubit pair scan skips rows that a closed-form bound rules out,
   coordinate-wise golden-section polish, then a Lagrange-multiplier
   root-find whose zero duality gap certifies boundary optima, finished by
   an exact alternation for qubit pairs that pins the constraint exactly).
@@ -28,7 +30,6 @@ from .linalg import (
     DimensionMismatch,
     HermitianOperator,
     Ket,
-    _jacobi_eigh,
     _lex_key,
     expectation,
 )
@@ -92,41 +93,44 @@ class OptimizationResult:
 # ---------------------------------------------------------------------------
 
 
-def _top_eig_raw(M: np.ndarray):
-    """Largest eigenvalue/vector of a small Hermitian matrix (raw arrays)."""
-    n = M.shape[0]
-    if n == 2:
-        a = M[0, 0].real
-        d = M[1, 1].real
-        z = M[0, 1]
-        r = abs(z)
-        lam = (a + d) / 2 + np.hypot((a - d) / 2, r)
-        if r <= 1e-300:
-            v = np.array([1.0, 0.0], dtype=complex) if a >= d else np.array([0.0, 1.0], dtype=complex)
-        else:
-            v = np.array([z, lam - a], dtype=complex)
-            v /= np.linalg.norm(v)
-        return lam, v
-    vals, vecs = _jacobi_eigh(M)
-    return float(vals[-1]), vecs[:, -1]
+def _hermitian_top(mats: np.ndarray):
+    """Top eigenvalues and eigenvectors of a stack of (R, d, d) matrices.
 
-
-def _seesaw_from(M4: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float, max_iter: int):
-    """Alternating eigenvector ascent from one starting product ket.
-
-    Each half step is an exact maximization of the conditioned quadratic
-    form, so the value never decreases.
+    The stack is symmetrized first to kill float asymmetry, then goes
+    through one batched ``numpy.linalg.eigh`` call.
     """
-    val = -np.inf
+    vals, vecs = np.linalg.eigh((mats + mats.conj().transpose(0, 2, 1)) / 2)
+    return vals[:, -1], vecs[:, :, -1]
+
+
+def _seesaw_batch(M4: np.ndarray, starts, tol: float, max_iter: int):
+    """Alternating eigenvector ascent from R starting product kets at once.
+
+    ``starts`` holds R pairs (a, b); their kets are stacked as (R, dA) and
+    (R, dB). Each half step is an exact maximization of the conditioned
+    quadratic form, so no row's value ever decreases. A row retires once
+    its gain drops below ``tol``, keeping its value and iteration count.
+    Returns per-row arrays (values, A, B, iterations, converged).
+    """
+    R = len(starts)
+    A = np.array([a for a, _ in starts], dtype=complex)
+    B = np.array([b for _, b in starts], dtype=complex)
+    vals = np.full(R, -np.inf)
+    its = np.full(R, max_iter)
+    conv = np.zeros(R, dtype=bool)
+    live = np.arange(R)
     for it in range(1, max_iter + 1):
-        mb = np.einsum("i,ikjl,j->kl", a.conj(), M4, a)
-        _, b = _top_eig_raw((mb + mb.conj().T) / 2)
-        ma = np.einsum("k,ikjl,l->ij", b.conj(), M4, b)
-        new, a = _top_eig_raw((ma + ma.conj().T) / 2)
-        if new - val < tol:
-            return new, a, b, it, True
-        val = new
-    return val, a, b, max_iter, False
+        a = A[live]
+        _, b = _hermitian_top(np.einsum("ri,ikjl,rj->rkl", a.conj(), M4, a))
+        new, a = _hermitian_top(np.einsum("rk,ikjl,rl->rij", b.conj(), M4, b))
+        done = new - vals[live] < tol
+        A[live], B[live], vals[live] = a, b, new
+        its[live[done]] = it
+        conv[live[done]] = True
+        live = live[~done]
+        if live.size == 0:
+            break
+    return vals, A, B, its, conv
 
 
 def _random_unit(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -149,20 +153,25 @@ def sup_product_unconstrained(L: HermitianOperator, cfg: OptimizerConfig) -> Opt
     if len(L.dims) != 2:
         raise DimensionMismatch("bipartite operator required")
     dA, dB = L.dims
-    M4 = L.mat.reshape(dA, dB, dA, dB)
-    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
-    best = None
-    for ss in seeds:
+    starts = []
+    for ss in np.random.SeedSequence(cfg.seed).spawn(cfg.restarts):
         rng = np.random.default_rng(ss)
-        a0 = _random_unit(rng, dA)
-        b0 = _random_unit(rng, dB)
-        val, a, b, its, conv = _seesaw_from(M4, a0, b0, cfg.seesaw_tol, cfg.seesaw_max_iter)
-        cand = (val, a, b, its, conv)
-        if best is None or val > best[0] + 1e-12:
-            best = cand
-        elif abs(val - best[0]) <= 1e-12 and _pk_key(a, b) < _pk_key(best[1], best[2]):
-            best = cand
-    val, a, b, its, conv = best
+        starts.append((_random_unit(rng, dA), _random_unit(rng, dB)))
+    vals, A, B, its, conv = _seesaw_batch(
+        L.mat.reshape(dA, dB, dA, dB), starts, cfg.seesaw_tol, cfg.seesaw_max_iter
+    )
+    best, best_key = 0, None
+    for r in range(1, cfg.restarts):
+        if vals[r] > vals[best] + 1e-12:
+            best, best_key = r, None
+        elif abs(vals[r] - vals[best]) <= 1e-12:
+            if best_key is None:
+                best_key = _pk_key(A[best], B[best])
+            key = _pk_key(A[r], B[r])
+            if key < best_key:
+                best, best_key = r, key
+    val, a, b = vals[best], A[best], B[best]
+    its, conv = int(its[best]), bool(conv[best])
     pk = ProductKet(a=Ket.unit(a), b=Ket.unit(b))
     return OptimizationResult(
         value=float(val),
@@ -329,16 +338,32 @@ def _angles_from_ket(v: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-def _bloch_grid(resolution: int) -> np.ndarray:
-    """(N, 4) array of (1, n) 4-vectors for all grid kets at one resolution."""
-    th = np.linspace(0.0, np.pi, resolution)
-    ph = np.linspace(0.0, 2.0 * np.pi, 2 * resolution - 1)
-    TH, PH = np.meshgrid(th, ph, indexing="ij")
-    st = np.sin(TH).ravel()
-    return np.stack(
-        [np.ones(TH.size), st * np.cos(PH.ravel()), st * np.sin(PH.ravel()), np.cos(TH).ravel()],
+def _qubit_grid(n_theta: int, n_phi: int, phi_endpoint: bool = True):
+    """Qubit kets cos(t/2)|0> + e^{ip} sin(t/2)|1> on a polar/azimuth grid.
+
+    theta takes n_theta points on [0, pi] with both ends; phi takes n_phi
+    points from 0, ending at 2 pi only when ``phi_endpoint``. Points run
+    theta-major. Returns the (N, 2) kets and their (N, 4) Bloch 4-vectors
+    (1, n), so that <k|X|k> = bloch @ (Pauli coefficients of X).
+    """
+    th = np.linspace(0.0, np.pi, n_theta)[:, None]
+    ph = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=phi_endpoint)[None, :]
+    shape = (n_theta, n_phi)
+    kets = np.stack(
+        [np.broadcast_to(np.cos(th / 2), shape).ravel(), (np.exp(1j * ph) * np.sin(th / 2)).ravel()],
         axis=-1,
     )
+    st = np.sin(th)
+    bloch = np.stack(
+        [
+            np.ones(n_theta * n_phi),
+            (st * np.cos(ph)).ravel(),
+            (st * np.sin(ph)).ravel(),
+            np.broadcast_to(np.cos(th), shape).ravel(),
+        ],
+        axis=-1,
+    )
+    return kets, bloch
 
 
 def _cap_max_vectorized(w0, v, g0, u, c, sense):
@@ -365,7 +390,7 @@ def _cap_max_vectorized(w0, v, g0, u, c, sense):
 
 def _oracle_22(L, spec, side, resolution):
     TL = _pauli_tensor_coeffs(L)
-    U = _bloch_grid(resolution)
+    _, U = _qubit_grid(resolution, 2 * resolution - 1)
     if spec is not None:
         TC = _pauli_tensor_coeffs(spec.C)
         sense = 1 if side is HalfSpaceSide.LEQ else -1
@@ -388,12 +413,7 @@ def _oracle_22(L, spec, side, resolution):
 def _party_ket_grid(d: int, resolution: int) -> np.ndarray:
     """All kets of one party on a hyperspherical angle grid."""
     if d == 2:
-        th = np.linspace(0.0, np.pi, resolution)
-        ph = np.linspace(0.0, 2.0 * np.pi, 2 * resolution - 1)
-        TH, PH = np.meshgrid(th, ph, indexing="ij")
-        return np.stack(
-            [np.cos(TH / 2).ravel(), (np.exp(1j * PH) * np.sin(TH / 2)).ravel()], axis=-1
-        )
+        return _qubit_grid(resolution, 2 * resolution - 1)[0]
     mag_axes = [np.linspace(0.0, np.pi / 2, resolution)] * (d - 1)
     ph_axes = [np.linspace(0.0, 2.0 * np.pi, 2 * resolution - 1)] * (d - 1)
     grids = np.meshgrid(*mag_axes, *ph_axes, indexing="ij")
@@ -478,6 +498,34 @@ def grid_oracle_sup(
 # ---------------------------------------------------------------------------
 
 
+def _pruned_pair_grid_max(L, spec, sense, kets, bloch):
+    """``_pair_grid_max`` over the qubit pair grid kets x kets, scanning only
+    the party-A rows that can hold its maximum.
+
+    Each row's upper bound is the closed-form maximum over party B's whole
+    Bloch sphere cut by the constraint, with the cut loosened past the
+    grid's 1e-15 feasibility tolerance and the rounding of both
+    computations. A full scan of the 16 rows with the highest bounds gives
+    a lower bound; rows whose bound falls short of it cannot hold a
+    maximum and are skipped (bound-based pruning, Horst & Tuy, Global
+    Optimization). The rest keep their order, so the row-major
+    first-maximum rule picks the same pair as the full scan.
+    """
+    TL = _pauli_tensor_coeffs(L)
+    TC = _pauli_tensor_coeffs(spec.C)
+    w = bloch @ TL
+    g = bloch @ TC
+    slack_c = 1e-15 + 1e-12 * (1.0 + np.abs(TC).sum() + abs(spec.c))
+    bound = _cap_max_vectorized(
+        w[:, 0], w[:, 1:], g[:, 0], g[:, 1:], spec.c + sense * slack_c, sense
+    )
+    top = np.argsort(-bound, kind="stable")[:16]
+    lower, _ = _pair_grid_max(L, spec, sense, kets[np.sort(top)], kets)
+    slack_v = 1e-12 * (1.0 + np.abs(TL).sum())
+    keep = np.flatnonzero(np.isfinite(bound) & (bound >= lower - slack_v))
+    return _pair_grid_max(L, spec, sense, kets[keep], kets, chunk=1024)
+
+
 def _coarse_feasible_seed(L, spec, sense, cfg):
     """Feasibility-filtered coarse grid stage; returns (value, (a, b)) or None."""
     dA, dB = L.dims
@@ -486,13 +534,8 @@ def _coarse_feasible_seed(L, spec, sense, cfg):
         shrink = min(1.0, np.sqrt(_PAIR_GRID_CAP / total))
         tn = max(2, int(round(cfg.grid_theta * shrink)))
         pn = max(2, int(round(cfg.grid_phi * shrink)))
-        th = np.linspace(0.0, np.pi, tn)
-        ph = np.linspace(0.0, 2.0 * np.pi, pn, endpoint=False)
-        TH, PH = np.meshgrid(th, ph, indexing="ij")
-        kets = np.stack(
-            [np.cos(TH / 2).ravel(), (np.exp(1j * PH) * np.sin(TH / 2)).ravel()], axis=-1
-        )
-        best, arg = _pair_grid_max(L, spec, sense, kets, kets, chunk=1024)
+        kets, bloch = _qubit_grid(tn, pn, phi_endpoint=False)
+        best, arg = _pruned_pair_grid_max(L, spec, sense, kets, bloch)
     else:
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x5EED)))
         n = 200_000
@@ -582,18 +625,15 @@ def _golden_polish(L, spec, sense, cfg, a, b, sweeps=25):
 
 
 def _warm_seesaw(M4, starts, extra_rngs, tol, max_iter):
-    best = None
-    for a0, b0 in starts:
-        val, a, b, _, _ = _seesaw_from(M4, a0, b0, tol, max_iter)
-        if best is None or val > best[0]:
-            best = (val, a, b)
-    for rng in extra_rngs:
-        a0 = _random_unit(rng, M4.shape[0])
-        b0 = _random_unit(rng, M4.shape[1])
-        val, a, b, _, _ = _seesaw_from(M4, a0, b0, tol, max_iter)
-        if best is None or val > best[0]:
-            best = (val, a, b)
-    return best
+    """Best see-saw value over warm starts followed by fresh random draws.
+
+    All starts run as one batch; the first maximum in start order wins.
+    """
+    dA, dB = M4.shape[0], M4.shape[1]
+    starts = list(starts) + [(_random_unit(rng, dA), _random_unit(rng, dB)) for rng in extra_rngs]
+    vals, A, B, _, _ = _seesaw_batch(M4, starts, tol, max_iter)
+    r = int(np.argmax(vals))
+    return vals[r], A[r], B[r]
 
 
 def _slerp(u: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
@@ -703,9 +743,13 @@ def sup_product_constrained(
 
     Stage 1 returns the unconstrained optimum whenever it already satisfies
     the side. Otherwise a coarse feasible grid seeds a golden-section
-    coordinate polish, a multiplier root-find locates the boundary-active
-    optimum, and (for qubit pairs) an exact constrained alternation pins
-    the constraint to machine precision. The best feasible candidate wins.
+    coordinate polish (for qubit pairs the grid is the full pair grid of
+    one polar/azimuth grid with itself, scanned only on the party-A rows
+    whose closed-form bound can reach the best row, so the seed is the
+    full scan's first maximum), a multiplier root-find locates the
+    boundary-active optimum, and (for qubit pairs) an exact constrained
+    alternation pins the constraint to machine precision. The best
+    feasible candidate wins.
     """
     if side not in (HalfSpaceSide.LEQ, HalfSpaceSide.GEQ):
         raise ValueError("side must be leq or geq")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,15 @@ class TestHermitianOperator:
         m[j, i] = np.conj(bad)
         with pytest.raises(ValueError):
             HermitianOperator(m)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_entries_raise_without_warning(self, bad):
+        m = np.eye(2, dtype=complex)
+        m[0, 1] = m[1, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite and Hermitian"):
+                HermitianOperator(m)
 
     def test_rejects_bad_dims(self):
         with pytest.raises(DimensionMismatch):
@@ -222,8 +233,8 @@ class TestMaxEigenpair:
         assert pair.value >= vals.max() - 1e-10
 
     def test_matches_reference_solver(self):
-        # numpy's eigvalsh is an independent implementation to cross-check
-        # the closed form and the Jacobi sweeps
+        # numpy's eigvalsh (no eigenvectors) cross-checks the values that
+        # eig_hermitian returns with its eigenvectors
         rng = np.random.default_rng(13)
         for n in (2, 3, 4, 6, 8):
             g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))

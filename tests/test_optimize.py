@@ -21,12 +21,41 @@ from uew import (
     sup_product_constrained,
     sup_product_unconstrained,
 )
-from uew.optimize import _alpha_feasible, _seesaw_from
+from uew.optimize import (
+    _alpha_feasible,
+    _pair_grid_max,
+    _pruned_pair_grid_max,
+    _qubit_grid,
+    _random_unit,
+    _seesaw_batch,
+)
+
+
+def rand_herm(rng, dims):
+    n = dims[0] * dims[1]
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return HermitianOperator((g + g.conj().T) / 2, dims=dims)
 
 
 def rand_herm_22(rng):
-    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    return HermitianOperator((g + g.conj().T) / 2, dims=(2, 2))
+    return rand_herm(rng, (2, 2))
+
+
+def reference_seesaw(M4, a, b, tol, max_iter):
+    """One restart of the see-saw, one eigensolve per half step."""
+
+    def top(m):
+        vals, vecs = np.linalg.eigh((m + m.conj().T) / 2)
+        return vals[-1], vecs[:, -1]
+
+    val = -np.inf
+    for it in range(1, max_iter + 1):
+        _, b = top(np.einsum("i,ikjl,j->kl", a.conj(), M4, a))
+        new, a = top(np.einsum("k,ikjl,l->ij", b.conj(), M4, b))
+        if new - val < tol:
+            return new, a, b, it, True
+        val = new
+    return val, a, b, max_iter, False
 
 
 class TestOptimizerConfig:
@@ -81,7 +110,7 @@ class TestSeesawUnconstrained:
         b0 = rng.normal(size=2) + 1j * rng.normal(size=2)
         b0 /= np.linalg.norm(b0)
         vals = [
-            _seesaw_from(M4, a0.copy(), b0.copy(), 0.0, k)[0] for k in range(1, 10)
+            _seesaw_batch(M4, [(a0, b0)], 0.0, k)[0][0] for k in range(1, 10)
         ]
         assert all(v2 >= v1 - 1e-13 for v1, v2 in zip(vals, vals[1:]))
 
@@ -98,6 +127,117 @@ class TestSeesawUnconstrained:
         op = HermitianOperator(np.diag(diag), dims=(2, 3))
         res = sup_product_unconstrained(op, cfg_small)
         assert res.value == pytest.approx(0.9, abs=1e-10)
+
+
+class TestSeesawBatch:
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+    def test_matches_per_restart_loop(self, dims):
+        rng = np.random.default_rng(sum(dims))
+        for _ in range(3):
+            M4 = rand_herm(rng, dims).mat.reshape(dims + dims)
+            starts = [(_random_unit(rng, dims[0]), _random_unit(rng, dims[1])) for _ in range(12)]
+            vals, _, _, _, conv = _seesaw_batch(M4, starts, 1e-11, 500)
+            for r, (a, b) in enumerate(starts):
+                ref = reference_seesaw(M4, a, b, 1e-11, 500)
+                assert abs(vals[r] - ref[0]) <= 1e-12
+                assert conv[r] == ref[4]
+
+    def test_retired_rows_keep_their_state(self):
+        # a row capped at fewer iterations than it needs stops where the
+        # per-restart loop stops, whatever the other rows do
+        rng = np.random.default_rng(21)
+        M4 = rand_herm(rng, (3, 3)).mat.reshape(3, 3, 3, 3)
+        starts = [(_random_unit(rng, 3), _random_unit(rng, 3)) for _ in range(6)]
+        vals, _, _, its, conv = _seesaw_batch(M4, starts, 0.0, 7)
+        assert np.all(its == 7) and not conv.any()
+        for r, (a, b) in enumerate(starts):
+            assert abs(vals[r] - reference_seesaw(M4, a, b, 0.0, 7)[0]) <= 1e-12
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+    def test_reduction_and_reruns(self, dims):
+        rng = np.random.default_rng(3 * sum(dims))
+        op = rand_herm(rng, dims)
+        cfg = OptimizerConfig(seed=9, restarts=16)
+        starts = []
+        for ss in np.random.SeedSequence(cfg.seed).spawn(cfg.restarts):
+            g = np.random.default_rng(ss)
+            starts.append((_random_unit(g, dims[0]), _random_unit(g, dims[1])))
+        M4 = op.mat.reshape(dims + dims)
+        best = max(reference_seesaw(M4, a, b, cfg.seesaw_tol, cfg.seesaw_max_iter)[0] for a, b in starts)
+        r1 = sup_product_unconstrained(op, cfg)
+        r2 = sup_product_unconstrained(op, cfg)
+        assert abs(r1.value - best) <= 1e-12
+        assert r1.value == r2.value and r1.iterations == r2.iterations
+        assert np.array_equal(r1.argmax.a.amplitudes, r2.argmax.a.amplitudes)
+        assert np.array_equal(r1.argmax.b.amplitudes, r2.argmax.b.amplitudes)
+
+
+def _coarse_grid():
+    # the grid of the 2x2 coarse seed at the default grid_theta/grid_phi
+    return _qubit_grid(45, 90, phi_endpoint=False)
+
+
+def _assert_pruning_exact(L, spec, sense):
+    kets, bloch = _coarse_grid()
+    full_val, full_arg = _pair_grid_max(L, spec, sense, kets, kets, chunk=1024)
+    val, arg = _pruned_pair_grid_max(L, spec, sense, kets, bloch)
+    assert full_val > -np.inf
+    assert abs(val - full_val) <= 1e-14
+    assert np.array_equal(arg[0], full_arg[0]) and np.array_equal(arg[1], full_arg[1])
+
+
+def _zi():
+    return HermitianOperator(np.kron(np.diag([1.0, -1.0]), np.eye(2)), dims=(2, 2))
+
+
+class TestPrunedPairGrid:
+    def test_grid_matches_bloch_vectors(self):
+        kets, bloch = _coarse_grid()
+        assert kets.shape == (4050, 2)
+        n = np.stack(
+            [
+                2 * (kets[:, 0].conj() * kets[:, 1]).real,
+                2 * (kets[:, 0].conj() * kets[:, 1]).imag,
+                np.abs(kets[:, 0]) ** 2 - np.abs(kets[:, 1]) ** 2,
+            ],
+            axis=-1,
+        )
+        assert np.allclose(bloch[:, 0], 1.0) and np.allclose(bloch[:, 1:], n, atol=1e-14)
+
+    @pytest.mark.parametrize("sense", [1, -1])
+    def test_worked_and_swapped_instances(self, example, swapped, sense):
+        _assert_pruning_exact(example["L"], example["spec"], sense)
+        _assert_pruning_exact(swapped["L"], swapped["spec"], sense)
+
+    @pytest.mark.parametrize("sense", [1, -1])
+    def test_random_instances(self, sense):
+        rng = np.random.default_rng(40 + sense)
+        for _ in range(20):
+            L, C = rand_herm_22(rng), rand_herm_22(rng)
+            d = np.diag(C.mat).real
+            c = float(rng.uniform(d.min(), d.max()))
+            _assert_pruning_exact(L, ConstraintSpec(C=C, c=c), sense)
+
+    @pytest.mark.parametrize("sense", [1, -1])
+    def test_constraint_without_party_b_gradient(self, sense):
+        rng = np.random.default_rng(61)
+        _assert_pruning_exact(rand_herm_22(rng), ConstraintSpec(C=_zi(), c=0.3), sense)
+
+    def test_boundary_tangent_cut(self):
+        zz = HermitianOperator(np.diag([1.0, -1.0, -1.0, 1.0]), dims=(2, 2))
+        _assert_pruning_exact(zz, ConstraintSpec(C=_zi(), c=-1.0), 1)
+
+    def test_identity_prunes_no_row(self, monkeypatch):
+        rows = []
+
+        def counting(L, spec, sense, kets_a, kets_b, chunk=4096):
+            rows.append(len(kets_a))
+            return _pair_grid_max(L, spec, sense, kets_a, kets_b, chunk)
+
+        monkeypatch.setattr(uew.optimize, "_pair_grid_max", counting)
+        ident = HermitianOperator.identity((2, 2))
+        _assert_pruning_exact(ident, ConstraintSpec(C=_zi(), c=1.0), 1)
+        assert rows[-1] == len(_coarse_grid()[0])
 
 
 class TestGridOracle:
