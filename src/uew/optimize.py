@@ -374,11 +374,14 @@ def _cap_max_vectorized(w0, v, g0, u, c, sense):
     nu = np.linalg.norm(us, axis=1)
     uv = np.einsum("ij,ij->i", us, v)
     val_free = w0 + nv
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         nu2 = np.maximum(nu, 1e-300)
         ratio = np.clip(t / nu2, -1.0, 1.0)
-        vperp2 = np.maximum(nv**2 - (uv / nu2) ** 2, 0.0)
-        val_cap = w0 + (uv / nu2**2) * t + np.sqrt(vperp2) * np.sqrt(np.maximum(1.0 - ratio**2, 0.0))
+        along = uv / nu2**2
+        # |v| sin(angle to u), from the difference vector: nv**2 - (uv/nu)**2
+        # cancels to ~sqrt(eps)*|v| when v is nearly parallel to u.
+        vperp = np.linalg.norm(v - along[:, None] * us, axis=1)
+        val_cap = w0 + along * t + vperp * np.sqrt(np.maximum(1.0 - ratio**2, 0.0))
     feas_free = uv / np.maximum(nv, 1e-300) <= t
     val = np.where(feas_free, val_free, val_cap)
     val = np.where(t < -nu - 1e-15, -np.inf, val)
@@ -508,8 +511,9 @@ def _pruned_pair_grid_max(L, spec, sense, kets, bloch):
     computations. A full scan of the 16 rows with the highest bounds gives
     a lower bound; rows whose bound falls short of it cannot hold a
     maximum and are skipped (bound-based pruning, Horst & Tuy, Global
-    Optimization). The rest keep their order, so the row-major
-    first-maximum rule picks the same pair as the full scan.
+    Optimization). The rest, and the 16 scanned rows, keep their order, so
+    the row-major first-maximum rule picks the same pair as the full scan,
+    and the result never falls below the lower bound.
     """
     TL = _pauli_tensor_coeffs(L)
     TC = _pauli_tensor_coeffs(spec.C)
@@ -522,7 +526,9 @@ def _pruned_pair_grid_max(L, spec, sense, kets, bloch):
     top = np.argsort(-bound, kind="stable")[:16]
     lower, _ = _pair_grid_max(L, spec, sense, kets[np.sort(top)], kets)
     slack_v = 1e-12 * (1.0 + np.abs(TL).sum())
-    keep = np.flatnonzero(np.isfinite(bound) & (bound >= lower - slack_v))
+    keep = np.isfinite(bound) & (bound >= lower - slack_v)
+    keep[top] = True
+    keep = np.flatnonzero(keep)
     return _pair_grid_max(L, spec, sense, kets[keep], kets, chunk=1024)
 
 

@@ -227,6 +227,18 @@ class TestPrunedPairGrid:
         zz = HermitianOperator(np.diag([1.0, -1.0, -1.0, 1.0]), dims=(2, 2))
         _assert_pruning_exact(zz, ConstraintSpec(C=_zi(), c=-1.0), 1)
 
+    @pytest.mark.parametrize("eps", [1e-8, 1e-7])
+    def test_objective_nearly_parallel_to_constraint(self, eps):
+        # party B's objective Z + eps X is nearly parallel to the constraint
+        # gradient Z; the feasible equator point phi = 0 is on the grid
+        x = np.array([[0.0, 1.0], [1.0, 0.0]])
+        z = np.diag([1.0, -1.0])
+        L = HermitianOperator(np.kron(np.eye(2), z + eps * x), dims=(2, 2))
+        spec = ConstraintSpec(C=HermitianOperator(np.kron(np.eye(2), z), dims=(2, 2)), c=0.0)
+        _assert_pruning_exact(L, spec, 1)
+        res = sup_product_constrained(L, spec, HalfSpaceSide.LEQ, OptimizerConfig())
+        assert res.value >= eps - 1e-12
+
     def test_identity_prunes_no_row(self, monkeypatch):
         rows = []
 
