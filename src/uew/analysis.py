@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -10,14 +9,15 @@ import numpy as np
 
 from .linalg import expectation
 from .optimize import OptimizerConfig, sup_product_constrained
-from .states import DensityMatrix, NoisyStateFamily
+from .states import NoisyStateFamily
 from .witness import (
+    BOUNDARY_TOL,
+    DETECTION_TOL,
     ConstraintSpec,
     HalfSpaceSide,
     Witness,
     build_minus_inf,
     build_v_alpha,
-    halfspace_membership,
 )
 
 MINUS_INF = float("-inf")
@@ -40,11 +40,9 @@ class PlaneSample:
     y: float  # test expectation
 
 
-def _detected(witness: Witness, spec: ConstraintSpec, side: HalfSpaceSide, rho: DensityMatrix) -> bool:
-    member = halfspace_membership(rho, spec)
-    if member is not side and member is not HalfSpaceSide.BOUNDARY:
-        return False
-    return witness.fires(rho)
+def _check_resolution(resolution: float) -> None:
+    if not 0.0 < resolution <= 1e-3:
+        raise ValueError("resolution must be finite with 0 < resolution <= 1e-3")
 
 
 def threshold_scan(
@@ -54,38 +52,34 @@ def threshold_scan(
     side: HalfSpaceSide,
     resolution: float = 1e-3,
 ) -> Optional[float]:
-    """Largest p* such that every noise level p <= p* is detected.
+    """Supremum p* of the detected noise interval [0, p*], or None.
 
-    The witness expectation is affine in p, so the detection set is an
-    interval [0, p*]; a coarse scan at the given resolution brackets its
-    edge and bisection refines it to resolution/10. Returns None when even
-    p = 0 escapes detection.
+    A noise level p counts as detected when family.member(p) lies on the
+    given side of the constraint (within its 1e-9 boundary band; both
+    bands for BOUNDARY) and the witness fires on it. The witness value
+    and the constraint expectation are affine in p, so each condition
+    holds on a half-line and the detected set is an interval starting at
+    0; p* is the first zero of the conditions, found from the members at
+    p = 0 and p = 1 alone. Returns None when p = 0 itself escapes
+    detection. resolution is only validated: the edge is exact.
     """
-    if resolution > 1e-3:
-        raise ValueError("resolution must be at most 1e-3")
-
-    def hit(p: float) -> bool:
-        return _detected(witness, spec, side, family.member(p))
-
-    if not hit(0.0):
+    _check_resolution(resolution)
+    ends = [family.member(p) for p in (0.0, 1.0)]
+    # each condition f(p) <= 0 is kept as (f(0), f(1)); the witness condition
+    # is strict, and at p = 0 every comparison is the one detection makes
+    lines = [tuple(witness.value(rho) + DETECTION_TOL for rho in ends)]
+    cons = [expectation(spec.C, rho) for rho in ends]
+    if side is not HalfSpaceSide.GEQ:
+        lines.append(tuple(v - (spec.c + BOUNDARY_TOL) for v in cons))
+    if side is not HalfSpaceSide.LEQ:
+        lines.append(tuple((spec.c - BOUNDARY_TOL) - v for v in cons))
+    if not lines[0][0] < 0.0 or any(at0 > 0.0 for at0, _ in lines):
         return None
-    steps = int(math.ceil(1.0 / resolution))
-    edge = None
-    for k in range(1, steps + 1):
-        p = min(k * resolution, 1.0)
-        if not hit(p):
-            edge = (min((k - 1) * resolution, 1.0), p)
-            break
-    if edge is None:
-        return 1.0
-    lo, hi = edge
-    while hi - lo > resolution / 10.0:
-        mid = 0.5 * (lo + hi)
-        if hit(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    edge = 1.0
+    for at0, at1 in lines:
+        if at1 > at0:
+            edge = min(edge, abs(at0) / (at1 - at0))  # at0 <= 0; abs keeps the zero unsigned
+    return edge
 
 
 def alpha_sweep(
@@ -99,8 +93,11 @@ def alpha_sweep(
     """One SweepRow per requested alpha (float('-inf') selects the limit witness).
 
     The constrained bound of the base test operator is computed once and
-    reused by every rotated witness.
+    reused by every rotated witness. A row's threshold_p is the supremum of
+    its detected noise interval on the <= side (see threshold_scan);
+    resolution is only validated.
     """
+    _check_resolution(resolution)
     for alpha in alphas:
         if alpha != MINUS_INF and not alpha < 1.0:
             raise ValueError("finite alphas must be < 1")

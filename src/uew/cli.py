@@ -39,8 +39,8 @@ from .witness import (
     HalfSpaceSide,
     UewPair,
     Witness,
-    build_minus_inf,
     detect as run_detect,
+    normalised_rotation,
 )
 
 EXIT_OK = 0
@@ -53,24 +53,23 @@ def _parse_real(text: str) -> float:
     """Accept decimal literals and exact rationals like 2/3."""
     text = text.strip()
     if "/" in text:
-        return float(Fraction(text))
+        try:
+            return float(Fraction(text))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {text!r}") from None
     return float(text)
 
 
+def _parse_alpha(tok: str) -> float:
+    """A rotation parameter < 1; -inf selects the limit witness."""
+    val = _parse_real(tok)
+    if not val < 1.0:
+        raise ValueError(f"alpha {tok.strip()!r} must be < 1 or -inf")
+    return val
+
+
 def _parse_alphas(text: str):
-    out = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if tok in ("-inf", "-Inf", "-INF"):
-            out.append(MINUS_INF)
-            continue
-        val = _parse_real(tok)
-        if not val < 1.0:
-            raise ValueError(f"alpha {tok!r} must be < 1")
-        out.append(val)
-    if not out:
-        raise ValueError("empty alpha list")
-    return out
+    return [_parse_alpha(tok) for tok in text.split(",")]
 
 
 def _resolve_seed(flag_value) -> int:
@@ -83,10 +82,7 @@ def _resolve_seed(flag_value) -> int:
 
 
 def _config(args) -> OptimizerConfig:
-    return OptimizerConfig(
-        restarts=getattr(args, "restarts", 64),
-        seed=_resolve_seed(getattr(args, "seed", None)),
-    )
+    return OptimizerConfig(restarts=args.restarts, seed=_resolve_seed(args.seed))
 
 
 def _fmt(x: float) -> str:
@@ -167,27 +163,17 @@ def cmd_scan(args) -> int:
 
 
 def _build_pair(L, spec: ConstraintSpec, alpha, cfg: OptimizerConfig) -> UewPair:
-    """Pair of half-space witnesses for L itself or its rotation by alpha."""
-    if alpha is None:
-        test = L
-    elif alpha == MINUS_INF:
-        test = L - spec.C
-    else:
-        lam = alpha / (1.0 - alpha)
-        test = lam * spec.C + L  # rotated operator divided by (1 - alpha)
-    if alpha == MINUS_INF:
-        p_c = sup_product_constrained(L, spec, HalfSpaceSide.LEQ, cfg).value
-        w_c = build_minus_inf(spec, L, p_c)
-    else:
-        lo = sup_product_constrained(test, spec, HalfSpaceSide.LEQ, cfg).value
-        scale = 1.0 if alpha is None else (1.0 - alpha)
-        w_c = Witness(bound=scale * lo, test=scale * test)
-    hi = sup_product_constrained(test, spec, HalfSpaceSide.GEQ, cfg).value
-    if alpha == MINUS_INF:
-        w_ct = Witness(bound=hi, test=L - spec.C)
-    else:
-        scale = 1.0 if alpha is None else (1.0 - alpha)
-        w_ct = Witness(bound=scale * hi, test=scale * test)
+    """Pair of half-space witnesses for L itself or its rotation by alpha.
+
+    Each bound is scale times the constrained product supremum of the
+    normalised test on that witness's own half-space; alpha = -inf takes
+    the limit test L - C the same way.
+    """
+    scale, _, test = normalised_rotation(spec, L, alpha)
+    w_c, w_ct = (
+        Witness(scale * sup_product_constrained(test, spec, side, cfg).value, scale * test)
+        for side in (HalfSpaceSide.LEQ, HalfSpaceSide.GEQ)
+    )
     return UewPair(w_c=w_c, w_ctilde=w_ct, constraint=spec)
 
 
@@ -198,11 +184,7 @@ def cmd_detect(args) -> int:
     L = load_operator(args.test)
     C = load_operator(args.constraint)
     spec = ConstraintSpec(C=C, c=_parse_real(args.cvalue))
-    alpha = None
-    if args.alpha is not None:
-        alpha = MINUS_INF if args.alpha in ("-inf", "-Inf", "-INF") else _parse_real(args.alpha)
-        if alpha != MINUS_INF and not alpha < 1.0:
-            raise ValueError("alpha must be < 1 or -inf")
+    alpha = None if args.alpha is None else _parse_alpha(args.alpha)
     pair = _build_pair(L, spec, alpha, cfg)
     verdict = run_detect(rho, pair)
     print(f"side: {verdict.side_used.value}")
@@ -290,7 +272,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", default="2/3", help="instance parameter x in (0,1)")
     p.add_argument("--cvalue", default="1/100", help="constraint value")
     p.add_argument("--alphas", required=True, help="comma list of alphas < 1, -inf allowed")
-    p.add_argument("--resolution", type=float, default=1e-3, help="noise scan step (<= 1e-3)")
+    p.add_argument(
+        "--resolution", type=float, default=1e-3,
+        help="validated only (0 < r <= 1e-3): thresholds are exact edges, not grid steps",
+    )
     common(p)
     p.set_defaults(func=cmd_scan)
 

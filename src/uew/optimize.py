@@ -34,7 +34,7 @@ from .linalg import (
     expectation,
 )
 from .states import ProductKet, random_product_batch
-from .witness import ConstraintSpec, HalfSpaceSide, combine_alpha
+from .witness import ConstraintSpec, HalfSpaceSide, combine_alpha, normalised_rotation
 
 ALPHA0_FEAS_TOL = 1e-8
 BOUNDARY_CLASSIFY_TOL = 1e-9
@@ -840,30 +840,23 @@ def classify_case(L: HermitianOperator, spec: ConstraintSpec, cfg: OptimizerConf
 
 
 def _alpha_feasible(L, spec, cfg, p_c, alpha):
-    """Whether the rotated witness bound still dominates on the <= side.
-
-    Evaluated on the (1-alpha)-normalized operator so the comparison stays
-    well scaled for arbitrarily negative alpha.
-    """
-    lam = alpha / (1.0 - alpha)
-    nbar = lam * spec.C + L
-    bound = lam * spec.c + p_c
-    sup = sup_product_constrained(nbar, spec, HalfSpaceSide.LEQ, cfg).value
-    return sup <= bound + ALPHA0_FEAS_TOL
+    """Whether the rotated witness bound still dominates on the <= side."""
+    return _alpha0_probe(L, spec, cfg, p_c, alpha)[0]
 
 
 def _alpha0_probe(L, spec, cfg, p_c, alpha):
-    """The _alpha_feasible predicate at alpha, plus a Newton step when it fails.
+    """Validity of the rotated witness at alpha, plus a Newton step when it fails.
 
-    A failing probe's argmax s is feasible, so with lam = alpha/(1-alpha) the
-    validity margin F(lam) = sup_{<C> <= c} <L + lam C> - lam c - p_c obeys
+    Evaluated on the (1-alpha)-normalized operator nbar = lam*C + L so the
+    comparison stays well scaled for arbitrarily negative alpha. A failing
+    probe's argmax s is feasible, so the validity margin
+    F(lam) = sup_{<C> <= c} <nbar> - lam c - p_c obeys
     F(lam) >= (<L>_s - p_c) + lam (<C>_s - c). Where that line meets the
     tolerance, at alpha_t, every alpha < alpha_t is certified invalid.
     Returns (valid, alpha_t); alpha_t is None for a valid probe, for
     <C>_s >= c (no decreasing line), and for a non-finite step.
     """
-    lam = alpha / (1.0 - alpha)
-    nbar = lam * spec.C + L
+    _, lam, nbar = normalised_rotation(spec, L, alpha)
     bound = lam * spec.c + p_c
     res = sup_product_constrained(nbar, spec, HalfSpaceSide.LEQ, cfg)
     if res.value <= bound + ALPHA0_FEAS_TOL:
@@ -960,9 +953,7 @@ def rotated_bound_residual(
                 RuntimeWarning,
                 stacklevel=2,
             )
-    lam = alpha / (1.0 - alpha)
-    nbar = lam * spec.C + L
-    sup_norm = sup_product_constrained(nbar, spec, HalfSpaceSide.LEQ, cfg).value
-    h = (1.0 - alpha) * sup_norm
+    scale, _, nbar = normalised_rotation(spec, L, alpha)
+    h = scale * sup_product_constrained(nbar, spec, HalfSpaceSide.LEQ, cfg).value
     affine = alpha * spec.c + (1.0 - alpha) * p_c
     return abs(h - affine)

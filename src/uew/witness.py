@@ -110,6 +110,25 @@ def combine_alpha(spec: ConstraintSpec, L: HermitianOperator, alpha: float) -> H
     return alpha * spec.C + (1.0 - alpha) * L
 
 
+def normalised_rotation(spec: ConstraintSpec, L: HermitianOperator, alpha):
+    """The rotation by alpha as (scale, lam, test) with test = lam*C + L.
+
+    scale * test is the rotated operator alpha*C + (1-alpha)*L, so
+    lam = alpha/(1-alpha) and scale = 1-alpha. Dividing by the scale keeps
+    the test well scaled for arbitrarily negative alpha; alpha = -inf gives
+    the limit (1, -1, L - C) and alpha = None counts as alpha = 0.
+    """
+    if alpha is None:
+        alpha = 0.0
+    if alpha == float("-inf"):
+        scale, lam = 1.0, -1.0
+    elif alpha < 1.0:
+        scale, lam = 1.0 - alpha, alpha / (1.0 - alpha)
+    else:
+        raise ValueError("alpha must be < 1 or -inf")
+    return scale, lam, lam * spec.C + L
+
+
 def build_few(L: HermitianOperator, g_s: float) -> Witness:
     """Witness g_s*I - L from a certified unconstrained product supremum."""
     return Witness(bound=float(g_s), test=L)

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import C_AT_PHI, GS_EXACT, L_AT_PHI, PC_EXACT, SIDE_CAP
 from uew import (
@@ -7,17 +11,22 @@ from uew import (
     DensityMatrix,
     DimensionMismatch,
     HalfSpaceSide,
+    HermitianOperator,
     Ket,
     MINUS_INF,
     Witness,
     alpha_sweep,
     build_minus_inf,
     build_v_alpha,
+    expectation,
+    halfspace_membership,
     noisy_member,
     plane_samples,
     tensor_product,
     threshold_scan,
 )
+from uew.states import NoisyStateFamily
+from uew.witness import BOUNDARY_TOL, DETECTION_TOL
 
 L_AT_MIXED = 1.0 / 9.0
 C_AT_MIXED = 1.0 / 9.0
@@ -33,8 +42,24 @@ def affine_root(bound, w_c_coeff, w_l_coeff):
 class TestThresholdScan:
     def test_rejects_coarse_resolution(self, example, pc_result):
         w = build_v_alpha(example["spec"], example["L"], pc_result.value, 0.0).witness
-        with pytest.raises(ValueError):
-            threshold_scan(example["family"], w, example["spec"], HalfSpaceSide.LEQ, resolution=1e-2)
+        for bad in (1e-2, -1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                threshold_scan(example["family"], w, example["spec"], HalfSpaceSide.LEQ, resolution=bad)
+
+    def test_evaluates_two_members(self, example, pc_result, monkeypatch):
+        calls = []
+        member = NoisyStateFamily.member
+
+        def counting(self, p):
+            calls.append(p)
+            return member(self, p)
+
+        monkeypatch.setattr(NoisyStateFamily, "member", counting)
+        w = build_v_alpha(example["spec"], example["L"], pc_result.value, -1.0).witness
+        for side in HalfSpaceSide:
+            calls.clear()
+            threshold_scan(example["family"], w, example["spec"], side)
+            assert len(calls) == 2
 
     def test_never_firing_witness_returns_none(self, example):
         w = Witness(bound=GS_EXACT, test=example["L"])  # valid everywhere
@@ -62,6 +87,70 @@ class TestThresholdScan:
         spec = ConstraintSpec(C=example["C"], c=10.0)  # everything on the <= side
         out = threshold_scan(example["family"], w, spec, HalfSpaceSide.LEQ)
         assert out == 1.0
+
+
+def _reference(family, witness, spec, side, p):
+    """Per-member detection of the noise level p, and its distance to a tolerance edge.
+
+    Where that distance is at rounding level, the per-member predicate can
+    flip between neighbouring p and decides nothing.
+    """
+    rho = family.member(p)
+    member = halfspace_membership(rho, spec)
+    detected = (member is side or member is HalfSpaceSide.BOUNDARY) and witness.fires(rho)
+    g = expectation(spec.C, rho) - spec.c
+    margin = min(abs(witness.value(rho) + DETECTION_TOL), abs(abs(g) - BOUNDARY_TOL))
+    return detected, margin
+
+
+def _hermitian(dims):
+    dim = dims[0] * dims[1]
+    parts = arrays(np.float64, (2, dim, dim), elements=st.floats(-1.0, 1.0))
+    return parts.map(lambda g: HermitianOperator((g[0] + 1j * g[1] + g[0].T - 1j * g[1].T) / 2, dims))
+
+
+@st.composite
+def scan_instances(draw):
+    """A random white-noise family, witness, constraint and side.
+
+    The bound and c are drawn as margins by which the noiseless state
+    clears the witness and the side condition; a zero margin clears the
+    side condition (boundary band) but not the strict witness condition.
+    """
+    dims = draw(st.sampled_from([(2, 2), (2, 3)]))
+    amps = draw(arrays(np.float64, (2, dims[0] * dims[1]), elements=st.floats(-1.0, 1.0)))
+    ket = amps[0] + 1j * amps[1]
+    if np.linalg.norm(ket) < 1e-3:
+        ket[0] = 1.0
+    pure = DensityMatrix.from_ket(Ket.unit(ket), dims=dims)
+    test, C = draw(_hermitian(dims)), draw(_hermitian(dims))
+    side = draw(st.sampled_from([HalfSpaceSide.LEQ, HalfSpaceSide.GEQ]))
+    sign = 1.0 if side is HalfSpaceSide.LEQ else -1.0
+    fire_margin = draw(st.floats(0.01, 1.0) | st.floats(-0.25, 0.0))
+    witness = Witness(bound=expectation(test, pure) - fire_margin, test=test)
+    spec = ConstraintSpec(C=C, c=expectation(C, pure) + sign * draw(st.floats(-0.25, 1.0)))
+    return NoisyStateFamily(pure=pure), witness, spec, side
+
+
+class TestThresholdClosedForm:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(scan_instances())
+    def test_matches_per_member_predicate(self, inst):
+        family, witness, spec, side = inst
+        edge = threshold_scan(family, witness, spec, side)
+        assert (edge is None) == (not _reference(family, witness, spec, side, 0.0)[0])
+        if edge is None:
+            return
+        assert 0.0 <= edge <= 1.0
+        near = edge + np.array([-1e-4, -1e-6, -1e-8, 1e-8, 1e-6, 1e-4])
+        for p in np.concatenate([np.linspace(0.0, 1.0, 101), near[(near >= 0) & (near <= 1)]]):
+            detected, margin = _reference(family, witness, spec, side, p)
+            if margin < 1e-12:
+                continue
+            if p < edge - 1e-9:
+                assert detected, (p, edge)
+            elif p > edge + 1e-9:
+                assert not detected, (p, edge)
 
 
 class TestAlphaSweep:

@@ -7,7 +7,15 @@ import numpy as np
 import pytest
 
 from conftest import GS_EXACT, PC_EXACT
-from uew import DensityMatrix, Example31Config, HermitianOperator, build_example31, noisy_member
+from uew import (
+    DensityMatrix,
+    Example31Config,
+    HermitianOperator,
+    OptimizerConfig,
+    build_example31,
+    noisy_member,
+    sup_product_unconstrained,
+)
 from uew.fileio import load_operator, operator_from_dict, operator_to_dict, save_density, save_operator
 from uew.states import NoisyStateFamily
 
@@ -47,6 +55,11 @@ def files(tmp_path_factory):
     save_operator(HermitianOperator.identity((2, 2)), paths["I4"])
     save_density(rho0, paths["rho0"])
     save_density(noisy_member(family, 1.0), paths["mixed"])
+    # role-swapped instance (test C, constraint L, c = 0.2): the product
+    # state maximising its limit test C - L lies on the <= side
+    paths["swapped_argmax"] = root / "swapped_argmax.json"
+    opt = sup_product_unconstrained(C - L, OptimizerConfig(seed=0))
+    save_density(DensityMatrix.from_product(opt.argmax), paths["swapped_argmax"])
     return paths
 
 
@@ -167,6 +180,21 @@ class TestScan:
         proc = run_cli("scan", "--example31", "--alphas", "2")
         assert proc.returncode == 1
 
+    @pytest.mark.parametrize("alphas, cvalue", [("1/0", "1/100"), ("0", "1/0")])
+    def test_zero_denominator_exits_1(self, files, alphas, cvalue):
+        proc = run_cli("scan", "--example31", "--alphas", alphas, "--cvalue", cvalue)
+        assert proc.returncode == 1
+        assert "denominator" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("resolution", ["-1", "0", "nan"])
+    def test_invalid_resolution_exits_1(self, files, resolution):
+        proc = run_cli("scan", "--example31", "--alphas", "0", f"--resolution={resolution}")
+        assert proc.returncode == 1
+        assert "resolution" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
     def test_byte_identical_reruns(self, files):
         args = ("scan", "--example31", "--alphas", "0,-1,-inf", "--seed", "9")
         out1 = run_cli(*args)
@@ -200,6 +228,15 @@ class TestDetect:
         )
         assert proc.returncode == 0
         assert grab(proc.stdout, "verdict") == "entangled"
+
+    def test_limit_witness_spares_swapped_product_argmax(self, files):
+        proc = run_cli(
+            "detect", "--state", str(files["swapped_argmax"]), "--test", str(files["C"]),
+            "--constraint", str(files["L"]), "--cvalue", "0.2", "--alpha", "-inf", "--seed", "0",
+        )
+        assert proc.returncode == 0
+        assert grab(proc.stdout, "side") == "leq"
+        assert grab(proc.stdout, "verdict") == "not-detected"
 
     def test_non_state_input_exits_1(self, files, tmp_path):
         bad = tmp_path / "notpsd.json"

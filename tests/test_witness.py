@@ -21,9 +21,12 @@ from uew import (
     halfspace_membership,
     noisy_member,
     random_product_batch,
+    sup_product_unconstrained,
     tensor_product,
 )
+from uew.cli import _build_pair
 from uew.states import product_expectations
+from uew.witness import normalised_rotation
 
 
 def _xi_hat():
@@ -53,6 +56,43 @@ class TestCombineAlpha:
         small = ConstraintSpec(C=HermitianOperator.identity((2,)), c=0.0)
         with pytest.raises(DimensionMismatch):
             combine_alpha(small, example["L"], -1.0)
+
+
+class TestNormalisedRotation:
+    @pytest.mark.parametrize("alpha", [0.0, -0.5, -5.0, 0.75])
+    def test_scaled_test_is_rotated_operator(self, example, alpha):
+        scale, lam, test = normalised_rotation(example["spec"], example["L"], alpha)
+        assert scale == 1.0 - alpha
+        assert lam == pytest.approx(alpha / (1.0 - alpha), abs=1e-15)
+        assert (scale * test).allclose(combine_alpha(example["spec"], example["L"], alpha))
+
+    def test_none_counts_as_zero(self, example):
+        scale, lam, test = normalised_rotation(example["spec"], example["L"], None)
+        assert (scale, lam) == (1.0, 0.0)
+        assert np.array_equal(test.mat, example["L"].mat)
+
+    def test_minus_inf_is_limit_test(self, example):
+        scale, lam, test = normalised_rotation(example["spec"], example["L"], float("-inf"))
+        assert (scale, lam) == (1.0, -1.0)
+        assert np.array_equal(test.mat, (example["L"] - example["C"]).mat)
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.0, float("inf"), float("nan")])
+    def test_rejects_alpha_ge_one(self, example, alpha):
+        with pytest.raises(ValueError):
+            normalised_rotation(example["spec"], example["L"], alpha)
+
+
+class TestBuildPairSoundness:
+    @pytest.mark.parametrize("alpha", [None, 0.0, -1.0, -5.0, float("-inf")])
+    def test_spares_argmax_of_own_test_on_swapped_instance(self, swapped, cfg_small, alpha):
+        # the product state maximising the pair's (shared, positively scaled)
+        # test operator must not be called entangled; with alpha = -inf the bound p_c - c of the
+        # affine limit witness used to sit 0.038 below its supremum here
+        pair = _build_pair(swapped["L"], swapped["spec"], alpha, cfg_small)
+        opt = sup_product_unconstrained(pair.w_c.test, cfg_small)
+        rho = DensityMatrix.from_product(opt.argmax)
+        verdict = detect(rho, pair)
+        assert verdict.label is VerdictLabel.NOT_DETECTED, verdict
 
 
 class TestBuildFew:
