@@ -40,11 +40,6 @@ class PlaneSample:
     y: float  # test expectation
 
 
-def _check_resolution(resolution: float) -> None:
-    if not 0.0 < resolution <= 1e-3:
-        raise ValueError("resolution must be finite with 0 < resolution <= 1e-3")
-
-
 def threshold_scan(
     family: NoisyStateFamily,
     witness: Witness,
@@ -61,9 +56,11 @@ def threshold_scan(
     holds on a half-line and the detected set is an interval starting at
     0; p* is the first zero of the conditions, found from the members at
     p = 0 and p = 1 alone. Returns None when p = 0 itself escapes
-    detection. resolution is only validated: the edge is exact.
+    detection. resolution is only validated (finite, 0 < r <= 1e-3): the
+    edge is exact.
     """
-    _check_resolution(resolution)
+    if not 0.0 < resolution <= 1e-3:
+        raise ValueError("resolution must be finite with 0 < resolution <= 1e-3")
     ends = [family.member(p) for p in (0.0, 1.0)]
     # each condition f(p) <= 0 is kept as (f(0), f(1)); the witness condition
     # is strict, and at p = 0 every comparison is the one detection makes
@@ -88,16 +85,17 @@ def alpha_sweep(
     alphas: Sequence[float],
     family: NoisyStateFamily,
     cfg: OptimizerConfig,
-    resolution: float = 1e-3,
 ):
     """One SweepRow per requested alpha (float('-inf') selects the limit witness).
 
     The constrained bound of the base test operator is computed once and
     reused by every rotated witness. A row's threshold_p is the supremum of
-    its detected noise interval on the <= side (see threshold_scan);
-    resolution is only validated.
+    its detected noise interval on the <= side (see threshold_scan).
+
+    The -inf row uses build_minus_inf, whose affine bound p_c - c is sound
+    only in case I; outside it the limit witness can fire on a product
+    state (cli._build_pair takes the constrained supremum instead).
     """
-    _check_resolution(resolution)
     for alpha in alphas:
         if alpha != MINUS_INF and not alpha < 1.0:
             raise ValueError("finite alphas must be < 1")
@@ -108,7 +106,7 @@ def alpha_sweep(
             witness = build_minus_inf(spec, L, p_c)
         else:
             witness = build_v_alpha(spec, L, p_c, alpha).witness
-        thr = threshold_scan(family, witness, spec, HalfSpaceSide.LEQ, resolution)
+        thr = threshold_scan(family, witness, spec, HalfSpaceSide.LEQ)
         rows.append(
             SweepRow(
                 alpha=alpha,

@@ -151,7 +151,7 @@ def cmd_scan(args) -> int:
     C, L, phi = build_example31(ex)
     spec = ConstraintSpec(C=C, c=ex.c)
     family = NoisyStateFamily(pure=DensityMatrix.from_ket(phi, dims=(2, 2)))
-    rows = alpha_sweep(L, spec, alphas, family, cfg, resolution=args.resolution)
+    rows = alpha_sweep(L, spec, alphas, family, cfg)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["alpha", "bound", "threshold_p"])
     for row in rows:
@@ -272,10 +272,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", default="2/3", help="instance parameter x in (0,1)")
     p.add_argument("--cvalue", default="1/100", help="constraint value")
     p.add_argument("--alphas", required=True, help="comma list of alphas < 1, -inf allowed")
-    p.add_argument(
-        "--resolution", type=float, default=1e-3,
-        help="validated only (0 < r <= 1e-3): thresholds are exact edges, not grid steps",
-    )
     common(p)
     p.set_defaults(func=cmd_scan)
 
@@ -309,7 +305,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 _VALUE_FLAGS = {"--alpha", "--alphas", "--cvalue", "--x", "--bracket-min", "--seed"}
-_NEGATIVE_VALUE = re.compile(r"^-(inf|\d|\.\d)")
+_NEGATIVE_VALUE = re.compile(r"^-(inf|\d|\.\d)", re.IGNORECASE)
 
 
 def _merge_negative_values(argv):

@@ -20,6 +20,7 @@ bit-identical results.
 from __future__ import annotations
 
 import enum
+import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -34,7 +35,7 @@ from .linalg import (
     expectation,
 )
 from .states import ProductKet, random_product_batch
-from .witness import ConstraintSpec, HalfSpaceSide, combine_alpha, normalised_rotation
+from .witness import ConstraintSpec, HalfSpaceSide, normalised_rotation
 
 ALPHA0_FEAS_TOL = 1e-8
 BOUNDARY_CLASSIFY_TOL = 1e-9
@@ -940,11 +941,12 @@ def rotated_bound_residual(
     the rotated test operator to stay on the >= side; a violation is
     reported as a warning and the residual is returned regardless.
     """
-    if not alpha < 1.0:
-        raise ValueError("alpha must be < 1")
+    if not -math.inf < alpha < 1.0:
+        raise ValueError("alpha must be finite and < 1")
     p_c = sup_product_constrained(L, spec, HalfSpaceSide.LEQ, cfg).value
-    n_alpha = combine_alpha(spec, L, alpha)
-    for name, op in (("test", L), ("rotated test", n_alpha)):
+    scale, _, nbar = normalised_rotation(spec, L, alpha)
+    # nbar is a positive multiple of the rotated operator: same argmax
+    for name, op in (("test", L), ("rotated test", nbar)):
         opt = sup_product_unconstrained(op, cfg)
         if expectation(spec.C, opt.argmax) < spec.c - BOUNDARY_CLASSIFY_TOL:
             warnings.warn(
@@ -953,7 +955,6 @@ def rotated_bound_residual(
                 RuntimeWarning,
                 stacklevel=2,
             )
-    scale, _, nbar = normalised_rotation(spec, L, alpha)
     h = scale * sup_product_constrained(nbar, spec, HalfSpaceSide.LEQ, cfg).value
     affine = alpha * spec.c + (1.0 - alpha) * p_c
     return abs(h - affine)

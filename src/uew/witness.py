@@ -9,6 +9,7 @@ witness expectation.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from .linalg import DimensionMismatch, HermitianOperator, expectation
@@ -102,9 +103,9 @@ def halfspace_membership(rho, spec: ConstraintSpec) -> HalfSpaceSide:
 
 
 def combine_alpha(spec: ConstraintSpec, L: HermitianOperator, alpha: float) -> HermitianOperator:
-    """Rotated test operator alpha*C + (1-alpha)*L, defined for alpha < 1."""
-    if not alpha < 1.0:
-        raise ValueError("alpha must be < 1")
+    """Rotated test operator alpha*C + (1-alpha)*L, defined for finite alpha < 1."""
+    if not -math.inf < alpha < 1.0:
+        raise ValueError("alpha must be finite and < 1")
     if spec.C.dims != L.dims:
         raise DimensionMismatch(f"dims {spec.C.dims} vs {L.dims}")
     return alpha * spec.C + (1.0 - alpha) * L
@@ -155,7 +156,12 @@ def build_v_alpha(
 
 
 def build_minus_inf(spec: ConstraintSpec, L: HermitianOperator, p_c: float) -> Witness:
-    """Limit witness (p_c - c)*I - (L - C) of the rotated family."""
+    """Limit witness (p_c - c)*I - (L - C) of the rotated family.
+
+    The affine bound p_c - c is the constrained supremum of L - C only in
+    case I. Outside it the witness can fire on a product state; there the
+    bound must be the constrained supremum of L - C itself.
+    """
     if spec.C.dims != L.dims:
         raise DimensionMismatch(f"dims {spec.C.dims} vs {L.dims}")
     return Witness(bound=float(p_c) - spec.c, test=L - spec.C)

@@ -187,14 +187,6 @@ class TestScan:
         assert "denominator" in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    @pytest.mark.parametrize("resolution", ["-1", "0", "nan"])
-    def test_invalid_resolution_exits_1(self, files, resolution):
-        proc = run_cli("scan", "--example31", "--alphas", "0", f"--resolution={resolution}")
-        assert proc.returncode == 1
-        assert "resolution" in proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert proc.stdout == ""
-
     def test_byte_identical_reruns(self, files):
         args = ("scan", "--example31", "--alphas", "0,-1,-inf", "--seed", "9")
         out1 = run_cli(*args)
@@ -225,6 +217,15 @@ class TestDetect:
         proc = run_cli(
             "detect", "--state", str(files["rho0"]), "--test", str(files["L"]),
             "--constraint", str(files["C"]), "--cvalue", "0.01", "--alpha", "-inf", "--seed", "0",
+        )
+        assert proc.returncode == 0
+        assert grab(proc.stdout, "verdict") == "entangled"
+
+    @pytest.mark.parametrize("spelling", ["-Infinity", "-INF"])
+    def test_limit_witness_other_spellings(self, files, spelling):
+        proc = run_cli(
+            "detect", "--state", str(files["rho0"]), "--test", str(files["L"]),
+            "--constraint", str(files["C"]), "--cvalue", "0.01", "--alpha", spelling, "--seed", "0",
         )
         assert proc.returncode == 0
         assert grab(proc.stdout, "verdict") == "entangled"

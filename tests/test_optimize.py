@@ -495,6 +495,10 @@ class TestRotatedBoundResidual:
     def test_alpha_zero_trivial(self, example, cfg_small):
         assert rotated_bound_residual(example["L"], example["spec"], 0.0, cfg_small) <= 1e-12
 
+    def test_rejects_minus_inf(self, example, cfg_small):
+        with pytest.raises(ValueError, match="finite"):
+            rotated_bound_residual(example["L"], example["spec"], float("-inf"), cfg_small)
+
     def test_warns_when_hypothesis_fails(self, swapped, cfg_small):
         # below alpha0 the rotated optimum migrates to the <= side
         with pytest.warns(RuntimeWarning):

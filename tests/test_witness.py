@@ -57,6 +57,11 @@ class TestCombineAlpha:
         with pytest.raises(DimensionMismatch):
             combine_alpha(small, example["L"], -1.0)
 
+    @pytest.mark.parametrize("alpha", [float("-inf"), float("nan")])
+    def test_rejects_non_finite_alpha(self, example, alpha):
+        with pytest.raises(ValueError, match="finite"):
+            combine_alpha(example["spec"], example["L"], alpha)
+
 
 class TestNormalisedRotation:
     @pytest.mark.parametrize("alpha", [0.0, -0.5, -5.0, 0.75])
