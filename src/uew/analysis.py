@@ -16,8 +16,8 @@ from .witness import (
     ConstraintSpec,
     HalfSpaceSide,
     Witness,
-    build_minus_inf,
     build_v_alpha,
+    normalised_rotation,
 )
 
 MINUS_INF = float("-inf")
@@ -92,9 +92,10 @@ def alpha_sweep(
     reused by every rotated witness. A row's threshold_p is the supremum of
     its detected noise interval on the <= side (see threshold_scan).
 
-    The -inf row uses build_minus_inf, whose affine bound p_c - c is sound
-    only in case I; outside it the limit witness can fire on a product
-    state (cli._build_pair takes the constrained supremum instead).
+    The -inf row's bound is the constrained supremum of the limit test
+    L - C itself, as in cli._build_pair: build_minus_inf's affine p_c - c
+    equals it only in case I, and outside it the limit witness would fire
+    on a product state.
     """
     for alpha in alphas:
         if alpha != MINUS_INF and not alpha < 1.0:
@@ -103,7 +104,8 @@ def alpha_sweep(
     rows = []
     for alpha in alphas:
         if alpha == MINUS_INF:
-            witness = build_minus_inf(spec, L, p_c)
+            _, _, test = normalised_rotation(spec, L, alpha)
+            witness = Witness(sup_product_constrained(test, spec, HalfSpaceSide.LEQ, cfg).value, test)
         else:
             witness = build_v_alpha(spec, L, p_c, alpha).witness
         thr = threshold_scan(family, witness, spec, HalfSpaceSide.LEQ)

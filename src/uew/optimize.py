@@ -7,11 +7,12 @@ Three cooperating search mechanisms live here:
   einsum and one batched ``numpy.linalg.eigh`` per half step;
 * an exhaustive per-party angle-grid oracle, kept deliberately independent
   of the see-saw so the two can cross-check each other;
-* a constrained pipeline (feasibility short-circuit, coarse feasible grid
-  whose qubit pair scan skips rows that a closed-form bound rules out,
-  coordinate-wise golden-section polish, then a Lagrange-multiplier
-  root-find whose zero duality gap certifies boundary optima, finished by
-  an exact alternation for qubit pairs that pins the constraint exactly).
+* constrained suprema behind a feasibility short-circuit: for qubit pairs
+  one exact reduction (one party in closed form over its Bloch sphere cut
+  by the constraint, the other by a coarse angle grid and compass search,
+  with either party outer); beyond qubit pairs a random feasible seed,
+  coordinate-wise golden-section polish and a Lagrange-multiplier
+  root-find whose zero duality gap certifies boundary optima.
 
 All randomness flows from explicit seeds; identical configs give
 bit-identical results.
@@ -20,6 +21,7 @@ bit-identical results.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -40,7 +42,8 @@ from .witness import ConstraintSpec, HalfSpaceSide, normalised_rotation
 ALPHA0_FEAS_TOL = 1e-8
 BOUNDARY_CLASSIFY_TOL = 1e-9
 ORACLE_MAX_TOTAL_DIM = 9
-_PAIR_GRID_CAP = 4096          # max grid points per party in the coarse stage
+_PAIR_GRID_CAP = 4096          # max outer-party grid points of the qubit-pair solve
+_COMPASS_MAX_STEPS = 400       # stencils per qubit-pair compass search; a smooth f needs ~100
 _GENERIC_PAIR_CAP = 1 << 24    # max pair evaluations in the generic grid oracle
 
 
@@ -206,101 +209,6 @@ def _pauli_tensor_coeffs(M: HermitianOperator) -> np.ndarray:
     return T
 
 
-def _qubit_coeffs(M2: np.ndarray):
-    """Split a 2x2 Hermitian matrix as w0*I + w.sigma."""
-    w0 = (M2[0, 0].real + M2[1, 1].real) / 2.0
-    w = np.array(
-        [M2[0, 1].real, -M2[0, 1].imag, (M2[0, 0].real - M2[1, 1].real) / 2.0]
-    )
-    return w0, w
-
-
-def _bloch_ket(n: np.ndarray) -> np.ndarray:
-    th = np.arccos(np.clip(n[2], -1.0, 1.0))
-    ph = np.arctan2(n[1], n[0])
-    return np.array([np.cos(th / 2), np.exp(1j * ph) * np.sin(th / 2)])
-
-
-def _max_linear_on_cap(w0: float, w: np.ndarray, u: np.ndarray, t: float):
-    """Maximize w0 + w.n over unit n with u.n <= t (closed form).
-
-    Returns (value, n) or None when the spherical cap is empty.
-    """
-    nu = np.linalg.norm(u)
-    nw = np.linalg.norm(w)
-    if nu < 1e-14:
-        if t < -1e-12:
-            return None
-        n = w / nw if nw > 1e-300 else np.array([0.0, 0.0, 1.0])
-        return w0 + nw, n
-    if t < -nu:
-        return None
-    if nw < 1e-300:
-        n = np.array([0.0, 0.0, 1.0])
-        if u @ n > t:
-            n = -u / nu
-        return w0, n
-    nstar = w / nw
-    if u @ nstar <= t:
-        return w0 + nw, nstar
-    uhat = u / nu
-    ratio = np.clip(t / nu, -1.0, 1.0)
-    wperp = w - (w @ uhat) * uhat
-    npw = np.linalg.norm(wperp)
-    if npw < 1e-300:
-        m = np.array([1.0, 0.0, 0.0]) if abs(uhat[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-        m = m - (m @ uhat) * uhat
-        m /= np.linalg.norm(m)
-    else:
-        m = wperp / npw
-    n = ratio * uhat + np.sqrt(max(0.0, 1.0 - ratio * ratio)) * m
-    return w0 + w @ n, n
-
-
-def _alternate_qubit_constrained(
-    LM: np.ndarray,
-    CM: np.ndarray,
-    c: float,
-    sense: int,
-    a: np.ndarray,
-    b: np.ndarray,
-    max_iter: int = 5000,
-    tol: float = 1e-15,
-):
-    """Block ascent with the exact constrained single-qubit subproblem.
-
-    Every accepted half step satisfies the constraint exactly (boundary
-    points land on <C> = c with no slack), so this is used as the final
-    refinement once the right basin is known.
-    """
-    L4 = LM.reshape(2, 2, 2, 2)
-    C4 = CM.reshape(2, 2, 2, 2)
-    val = -np.inf
-    for it in range(1, max_iter + 1):
-        mn = np.einsum("i,ikjl,j->kl", a.conj(), L4, a)
-        mc = np.einsum("i,ikjl,j->kl", a.conj(), C4, a)
-        w0, w = _qubit_coeffs(mn)
-        g0, g = _qubit_coeffs(mc)
-        r = _max_linear_on_cap(w0, w, sense * g, sense * (c - g0))
-        if r is None:
-            return None
-        _, n = r
-        b = _bloch_ket(n)
-        mn = np.einsum("k,ikjl,l->ij", b.conj(), L4, b)
-        mc = np.einsum("k,ikjl,l->ij", b.conj(), C4, b)
-        w0, w = _qubit_coeffs(mn)
-        g0, g = _qubit_coeffs(mc)
-        r = _max_linear_on_cap(w0, w, sense * g, sense * (c - g0))
-        if r is None:
-            return None
-        va, n = r
-        a = _bloch_ket(n)
-        if va - val < tol and it > 3:
-            return va, a, b, it
-        val = va
-    return val, a, b, max_iter
-
-
 # ---------------------------------------------------------------------------
 # angle parametrization (grid oracle and polish)
 # ---------------------------------------------------------------------------
@@ -339,57 +247,84 @@ def _angles_from_ket(v: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-def _qubit_grid(n_theta: int, n_phi: int, phi_endpoint: bool = True):
-    """Qubit kets cos(t/2)|0> + e^{ip} sin(t/2)|1> on a polar/azimuth grid.
+def _qubit_kets(theta, phi):
+    """Qubit kets cos(t/2)|0> + e^{ip} sin(t/2)|1> at broadcast angles.
 
-    theta takes n_theta points on [0, pi] with both ends; phi takes n_phi
-    points from 0, ending at 2 pi only when ``phi_endpoint``. Points run
-    theta-major. Returns the (N, 2) kets and their (N, 4) Bloch 4-vectors
+    theta and phi broadcast against each other; the points are flattened
+    in C order. Returns the (N, 2) kets and their (N, 4) Bloch 4-vectors
     (1, n), so that <k|X|k> = bloch @ (Pauli coefficients of X).
     """
-    th = np.linspace(0.0, np.pi, n_theta)[:, None]
-    ph = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=phi_endpoint)[None, :]
-    shape = (n_theta, n_phi)
-    kets = np.stack(
-        [np.broadcast_to(np.cos(th / 2), shape).ravel(), (np.exp(1j * ph) * np.sin(th / 2)).ravel()],
-        axis=-1,
-    )
-    st = np.sin(th)
+    shape = np.broadcast_shapes(np.shape(theta), np.shape(phi))
+
+    def flat(x):
+        return np.broadcast_to(x, shape).ravel()
+
+    st = np.sin(theta)
+    kets = np.stack([flat(np.cos(theta / 2) + 0j), flat(np.exp(1j * phi) * np.sin(theta / 2))], axis=-1)
     bloch = np.stack(
-        [
-            np.ones(n_theta * n_phi),
-            (st * np.cos(ph)).ravel(),
-            (st * np.sin(ph)).ravel(),
-            np.broadcast_to(np.cos(th), shape).ravel(),
-        ],
+        [np.ones(kets.shape[0]), flat(st * np.cos(phi)), flat(st * np.sin(phi)), flat(np.cos(theta))],
         axis=-1,
     )
     return kets, bloch
 
 
+def _qubit_grid(n_theta: int, n_phi: int, phi_endpoint: bool = True):
+    """_qubit_kets on a polar/azimuth grid, theta-major.
+
+    theta takes n_theta points on [0, pi] with both ends; phi takes n_phi
+    points from 0, ending at 2 pi only when ``phi_endpoint``.
+    """
+    th = np.linspace(0.0, np.pi, n_theta)[:, None]
+    ph = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=phi_endpoint)[None, :]
+    return _qubit_kets(th, ph)
+
+
 def _cap_max_vectorized(w0, v, g0, u, c, sense):
-    """Row-wise closed-form max over the Bloch sphere cut by a half-space."""
+    """Row-wise max of w0 + v.n over unit n with sense*(g0 + u.n - c) <= 0.
+
+    Closed form: the free maximiser v/|v| where it satisfies the cut,
+    otherwise the best point of the circle where the cut meets the sphere.
+    Returns the values and the (N, 3) maximisers; an empty cap has value
+    -inf and a nan maximiser. A row with |u| < 1e-14 counts as uncut when
+    its threshold is at least -1e-12, and a cut is empty only 1e-15 past
+    the tangent plane.
+    """
     nv = np.linalg.norm(v, axis=1)
     us = sense * u
     t = sense * (c - g0)
     nu = np.linalg.norm(us, axis=1)
     uv = np.einsum("ij,ij->i", us, v)
-    val_free = w0 + nv
+    tiny = nu < 1e-14
+    free = (uv / np.maximum(nv, 1e-300) <= t) | tiny
+    empty = np.where(tiny, t < -1e-12, t < -nu - 1e-15)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         nu2 = np.maximum(nu, 1e-300)
         ratio = np.clip(t / nu2, -1.0, 1.0)
+        rise = np.sqrt(np.maximum(1.0 - ratio**2, 0.0))
         along = uv / nu2**2
         # |v| sin(angle to u), from the difference vector: nv**2 - (uv/nu)**2
         # cancels to ~sqrt(eps)*|v| when v is nearly parallel to u.
         vperp = np.linalg.norm(v - along[:, None] * us, axis=1)
-        val_cap = w0 + along * t + vperp * np.sqrt(np.maximum(1.0 - ratio**2, 0.0))
-    feas_free = uv / np.maximum(nv, 1e-300) <= t
-    val = np.where(feas_free, val_free, val_cap)
-    val = np.where(t < -nu - 1e-15, -np.inf, val)
-    tiny = nu < 1e-14
-    val = np.where(tiny & (t >= -1e-12), val_free, val)
-    val = np.where(tiny & (t < -1e-12), -np.inf, val)
-    return val
+        val = np.where(free, w0 + nv, w0 + along * t + vperp * rise)
+        n_free = v / nv[:, None]
+        # the circle point towards v, in a frame (u/|u|, e1, e2) built from u
+        # alone (Duff et al., JCGT 6, 2017): where v is (nearly) parallel to u,
+        # v's perpendicular part is noise, and any circle point is a maximiser
+        ux, uy, uz = np.where(nu > 0, us.T / nu2, [[0.0], [0.0], [1.0]])
+        sz = np.copysign(1.0, uz)
+        a = -1.0 / (sz + uz)
+        b = ux * uy * a
+        e1 = (1.0 + sz * ux * ux * a, sz * b, -sz * ux)
+        e2 = (b, sz + uy * uy * a, -uy)
+        p1, p2 = (v[:, 0] * e[0] + v[:, 1] * e[1] + v[:, 2] * e[2] for e in (e1, e2))
+        r = np.hypot(p1, p2)
+        cs, sn = np.where(r > 0, p1 / r, 1.0), np.where(r > 0, p2 / r, 0.0)
+        n_cap = np.stack(
+            [ratio * uk + rise * (cs * ek + sn * fk) for uk, ek, fk in zip((ux, uy, uz), e1, e2)], axis=1
+        )
+    n = np.where((free & (nv > 0))[:, None], n_free, n_cap)
+    n[empty] = np.nan
+    return np.where(empty, -np.inf, val), n
 
 
 def _oracle_22(L, spec, side, resolution):
@@ -399,16 +334,15 @@ def _oracle_22(L, spec, side, resolution):
         TC = _pauli_tensor_coeffs(spec.C)
         sense = 1 if side is HalfSpaceSide.LEQ else -1
     best = -np.inf
-    for flip in (False, True):
-        Ta = TL.T if flip else TL
-        w = U @ Ta
+    for flip, lo in itertools.product((False, True), range(0, len(U), 1 << 16)):
+        # row blocks keep the temporaries small
+        w = U[lo : lo + (1 << 16)] @ (TL.T if flip else TL)
         if spec is None:
             vals = w[:, 0] + np.linalg.norm(w[:, 1:], axis=1)
         else:
-            g = U @ (TC.T if flip else TC)
-            vals = _cap_max_vectorized(w[:, 0], w[:, 1:], g[:, 0], g[:, 1:], spec.c, sense)
-        m = float(vals.max())
-        best = max(best, m)
+            g = U[lo : lo + (1 << 16)] @ (TC.T if flip else TC)
+            vals = _cap_max_vectorized(w[:, 0], w[:, 1:], g[:, 0], g[:, 1:], spec.c, sense)[0]
+        best = max(best, float(vals.max()))
     if best == -np.inf:
         raise EmptyFeasibleSet("no feasible product state on the oracle grid")
     return best
@@ -502,62 +436,64 @@ def grid_oracle_sup(
 # ---------------------------------------------------------------------------
 
 
-def _pruned_pair_grid_max(L, spec, sense, kets, bloch):
-    """``_pair_grid_max`` over the qubit pair grid kets x kets, scanning only
-    the party-A rows that can hold its maximum.
+def _qubit_pair_constrained(L, spec, sense, cfg):
+    """Constrained supremum over qubit product states by one exact reduction.
 
-    Each row's upper bound is the closed-form maximum over party B's whole
-    Bloch sphere cut by the constraint, with the cut loosened past the
-    grid's 1e-15 feasibility tolerance and the rounding of both
-    computations. A full scan of the 16 rows with the highest bounds gives
-    a lower bound; rows whose bound falls short of it cannot hold a
-    maximum and are skipped (bound-based pruning, Horst & Tuy, Global
-    Optimization). The rest, and the 16 scanned rows, keep their order, so
-    the row-major first-maximum rule picks the same pair as the full scan,
-    and the result never falls below the lower bound.
+    For the outer party's Bloch vector n, f(n) is the inner party's
+    closed-form maximum over its Bloch sphere cut by the constraint. f is
+    scanned on the outer party's grid (sized from grid_theta/grid_phi and
+    _PAIR_GRID_CAP) with either party outer: where the optimum shrinks the
+    inner cut to a point, f has a curved ridge in that orientation only.
+    The 4 best grid points of each orientation seed a compass search on
+    (theta, phi): move to the best improving point of the 3x3 stencil, else
+    halve the step, until it is below 1e-13 (Kolda, Lewis & Torczon, SIAM
+    Rev. 45, 2003) or _COMPASS_MAX_STEPS stencils have run. Returns
+    (value, argmax, True) at the best end point, or None when no grid
+    point is feasible.
     """
     TL = _pauli_tensor_coeffs(L)
     TC = _pauli_tensor_coeffs(spec.C)
-    w = bloch @ TL
-    g = bloch @ TC
-    slack_c = 1e-15 + 1e-12 * (1.0 + np.abs(TC).sum() + abs(spec.c))
-    bound = _cap_max_vectorized(
-        w[:, 0], w[:, 1:], g[:, 0], g[:, 1:], spec.c + sense * slack_c, sense
-    )
-    top = np.argsort(-bound, kind="stable")[:16]
-    lower, _ = _pair_grid_max(L, spec, sense, kets[np.sort(top)], kets)
-    slack_v = 1e-12 * (1.0 + np.abs(TL).sum())
-    keep = np.isfinite(bound) & (bound >= lower - slack_v)
-    keep[top] = True
-    keep = np.flatnonzero(keep)
-    return _pair_grid_max(L, spec, sense, kets[keep], kets, chunk=1024)
 
+    def best_inner(n, flip):
+        w = np.where(flip[:, None], n @ TL.T, n @ TL)
+        g = np.where(flip[:, None], n @ TC.T, n @ TC)
+        return _cap_max_vectorized(w[:, 0], w[:, 1:], g[:, 0], g[:, 1:], spec.c, sense)
 
-def _coarse_feasible_seed(L, spec, sense, cfg):
-    """Feasibility-filtered coarse grid stage; returns (value, (a, b)) or None."""
-    dA, dB = L.dims
-    if (dA, dB) == (2, 2):
-        total = cfg.grid_theta * cfg.grid_phi
-        shrink = min(1.0, np.sqrt(_PAIR_GRID_CAP / total))
-        tn = max(2, int(round(cfg.grid_theta * shrink)))
-        pn = max(2, int(round(cfg.grid_phi * shrink)))
-        kets, bloch = _qubit_grid(tn, pn, phi_endpoint=False)
-        best, arg = _pruned_pair_grid_max(L, spec, sense, kets, bloch)
-    else:
-        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x5EED)))
-        n = 200_000
-        A, B = random_product_batch(L.dims, n, rng)
-        prod = np.einsum("ni,nk->nik", A, B).reshape(n, dA * dB)
-        vals = np.einsum("ni,ij,nj->n", prod.conj(), L.mat, prod).real
-        cons = np.einsum("ni,ij,nj->n", prod.conj(), spec.C.mat, prod).real
-        feas = sense * (cons - spec.c) <= cfg.feas_tol
-        if not feas.any():
-            return None
-        idx = np.flatnonzero(feas)[np.argmax(vals[feas])]
-        best, arg = float(vals[idx]), (A[idx], B[idx])
-    if best == -np.inf or arg is None:
+    shrink = min(1.0, np.sqrt(_PAIR_GRID_CAP / (cfg.grid_theta * cfg.grid_phi)))
+    tn = max(2, int(round(cfg.grid_theta * shrink)))
+    pn = max(2, int(round(cfg.grid_phi * shrink)))
+    grid = _qubit_grid(tn, pn, phi_endpoint=False)[1]
+    flip = np.repeat([False, True], len(grid))
+    vals = best_inner(np.vstack([grid, grid]), flip)[0]
+    if vals.max() == -np.inf:
         return None
-    return best, arg
+    # 4 starts per orientation, searched in lockstep
+    ks = np.concatenate([np.argsort(-half, kind="stable")[:4] for half in np.split(vals, 2)])
+    flip = np.repeat([False, True], 4)
+    fx = vals[ks + len(grid) * flip]
+    step = np.array([np.pi / (tn - 1), 2 * np.pi / pn])
+    stencil = step * np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)])
+    x = step * np.stack(divmod(ks, pn), axis=1)
+    h = np.ones(len(ks))
+    rows = np.arange(len(ks))
+    for _ in range(_COMPASS_MAX_STEPS):
+        live = h * step.max() >= 1e-13
+        if not live.any():
+            break
+        cand = x[:, None] + h[:, None, None] * stencil
+        nc = _qubit_kets(cand[..., 0].ravel(), cand[..., 1].ravel())[1]
+        fv = best_inner(nc, np.repeat(flip, len(stencil)))[0].reshape(len(ks), -1)
+        j = fv.argmax(axis=1)
+        up = live & (fv[rows, j] > fx)
+        x[up], fx[up] = cand[rows, j][up], fv[rows, j][up]
+        h[live & ~up] *= 0.5
+    s = int(np.argmax(fx))
+    kets, n = _qubit_kets(x[s, :1], x[s, 1:])
+    nx, ny, nz = best_inner(n, flip[s : s + 1])[1][0]
+    outer = Ket.unit(kets[0])
+    inner = Ket.unit(_qubit_kets(np.arctan2(np.hypot(nx, ny), nz), np.arctan2(ny, nx))[0][0])
+    pk = ProductKet(a=inner, b=outer) if flip[s] else ProductKet(a=outer, b=inner)
+    return expectation(L, pk), pk, True
 
 
 def _golden_max(f, lo, hi, iters=60):
@@ -740,6 +676,37 @@ def _dual_refine(L, spec, sense, cfg, a_seed, b_seed):
     return lval, a, b, True
 
 
+def _generic_constrained(L, spec, sense, cfg):
+    """Best of 200k seeded random product states, polished, then the
+    multiplier root-find and a polish of its point; returns (value, argmax,
+    converged) of the best feasible candidate, or None when none is."""
+    dA, dB = L.dims
+    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x5EED)))
+    n = 200_000
+    A, B = random_product_batch(L.dims, n, rng)
+    prod = np.einsum("ni,nk->nik", A, B).reshape(n, dA * dB)
+    vals = np.einsum("ni,ij,nj->n", prod.conj(), L.mat, prod).real
+    cons = np.einsum("ni,ij,nj->n", prod.conj(), spec.C.mat, prod).real
+    feas = sense * (cons - spec.c) <= cfg.feas_tol
+    if not feas.any():
+        return None
+    idx = np.flatnonzero(feas)[np.argmax(vals[feas])]
+    a, b = A[idx], B[idx]
+    candidates = [(float(vals[idx]), a, b)]
+    pol_val, pa, pb = _golden_polish(L, spec, sense, cfg, a, b)
+    if pol_val > -np.inf:
+        candidates.append((pol_val, pa, pb))
+        a, b = pa, pb
+    refined = _dual_refine(L, spec, sense, cfg, a, b)
+    if refined is not None:
+        candidates.append(tuple(refined[:3]))
+        rp_val, rp_a, rp_b = _golden_polish(L, spec, sense, cfg, refined[1], refined[2])
+        if rp_val > -np.inf:
+            candidates.append((rp_val, rp_a, rp_b))
+    best_val, best_a, best_b = max(candidates, key=lambda t: t[0])
+    return best_val, ProductKet(a=Ket.unit(best_a), b=Ket.unit(best_b)), refined is not None
+
+
 def sup_product_constrained(
     L: HermitianOperator,
     spec: ConstraintSpec,
@@ -749,14 +716,16 @@ def sup_product_constrained(
     """Supremum of <a,b|L|a,b> over product kets on one constraint side.
 
     Stage 1 returns the unconstrained optimum whenever it already satisfies
-    the side. Otherwise a coarse feasible grid seeds a golden-section
-    coordinate polish (for qubit pairs the grid is the full pair grid of
-    one polar/azimuth grid with itself, scanned only on the party-A rows
-    whose closed-form bound can reach the best row, so the seed is the
-    full scan's first maximum), a multiplier root-find locates the
-    boundary-active optimum, and (for qubit pairs) an exact constrained
-    alternation pins the constraint to machine precision. The best
-    feasible candidate wins.
+    the side. Otherwise, for qubit pairs, one party is maximised in closed
+    form over its Bloch sphere cut by the constraint and the other by a
+    coarse angle grid refined by compass search, with either party outer
+    (_qubit_pair_constrained); the result is converged whenever a grid
+    point is feasible. Beyond qubit pairs, the best feasible point of a
+    random product sample seeds a coordinate-wise golden-section polish
+    and a multiplier root-find (zero duality gap certifies boundary
+    optima), whose point is polished again; the best feasible candidate
+    wins and the result is converged when the root-find returned. Raises
+    EmptyFeasibleSet when the grid or the sample holds no feasible point.
     """
     if side not in (HalfSpaceSide.LEQ, HalfSpaceSide.GEQ):
         raise ValueError("side must be leq or geq")
@@ -768,44 +737,15 @@ def sup_product_constrained(
     if sense * (cval - spec.c) <= cfg.feas_tol:
         return replace(base, constraint_value=cval)
 
-    seeded = _coarse_feasible_seed(L, spec, sense, cfg)
-    if seeded is None:
-        raise EmptyFeasibleSet(
-            "no product state on the coarse grid satisfies the constraint side"
-        )
-    seed_val, (a, b) = seeded
-    candidates = [(seed_val, a, b)]
-
-    pol_val, pa, pb = _golden_polish(L, spec, sense, cfg, a, b)
-    if pol_val > -np.inf:
-        candidates.append((pol_val, pa, pb))
-
-    refined = _dual_refine(L, spec, sense, cfg, pa if pol_val > -np.inf else a, pb if pol_val > -np.inf else b)
-    converged = refined is not None
-    if refined is not None:
-        rval, ra, rb = refined[0], refined[1], refined[2]
-        candidates.append((rval, ra, rb))
-
-    if L.dims == (2, 2):
-        more = []
-        for val, ka, kb in candidates:
-            alt = _alternate_qubit_constrained(L.mat, spec.C.mat, spec.c, sense, ka, kb)
-            if alt is not None:
-                more.append((alt[0], alt[1], alt[2]))
-        candidates.extend(more)
-    elif refined is not None:
-        # no exact alternation beyond qubit pairs; polish the dual point instead
-        rp_val, rp_a, rp_b = _golden_polish(L, spec, sense, cfg, refined[1], refined[2])
-        if rp_val > -np.inf:
-            candidates.append((rp_val, rp_a, rp_b))
-
-    best_val, best_a, best_b = max(candidates, key=lambda t: t[0])
-    pk = ProductKet(a=Ket.unit(best_a), b=Ket.unit(best_b))
-    cons = expectation(spec.C, pk)
+    solve = _qubit_pair_constrained if L.dims == (2, 2) else _generic_constrained
+    found = solve(L, spec, sense, cfg)
+    if found is None:
+        raise EmptyFeasibleSet("no product state on the coarse grid satisfies the constraint side")
+    value, pk, converged = found
     return OptimizationResult(
-        value=float(best_val),
+        value=float(value),
         argmax=pk,
-        constraint_value=float(cons),
+        constraint_value=float(expectation(spec.C, pk)),
         converged=converged,
         iterations=base.iterations,
         method="hybrid",

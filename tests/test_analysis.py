@@ -22,6 +22,7 @@ from uew import (
     halfspace_membership,
     noisy_member,
     plane_samples,
+    sup_product_unconstrained,
     tensor_product,
     threshold_scan,
 )
@@ -181,6 +182,16 @@ class TestAlphaSweep:
         rows = alpha_sweep(example["L"], example["spec"], [MINUS_INF], example["family"], cfg)
         w = build_minus_inf(example["spec"], example["L"], pc_result.value)
         assert rows[0].bound == pytest.approx(w.bound, abs=1e-9)
+
+    def test_minus_inf_row_holds_in_case_ii(self, example, swapped, cfg_small):
+        # on the role-swapped (case II) instance the optimum of L - C lies on
+        # the <= side, above the affine p_c - c; the row's witness must not
+        # fire on that product state
+        L, spec = swapped["L"], swapped["spec"]
+        rows = alpha_sweep(L, spec, [MINUS_INF], example["family"], cfg_small)
+        opt = sup_product_unconstrained(L - spec.C, cfg_small).argmax
+        assert halfspace_membership(opt, spec) is HalfSpaceSide.LEQ
+        assert not Witness(rows[0].bound, L - spec.C).fires(opt)
 
     def test_rejects_alpha_ge_one(self, example, cfg):
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import uew.optimize
 
@@ -24,7 +26,6 @@ from uew import (
 from uew.optimize import (
     _alpha_feasible,
     _pair_grid_max,
-    _pruned_pair_grid_max,
     _qubit_grid,
     _random_unit,
     _seesaw_batch,
@@ -39,6 +40,24 @@ def rand_herm(rng, dims):
 
 def rand_herm_22(rng):
     return rand_herm(rng, (2, 2))
+
+
+@st.composite
+def qubit_instances(draw):
+    """Random two-qubit L and C, c between C's extreme diagonal entries, and a side.
+
+    The diagonal entries are the constraint values of product basis kets,
+    which sit on every polar/azimuth grid, so both sides are feasible there.
+    """
+    parts = arrays(np.float64, (2, 2, 4, 4), elements=st.floats(-1.0, 1.0))
+    g = draw(parts)
+    L, C = (
+        HermitianOperator((x[0] + 1j * x[1] + x[0].T - 1j * x[1].T) / 2, dims=(2, 2))
+        for x in g
+    )
+    d = np.diag(C.mat).real
+    c = float(d.min() + draw(st.floats(0.05, 0.95)) * (d.max() - d.min()))
+    return L, ConstraintSpec(C=C, c=c), draw(st.sampled_from([1, -1]))
 
 
 def reference_seesaw(M4, a, b, tol, max_iter):
@@ -173,17 +192,29 @@ class TestSeesawBatch:
 
 
 def _coarse_grid():
-    # the grid of the 2x2 coarse seed at the default grid_theta/grid_phi
+    # the party-A grid of the 2x2 solve at the default grid_theta/grid_phi
     return _qubit_grid(45, 90, phi_endpoint=False)
 
 
-def _assert_pruning_exact(L, spec, sense):
-    kets, bloch = _coarse_grid()
-    full_val, full_arg = _pair_grid_max(L, spec, sense, kets, kets, chunk=1024)
-    val, arg = _pruned_pair_grid_max(L, spec, sense, kets, bloch)
-    assert full_val > -np.inf
-    assert abs(val - full_val) <= 1e-14
-    assert np.array_equal(arg[0], full_arg[0]) and np.array_equal(arg[1], full_arg[1])
+def _assert_reaches_pair_grid(L, spec, sense, cfg, kets=None):
+    """The 2x2 solve is at least the exhaustive pair-grid max over kets x kets
+    (the coarse grid by default), attained and feasible."""
+    kets = _coarse_grid()[0] if kets is None else kets
+    grid_val, _ = _pair_grid_max(L, spec, sense, kets, kets, chunk=1024)
+    assert grid_val > -np.inf
+    side = HalfSpaceSide.LEQ if sense == 1 else HalfSpaceSide.GEQ
+    res = sup_product_constrained(L, spec, side, cfg)
+    if res.method == "hybrid":
+        v_tol, c_tol = 1e-12, 1e-12
+    else:
+        # the short-circuit returns the unconstrained see-saw, which stops once
+        # a sweep gains less than seesaw_tol, and accepts it within feas_tol
+        v_tol, c_tol = 1e-9, cfg.feas_tol
+    assert res.value >= grid_val - v_tol
+    assert abs(expectation(L, res.argmax) - res.value) <= 1e-12
+    assert sense * (expectation(spec.C, res.argmax) - spec.c) <= c_tol
+    assert res.converged
+    return res
 
 
 def _zi():
@@ -191,6 +222,9 @@ def _zi():
 
 
 class TestPrunedPairGrid:
+    """The instances that once exercised the pruned pair-grid seed; on each,
+    the 2x2 solve must reach the full coarse pair grid."""
+
     def test_grid_matches_bloch_vectors(self):
         kets, bloch = _coarse_grid()
         assert kets.shape == (4050, 2)
@@ -205,51 +239,83 @@ class TestPrunedPairGrid:
         assert np.allclose(bloch[:, 0], 1.0) and np.allclose(bloch[:, 1:], n, atol=1e-14)
 
     @pytest.mark.parametrize("sense", [1, -1])
-    def test_worked_and_swapped_instances(self, example, swapped, sense):
-        _assert_pruning_exact(example["L"], example["spec"], sense)
-        _assert_pruning_exact(swapped["L"], swapped["spec"], sense)
+    def test_worked_and_swapped_instances(self, example, swapped, sense, cfg):
+        _assert_reaches_pair_grid(example["L"], example["spec"], sense, cfg)
+        _assert_reaches_pair_grid(swapped["L"], swapped["spec"], sense, cfg)
 
     @pytest.mark.parametrize("sense", [1, -1])
-    def test_random_instances(self, sense):
+    def test_random_instances(self, sense, cfg):
         rng = np.random.default_rng(40 + sense)
         for _ in range(20):
             L, C = rand_herm_22(rng), rand_herm_22(rng)
             d = np.diag(C.mat).real
             c = float(rng.uniform(d.min(), d.max()))
-            _assert_pruning_exact(L, ConstraintSpec(C=C, c=c), sense)
+            _assert_reaches_pair_grid(L, ConstraintSpec(C=C, c=c), sense, cfg)
 
     @pytest.mark.parametrize("sense", [1, -1])
-    def test_constraint_without_party_b_gradient(self, sense):
+    def test_constraint_without_party_b_gradient(self, sense, cfg):
         rng = np.random.default_rng(61)
-        _assert_pruning_exact(rand_herm_22(rng), ConstraintSpec(C=_zi(), c=0.3), sense)
+        spec = ConstraintSpec(C=_zi(), c=0.3)
+        _assert_reaches_pair_grid(rand_herm_22(rng), spec, sense, cfg)
 
-    def test_boundary_tangent_cut(self):
+    def test_boundary_tangent_cut(self, cfg):
         zz = HermitianOperator(np.diag([1.0, -1.0, -1.0, 1.0]), dims=(2, 2))
-        _assert_pruning_exact(zz, ConstraintSpec(C=_zi(), c=-1.0), 1)
+        res = _assert_reaches_pair_grid(zz, ConstraintSpec(C=_zi(), c=-1.0), 1, cfg)
+        assert res.value == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("eps", [1e-8, 1e-7])
-    def test_objective_nearly_parallel_to_constraint(self, eps):
+    def test_objective_nearly_parallel_to_constraint(self, eps, cfg):
         # party B's objective Z + eps X is nearly parallel to the constraint
         # gradient Z; the feasible equator point phi = 0 is on the grid
         x = np.array([[0.0, 1.0], [1.0, 0.0]])
         z = np.diag([1.0, -1.0])
         L = HermitianOperator(np.kron(np.eye(2), z + eps * x), dims=(2, 2))
         spec = ConstraintSpec(C=HermitianOperator(np.kron(np.eye(2), z), dims=(2, 2)), c=0.0)
-        _assert_pruning_exact(L, spec, 1)
-        res = sup_product_constrained(L, spec, HalfSpaceSide.LEQ, OptimizerConfig())
+        res = _assert_reaches_pair_grid(L, spec, 1, cfg)
         assert res.value >= eps - 1e-12
 
-    def test_identity_prunes_no_row(self, monkeypatch):
-        rows = []
-
-        def counting(L, spec, sense, kets_a, kets_b, chunk=4096):
-            rows.append(len(kets_a))
-            return _pair_grid_max(L, spec, sense, kets_a, kets_b, chunk)
-
-        monkeypatch.setattr(uew.optimize, "_pair_grid_max", counting)
+    def test_identity(self, cfg):
         ident = HermitianOperator.identity((2, 2))
-        _assert_pruning_exact(ident, ConstraintSpec(C=_zi(), c=1.0), 1)
-        assert rows[-1] == len(_coarse_grid()[0])
+        res = _assert_reaches_pair_grid(ident, ConstraintSpec(C=_zi(), c=1.0), 1, cfg)
+        assert res.value == pytest.approx(1.0, abs=1e-12)
+
+
+class TestQubitPairConstrained:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(qubit_instances())
+    def test_property_against_pair_grid(self, inst):
+        # the 21 x 40 pair grid evaluates both parties on angles, with no
+        # closed form, so it is an independent lower bound
+        L, spec, sense = inst
+        cfg = OptimizerConfig(seed=2, restarts=16)
+        _assert_reaches_pair_grid(L, spec, sense, cfg, _qubit_grid(21, 40)[0])
+
+    def test_ridge_in_one_orientation(self, cfg):
+        # with party A outer, f rises along a curved ridge where party B's cut
+        # shrinks to a point, and a compass search crawls; with party B outer
+        # the optimum is a grid point of the res-181 oracle
+        L = np.zeros((4, 4))
+        L[1, 2] = L[2, 1] = 0.04
+        C = np.zeros((4, 4))
+        C[0, 1] = C[1, 0] = 0.2
+        C[1, 2] = C[2, 1] = 0.5
+        L, C = HermitianOperator(L, dims=(2, 2)), HermitianOperator(C, dims=(2, 2))
+        spec = ConstraintSpec(C=C, c=0.0)
+        res = _assert_reaches_pair_grid(L, spec, 1, cfg)
+        assert res.value >= grid_oracle_sup(L, spec, HalfSpaceSide.LEQ, resolution=181) - 1e-12
+
+    def test_reaches_oracle_where_the_pair_grid_seed_undershot(self):
+        # k = 31 of default_rng(5), GEQ: the pair-grid seed pipeline stopped
+        # at 1.374871; the res-361 grid oracle reaches 1.383355
+        rng = np.random.default_rng(5)
+        for _ in range(32):
+            L, C = rand_herm_22(rng), rand_herm_22(rng)
+        cfg = OptimizerConfig(seed=3, restarts=24)
+        c = expectation(C, sup_product_unconstrained(L, cfg).argmax) + 0.5
+        res = sup_product_constrained(L, ConstraintSpec(C=C, c=c), HalfSpaceSide.GEQ, cfg)
+        assert res.value >= 1.383355
+        assert abs(expectation(L, res.argmax) - res.value) <= 1e-12
+        assert expectation(C, res.argmax) >= c - 1e-12
 
 
 class TestGridOracle:
