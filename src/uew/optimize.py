@@ -4,7 +4,10 @@ Three cooperating search mechanisms live here:
 
 * a see-saw that alternates exact single-party eigenvector updates, used
   for unconstrained suprema; all restarts run as one (R, d, d) stack, one
-  einsum and one batched ``numpy.linalg.eigh`` per half step;
+  einsum and one batched ``numpy.linalg.eigh`` per half step. The random
+  starts are drawn once per (seed, restarts, dims) and cached read-only,
+  and value ties between restarts are broken on canonical argmax rows
+  computed in one batch;
 * an exhaustive per-party angle-grid oracle, kept deliberately independent
   of the see-saw so the two can cross-check each other;
 * constrained suprema behind a feasibility short-circuit: for qubit pairs
@@ -21,6 +24,7 @@ bit-identical results.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 import warnings
@@ -32,8 +36,8 @@ import numpy as np
 from .linalg import (
     DimensionMismatch,
     HermitianOperator,
+    PHASE_TOL,
     Ket,
-    _lex_key,
     expectation,
 )
 from .states import ProductKet, random_product_batch
@@ -107,18 +111,22 @@ def _hermitian_top(mats: np.ndarray):
     return vals[:, -1], vecs[:, :, -1]
 
 
-def _seesaw_batch(M4: np.ndarray, starts, tol: float, max_iter: int):
+def _seesaw_batch(M4: np.ndarray, A0: np.ndarray, B0: np.ndarray, tol: float, max_iter: int):
     """Alternating eigenvector ascent from R starting product kets at once.
 
-    ``starts`` holds R pairs (a, b); their kets are stacked as (R, dA) and
-    (R, dB). Each half step is an exact maximization of the conditioned
-    quadratic form, so no row's value ever decreases. A row retires once
-    its gain drops below ``tol``, keeping its value and iteration count.
-    Returns per-row arrays (values, A, B, iterations, converged).
+    The starts are the rows of ``A0`` (R, dA) and ``B0`` (R, dB), copied
+    and never written: sup_product_unconstrained passes the read-only
+    starts that _restart_starts draws once per (seed, restarts, dims), and
+    breaks value ties between the returned rows in one batch
+    (_best_restart). Each half step is an exact maximization of the
+    conditioned quadratic form, so no row's value ever decreases. A row
+    retires once its gain drops below ``tol``, keeping its value and
+    iteration count. Returns per-row arrays (values, A, B, iterations,
+    converged).
     """
-    R = len(starts)
-    A = np.array([a for a, _ in starts], dtype=complex)
-    B = np.array([b for _, b in starts], dtype=complex)
+    A = np.array(A0, dtype=complex)
+    B = np.array(B0, dtype=complex)
+    R = len(A)
     vals = np.full(R, -np.inf)
     its = np.full(R, max_iter)
     conv = np.zeros(R, dtype=bool)
@@ -142,38 +150,82 @@ def _random_unit(rng: np.random.Generator, d: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _pk_key(a: np.ndarray, b: np.ndarray):
-    ka = Ket.unit(a)
-    kb = Ket.unit(b)
-    return _lex_key(np.concatenate([ka.amplitudes, kb.amplitudes]))
+@functools.lru_cache(maxsize=32)
+def _restart_starts(seed, restarts: int, dA: int, dB: int):
+    """Read-only (restarts, dA) and (restarts, dB) see-saw start kets.
+
+    Row r is drawn from the r-th child of SeedSequence(seed), party A
+    first. Every solve with the same (seed, restarts, dims) starts from the
+    same rows, so they are drawn once and shared.
+    """
+    A = np.empty((restarts, dA), dtype=complex)
+    B = np.empty((restarts, dB), dtype=complex)
+    for r, ss in enumerate(np.random.SeedSequence(seed).spawn(restarts)):
+        rng = np.random.default_rng(ss)
+        A[r] = _random_unit(rng, dA)
+        B[r] = _random_unit(rng, dB)
+    A.setflags(write=False)
+    B.setflags(write=False)
+    return A, B
+
+
+def _canonical_rows(X: np.ndarray) -> np.ndarray:
+    """``Ket.unit(row).amplitudes`` of every row of X, bit for bit.
+
+    The squared norm is real.real + imag.imag through the same BLAS dot as
+    ``numpy.linalg.norm`` of one vector (matmul of 1 x d by d x 1 takes
+    it; a plain sum rounds differently), and the modulus is ``hypot``, as
+    ``abs`` of one complex scalar (numpy's array ``abs`` can differ in the
+    last bit). The phase comes from the first amplitude of modulus above
+    PHASE_TOL.
+    """
+    re, im = X.real, X.imag
+    sq = re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]
+    Y = X / np.sqrt(sq[:, 0])
+    mod = np.hypot(Y.real, Y.imag)
+    big = mod > PHASE_TOL
+    j = big.argmax(axis=1)
+    rows = np.arange(len(Y))
+    phase = Y[rows, j].conj() / mod[rows, j]
+    return np.where(big.any(axis=1)[:, None], Y * phase[:, None], Y)
+
+
+def _best_restart(vals: np.ndarray, A: np.ndarray, B: np.ndarray) -> int:
+    """Index of the winning see-saw restart, reduced in start order.
+
+    A restart replaces the current best when its value is higher by more
+    than 1e-12, or within 1e-12 and its key is lexicographically smaller.
+    The key is the real and imaginary parts of Ket.unit(a) then
+    Ket.unit(b); the canonical rows of all restarts come in one batch.
+    """
+    keys = np.concatenate([_canonical_rows(A), _canonical_rows(B)], axis=1).view(float).tolist()
+    v = vals.tolist()
+    best = 0
+    for r in range(1, len(v)):
+        if v[r] > v[best] + 1e-12 or (abs(v[r] - v[best]) <= 1e-12 and keys[r] < keys[best]):
+            best = r
+    return best
 
 
 def sup_product_unconstrained(L: HermitianOperator, cfg: OptimizerConfig) -> OptimizationResult:
     """Supremum of <a,b|L|a,b> over product kets via restarted see-saw.
 
-    Restarts are reduced deterministically: best value wins, value ties
-    within 1e-12 go to the lexicographically smallest canonicalized argmax.
+    The cfg.restarts starts are drawn once per (seed, restarts, dims) and
+    shared by every later solve with the same triple. Restarts are reduced
+    deterministically: best value wins, value ties within 1e-12 go to the
+    lexicographically smallest canonicalized argmax, with the canonical
+    argmaxes of all restarts computed in one batch (_best_restart).
     """
     if len(L.dims) != 2:
         raise DimensionMismatch("bipartite operator required")
     dA, dB = L.dims
-    starts = []
-    for ss in np.random.SeedSequence(cfg.seed).spawn(cfg.restarts):
-        rng = np.random.default_rng(ss)
-        starts.append((_random_unit(rng, dA), _random_unit(rng, dB)))
     vals, A, B, its, conv = _seesaw_batch(
-        L.mat.reshape(dA, dB, dA, dB), starts, cfg.seesaw_tol, cfg.seesaw_max_iter
+        L.mat.reshape(dA, dB, dA, dB),
+        *_restart_starts(cfg.seed, cfg.restarts, dA, dB),
+        cfg.seesaw_tol,
+        cfg.seesaw_max_iter,
     )
-    best, best_key = 0, None
-    for r in range(1, cfg.restarts):
-        if vals[r] > vals[best] + 1e-12:
-            best, best_key = r, None
-        elif abs(vals[r] - vals[best]) <= 1e-12:
-            if best_key is None:
-                best_key = _pk_key(A[best], B[best])
-            key = _pk_key(A[r], B[r])
-            if key < best_key:
-                best, best_key = r, key
+    best = _best_restart(vals, A, B)
     val, a, b = vals[best], A[best], B[best]
     its, conv = int(its[best]), bool(conv[best])
     pk = ProductKet(a=Ket.unit(a), b=Ket.unit(b))
@@ -279,13 +331,14 @@ def _qubit_grid(n_theta: int, n_phi: int, phi_endpoint: bool = True):
     return _qubit_kets(th, ph)
 
 
-def _cap_max_vectorized(w0, v, g0, u, c, sense):
-    """Row-wise max of w0 + v.n over unit n with sense*(g0 + u.n - c) <= 0.
+def _cap_cut(v, g0, u, c, sense):
+    """Row-wise geometry of the cap {unit n : sense*(g0 + u.n - c) <= 0} against v.
 
-    Closed form: the free maximiser v/|v| where it satisfies the cut,
-    otherwise the best point of the circle where the cut meets the sphere.
-    Returns the values and the (N, 3) maximisers; an empty cap has value
-    -inf and a nan maximiser. A row with |u| < 1e-14 counts as uncut when
+    Returns (nv, us, t, nu, nu2, uv, ratio, rise, free, empty): |v|, the
+    signed normal us = sense*u, the threshold t = sense*(c - g0), |us| and
+    its floor at 1e-300, us.v, the cut circle's height t/|us| and radius
+    (both clipped to the sphere), whether v/|v| satisfies the cut, and
+    whether the cap is empty. A row with |u| < 1e-14 counts as uncut when
     its threshold is at least -1e-12, and a cut is empty only 1e-15 past
     the tangent plane.
     """
@@ -301,11 +354,33 @@ def _cap_max_vectorized(w0, v, g0, u, c, sense):
         nu2 = np.maximum(nu, 1e-300)
         ratio = np.clip(t / nu2, -1.0, 1.0)
         rise = np.sqrt(np.maximum(1.0 - ratio**2, 0.0))
+    return nv, us, t, nu, nu2, uv, ratio, rise, free, empty
+
+
+def _cap_max_values(w0, v, g0, u, c, sense):
+    """Row-wise max of w0 + v.n over unit n with sense*(g0 + u.n - c) <= 0.
+
+    Closed form: w0 + |v| where the free maximiser v/|v| satisfies the cut,
+    otherwise the best point of the circle where the cut meets the sphere;
+    an empty cap has value -inf (edge rules in _cap_cut).
+    """
+    nv, us, t, _, nu2, uv, _, rise, free, empty = _cap_cut(v, g0, u, c, sense)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         along = uv / nu2**2
         # |v| sin(angle to u), from the difference vector: nv**2 - (uv/nu)**2
         # cancels to ~sqrt(eps)*|v| when v is nearly parallel to u.
         vperp = np.linalg.norm(v - along[:, None] * us, axis=1)
         val = np.where(free, w0 + nv, w0 + along * t + vperp * rise)
+    return np.where(empty, -np.inf, val)
+
+
+def _cap_max_vectorized(w0, v, g0, u, c, sense):
+    """The values of _cap_max_values and the (N, 3) maximisers.
+
+    An empty cap has a nan maximiser.
+    """
+    nv, us, _, nu, nu2, _, ratio, rise, free, empty = _cap_cut(v, g0, u, c, sense)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         n_free = v / nv[:, None]
         # the circle point towards v, in a frame (u/|u|, e1, e2) built from u
         # alone (Duff et al., JCGT 6, 2017): where v is (nearly) parallel to u,
@@ -324,7 +399,7 @@ def _cap_max_vectorized(w0, v, g0, u, c, sense):
         )
     n = np.where((free & (nv > 0))[:, None], n_free, n_cap)
     n[empty] = np.nan
-    return np.where(empty, -np.inf, val), n
+    return _cap_max_values(w0, v, g0, u, c, sense), n
 
 
 def _oracle_22(L, spec, side, resolution):
@@ -341,7 +416,7 @@ def _oracle_22(L, spec, side, resolution):
             vals = w[:, 0] + np.linalg.norm(w[:, 1:], axis=1)
         else:
             g = U[lo : lo + (1 << 16)] @ (TC.T if flip else TC)
-            vals = _cap_max_vectorized(w[:, 0], w[:, 1:], g[:, 0], g[:, 1:], spec.c, sense)[0]
+            vals = _cap_max_values(w[:, 0], w[:, 1:], g[:, 0], g[:, 1:], spec.c, sense)
         best = max(best, float(vals.max()))
     if best == -np.inf:
         raise EmptyFeasibleSet("no feasible product state on the oracle grid")
@@ -454,17 +529,17 @@ def _qubit_pair_constrained(L, spec, sense, cfg):
     TL = _pauli_tensor_coeffs(L)
     TC = _pauli_tensor_coeffs(spec.C)
 
-    def best_inner(n, flip):
+    def best_inner(n, flip, kernel=_cap_max_values):
         w = np.where(flip[:, None], n @ TL.T, n @ TL)
         g = np.where(flip[:, None], n @ TC.T, n @ TC)
-        return _cap_max_vectorized(w[:, 0], w[:, 1:], g[:, 0], g[:, 1:], spec.c, sense)
+        return kernel(w[:, 0], w[:, 1:], g[:, 0], g[:, 1:], spec.c, sense)
 
     shrink = min(1.0, np.sqrt(_PAIR_GRID_CAP / (cfg.grid_theta * cfg.grid_phi)))
     tn = max(2, int(round(cfg.grid_theta * shrink)))
     pn = max(2, int(round(cfg.grid_phi * shrink)))
     grid = _qubit_grid(tn, pn, phi_endpoint=False)[1]
     flip = np.repeat([False, True], len(grid))
-    vals = best_inner(np.vstack([grid, grid]), flip)[0]
+    vals = best_inner(np.vstack([grid, grid]), flip)
     if vals.max() == -np.inf:
         return None
     # 4 starts per orientation, searched in lockstep
@@ -482,14 +557,15 @@ def _qubit_pair_constrained(L, spec, sense, cfg):
             break
         cand = x[:, None] + h[:, None, None] * stencil
         nc = _qubit_kets(cand[..., 0].ravel(), cand[..., 1].ravel())[1]
-        fv = best_inner(nc, np.repeat(flip, len(stencil)))[0].reshape(len(ks), -1)
+        fv = best_inner(nc, np.repeat(flip, len(stencil))).reshape(len(ks), -1)
         j = fv.argmax(axis=1)
         up = live & (fv[rows, j] > fx)
         x[up], fx[up] = cand[rows, j][up], fv[rows, j][up]
         h[live & ~up] *= 0.5
     s = int(np.argmax(fx))
     kets, n = _qubit_kets(x[s, :1], x[s, 1:])
-    nx, ny, nz = best_inner(n, flip[s : s + 1])[1][0]
+    # only the winning row builds its maximiser
+    nx, ny, nz = best_inner(n, flip[s : s + 1], _cap_max_vectorized)[1][0]
     outer = Ket.unit(kets[0])
     inner = Ket.unit(_qubit_kets(np.arctan2(np.hypot(nx, ny), nz), np.arctan2(ny, nx))[0][0])
     pk = ProductKet(a=inner, b=outer) if flip[s] else ProductKet(a=outer, b=inner)
@@ -574,7 +650,9 @@ def _warm_seesaw(M4, starts, extra_rngs, tol, max_iter):
     """
     dA, dB = M4.shape[0], M4.shape[1]
     starts = list(starts) + [(_random_unit(rng, dA), _random_unit(rng, dB)) for rng in extra_rngs]
-    vals, A, B, _, _ = _seesaw_batch(M4, starts, tol, max_iter)
+    A0 = np.array([a for a, _ in starts])
+    B0 = np.array([b for _, b in starts])
+    vals, A, B, _, _ = _seesaw_batch(M4, A0, B0, tol, max_iter)
     r = int(np.argmax(vals))
     return vals[r], A[r], B[r]
 

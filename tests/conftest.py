@@ -51,6 +51,6 @@ def pc_result(example, cfg):
 
 @pytest.fixture(scope="session")
 def swapped(example):
-    # constraint and test operators exchanged, с moved to 0.2; this instance
+    # constraint and test operators exchanged, c moved to 0.2; this instance
     # has the optimum of (test - constraint) strictly on the <= side
     return {"C": example["L"], "L": example["C"], "spec": ConstraintSpec(C=example["L"], c=0.2)}

@@ -23,11 +23,17 @@ from uew import (
     sup_product_constrained,
     sup_product_unconstrained,
 )
+from uew.linalg import _lex_key
 from uew.optimize import (
     _alpha_feasible,
+    _best_restart,
+    _canonical_rows,
+    _cap_max_values,
+    _cap_max_vectorized,
     _pair_grid_max,
     _qubit_grid,
     _random_unit,
+    _restart_starts,
     _seesaw_batch,
 )
 
@@ -75,6 +81,39 @@ def reference_seesaw(M4, a, b, tol, max_iter):
             return new, a, b, it, True
         val = new
     return val, a, b, max_iter, False
+
+
+def stack_starts(starts):
+    """(R, dA) and (R, dB) arrays of a list of R start pairs (a, b)."""
+    return np.array([a for a, _ in starts]), np.array([b for _, b in starts])
+
+
+def spawn_loop_starts(seed, restarts, dims):
+    """The see-saw starts drawn restart by restart from SeedSequence(seed)."""
+    starts = []
+    for ss in np.random.SeedSequence(seed).spawn(restarts):
+        g = np.random.default_rng(ss)
+        starts.append((_random_unit(g, dims[0]), _random_unit(g, dims[1])))
+    return starts
+
+
+def reference_best_restart(vals, A, B):
+    """The sequential reduction with lazily built Ket.unit tuple keys."""
+
+    def pk_key(a, b):
+        return _lex_key(np.concatenate([Ket.unit(a).amplitudes, Ket.unit(b).amplitudes]))
+
+    best, best_key = 0, None
+    for r in range(1, len(vals)):
+        if vals[r] > vals[best] + 1e-12:
+            best, best_key = r, None
+        elif abs(vals[r] - vals[best]) <= 1e-12:
+            if best_key is None:
+                best_key = pk_key(A[best], B[best])
+            key = pk_key(A[r], B[r])
+            if key < best_key:
+                best, best_key = r, key
+    return best
 
 
 class TestOptimizerConfig:
@@ -129,7 +168,7 @@ class TestSeesawUnconstrained:
         b0 = rng.normal(size=2) + 1j * rng.normal(size=2)
         b0 /= np.linalg.norm(b0)
         vals = [
-            _seesaw_batch(M4, [(a0, b0)], 0.0, k)[0][0] for k in range(1, 10)
+            _seesaw_batch(M4, a0[None], b0[None], 0.0, k)[0][0] for k in range(1, 10)
         ]
         assert all(v2 >= v1 - 1e-13 for v1, v2 in zip(vals, vals[1:]))
 
@@ -155,7 +194,7 @@ class TestSeesawBatch:
         for _ in range(3):
             M4 = rand_herm(rng, dims).mat.reshape(dims + dims)
             starts = [(_random_unit(rng, dims[0]), _random_unit(rng, dims[1])) for _ in range(12)]
-            vals, _, _, _, conv = _seesaw_batch(M4, starts, 1e-11, 500)
+            vals, _, _, _, conv = _seesaw_batch(M4, *stack_starts(starts), 1e-11, 500)
             for r, (a, b) in enumerate(starts):
                 ref = reference_seesaw(M4, a, b, 1e-11, 500)
                 assert abs(vals[r] - ref[0]) <= 1e-12
@@ -167,7 +206,7 @@ class TestSeesawBatch:
         rng = np.random.default_rng(21)
         M4 = rand_herm(rng, (3, 3)).mat.reshape(3, 3, 3, 3)
         starts = [(_random_unit(rng, 3), _random_unit(rng, 3)) for _ in range(6)]
-        vals, _, _, its, conv = _seesaw_batch(M4, starts, 0.0, 7)
+        vals, _, _, its, conv = _seesaw_batch(M4, *stack_starts(starts), 0.0, 7)
         assert np.all(its == 7) and not conv.any()
         for r, (a, b) in enumerate(starts):
             assert abs(vals[r] - reference_seesaw(M4, a, b, 0.0, 7)[0]) <= 1e-12
@@ -177,10 +216,7 @@ class TestSeesawBatch:
         rng = np.random.default_rng(3 * sum(dims))
         op = rand_herm(rng, dims)
         cfg = OptimizerConfig(seed=9, restarts=16)
-        starts = []
-        for ss in np.random.SeedSequence(cfg.seed).spawn(cfg.restarts):
-            g = np.random.default_rng(ss)
-            starts.append((_random_unit(g, dims[0]), _random_unit(g, dims[1])))
+        starts = spawn_loop_starts(cfg.seed, cfg.restarts, dims)
         M4 = op.mat.reshape(dims + dims)
         best = max(reference_seesaw(M4, a, b, cfg.seesaw_tol, cfg.seesaw_max_iter)[0] for a, b in starts)
         r1 = sup_product_unconstrained(op, cfg)
@@ -189,6 +225,145 @@ class TestSeesawBatch:
         assert r1.value == r2.value and r1.iterations == r2.iterations
         assert np.array_equal(r1.argmax.a.amplitudes, r2.argmax.a.amplitudes)
         assert np.array_equal(r1.argmax.b.amplitudes, r2.argmax.b.amplitudes)
+
+
+class TestRestartStarts:
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+    def test_equal_to_spawn_loop(self, dims):
+        A, B = _restart_starts(9, 16, *dims)
+        ref_a, ref_b = stack_starts(spawn_loop_starts(9, 16, dims))
+        assert A.tobytes() == ref_a.tobytes() and B.tobytes() == ref_b.tobytes()
+
+    def test_read_only_and_unchanged_by_a_solve(self, example):
+        A, B = _restart_starts(4, 8, 2, 2)
+        before = A.tobytes() + B.tobytes()
+        assert not A.flags.writeable and not B.flags.writeable
+        sup_product_unconstrained(example["L"], OptimizerConfig(seed=4, restarts=8))
+        again = _restart_starts(4, 8, 2, 2)
+        assert again[0] is A and again[1] is B
+        assert A.tobytes() + B.tobytes() == before
+
+    def test_alpha0_draws_once(self, swapped, cfg_small, monkeypatch):
+        spawned = []
+
+        class CountingSeedSequence(np.random.SeedSequence):
+            def spawn(self, n_children):
+                spawned.append(n_children)
+                return super().spawn(n_children)
+
+        monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
+        _restart_starts.cache_clear()
+        assert compute_alpha0(swapped["L"], swapped["spec"], cfg_small) is not None
+        assert spawned == [cfg_small.restarts]
+
+
+class TestTieBreak:
+    @staticmethod
+    def assert_matches_reference(op, cfg):
+        dA, dB = op.dims
+        vals, A, B, its, _ = _seesaw_batch(
+            op.mat.reshape(dA, dB, dA, dB),
+            *_restart_starts(cfg.seed, cfg.restarts, dA, dB),
+            cfg.seesaw_tol,
+            cfg.seesaw_max_iter,
+        )
+        best = reference_best_restart(vals, A, B)
+        assert _best_restart(vals, A, B) == best
+        res = sup_product_unconstrained(op, cfg)
+        assert res.argmax.a.amplitudes.tobytes() == Ket.unit(A[best]).amplitudes.tobytes()
+        assert res.argmax.b.amplitudes.tobytes() == Ket.unit(B[best]).amplitudes.tobytes()
+        assert res.value == vals[best] and res.iterations == its[best]
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_degenerate_operators(self, swapped, seed):
+        ops = [
+            HermitianOperator.identity((2, 2)),
+            _zi(),
+            HermitianOperator(np.diag([1.0, 1.0, 0.0, 0.0]), dims=(2, 2)),
+            swapped["L"],
+        ]
+        for op in ops:
+            self.assert_matches_reference(op, OptimizerConfig(seed=seed))
+
+    @pytest.mark.parametrize("lam", [-0.5, -0.27, 0.0])
+    def test_alpha0_probes(self, swapped, lam):
+        # the probes lam*C + L of compute_alpha0, whose restarts tie within 1e-12
+        nbar = lam * swapped["spec"].C + swapped["L"]
+        self.assert_matches_reference(nbar, OptimizerConfig(seed=7))
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        st.sampled_from([(2, 2), (2, 3), (3, 3)]),
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 20),
+        st.sampled_from([8, 24]),
+    )
+    def test_random_operators(self, dims, op_seed, cfg_seed, restarts):
+        op = rand_herm(np.random.default_rng(op_seed), dims)
+        self.assert_matches_reference(op, OptimizerConfig(seed=cfg_seed, restarts=restarts))
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_canonical_rows_equal_ket_unit(self, d):
+        rng = np.random.default_rng(d)
+        X = rng.normal(size=(2000, d)) + 1j * rng.normal(size=(2000, d))
+        X[::5] /= np.linalg.norm(X[::5], axis=1)[:, None]
+        X[::7, 0] = 0.0
+        X[::11, 0] = 5e-13  # below PHASE_TOL: the phase comes from the next amplitude
+        X[::13, 0] = -2.0
+        X[1::13, 0] = 1j * 1e-12
+        ref = np.array([Ket.unit(x).amplitudes for x in X])
+        assert _canonical_rows(X).tobytes() == ref.tobytes()
+
+
+def _parent_cap_values(w0, v, g0, u, c, sense):
+    """The value formula as it stood inside the value-and-maximiser kernel."""
+    nv = np.linalg.norm(v, axis=1)
+    us = sense * u
+    t = sense * (c - g0)
+    nu = np.linalg.norm(us, axis=1)
+    uv = np.einsum("ij,ij->i", us, v)
+    tiny = nu < 1e-14
+    free = (uv / np.maximum(nv, 1e-300) <= t) | tiny
+    empty = np.where(tiny, t < -1e-12, t < -nu - 1e-15)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        nu2 = np.maximum(nu, 1e-300)
+        ratio = np.clip(t / nu2, -1.0, 1.0)
+        rise = np.sqrt(np.maximum(1.0 - ratio**2, 0.0))
+        along = uv / nu2**2
+        vperp = np.linalg.norm(v - along[:, None] * us, axis=1)
+        val = np.where(free, w0 + nv, w0 + along * t + vperp * rise)
+    return np.where(empty, -np.inf, val)
+
+
+class TestCapValues:
+    @pytest.mark.parametrize("sense", [1, -1])
+    def test_value_kernel_matches_on_edge_rows(self, sense):
+        rng = np.random.default_rng(12)
+        c = 0.25
+        u_unit = np.array([0.6, 0.0, 0.8])
+        rows = [
+            # (v, g0, u): |u| < 1e-14 with threshold >= -1e-12, then < -1e-12
+            (rng.normal(size=3), c + sense * 5e-13, 1e-15 * u_unit),
+            (rng.normal(size=3), c, np.zeros(3)),
+            (rng.normal(size=3), c + sense * 2e-12, 1e-15 * u_unit),
+            # cuts 1e-15 past, just short of and exactly at the tangent plane
+            (rng.normal(size=3), c + sense * (0.5 + 1e-15), 0.5 * u_unit),
+            (rng.normal(size=3), c + sense * (0.5 + 0.5e-15), 0.5 * u_unit),
+            (rng.normal(size=3), c + sense * (0.5 + 2e-15), 0.5 * u_unit),
+            (rng.normal(size=3), c + sense * 0.5, 0.5 * u_unit),
+            # v parallel and antiparallel to u, and v = 0
+            (2.0 * u_unit, c + sense * 0.1, 0.5 * u_unit),
+            (-3.0 * u_unit, c - sense * 0.1, 0.5 * u_unit),
+            (np.zeros(3), c + sense * 0.1, 0.5 * u_unit),
+            (np.zeros(3), c, np.zeros(3)),
+        ]
+        rows += [(rng.normal(size=3), c + rng.normal(), rng.normal(size=3)) for _ in range(50)]
+        v, g0, u = (np.array(x) for x in zip(*rows))
+        w0 = rng.normal(size=len(rows))
+        got = _cap_max_values(w0, v, g0, u, c, sense)
+        assert got.tobytes() == _cap_max_vectorized(w0, v, g0, u, c, sense)[0].tobytes()
+        assert got.tobytes() == _parent_cap_values(w0, v, g0, u, c, sense).tobytes()
+        assert np.isneginf(got).sum() >= 2
 
 
 def _coarse_grid():
