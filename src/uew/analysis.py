@@ -16,7 +16,6 @@ from .witness import (
     ConstraintSpec,
     HalfSpaceSide,
     Witness,
-    build_v_alpha,
     normalised_rotation,
 )
 
@@ -79,6 +78,20 @@ def threshold_scan(
     return edge
 
 
+def rotated_witness(L, spec: ConstraintSpec, alpha, side: HalfSpaceSide, cfg: OptimizerConfig) -> Witness:
+    """Witness of L rotated by alpha on one half-space.
+
+    The bound is scale times the constrained product supremum of the
+    normalised test lam*C + L on that side (witness.normalised_rotation),
+    and the test is the rotated operator scale * (lam*C + L). Below alpha0
+    the affine bound of build_v_alpha is too low, and build_minus_inf's
+    p_c - c is too low outside case I, so both fire on product states there;
+    alpha = -inf takes the limit test L - C, alpha = None the test L itself.
+    """
+    scale, _, test = normalised_rotation(spec, L, alpha)
+    return Witness(scale * sup_product_constrained(test, spec, side, cfg).value, scale * test)
+
+
 def alpha_sweep(
     L,
     spec: ConstraintSpec,
@@ -88,26 +101,16 @@ def alpha_sweep(
 ):
     """One SweepRow per requested alpha (float('-inf') selects the limit witness).
 
-    The constrained bound of the base test operator is computed once and
-    reused by every rotated witness. A row's threshold_p is the supremum of
-    its detected noise interval on the <= side (see threshold_scan).
-
-    The -inf row's bound is the constrained supremum of the limit test
-    L - C itself, as in cli._build_pair: build_minus_inf's affine p_c - c
-    equals it only in case I, and outside it the limit witness would fire
-    on a product state.
+    Each row's witness is the <= side rotated_witness, one constrained
+    solve per alpha. A row's threshold_p is the supremum of its detected
+    noise interval on the <= side (see threshold_scan).
     """
     for alpha in alphas:
         if alpha != MINUS_INF and not alpha < 1.0:
             raise ValueError("finite alphas must be < 1")
-    p_c = sup_product_constrained(L, spec, HalfSpaceSide.LEQ, cfg).value
     rows = []
     for alpha in alphas:
-        if alpha == MINUS_INF:
-            _, _, test = normalised_rotation(spec, L, alpha)
-            witness = Witness(sup_product_constrained(test, spec, HalfSpaceSide.LEQ, cfg).value, test)
-        else:
-            witness = build_v_alpha(spec, L, p_c, alpha).witness
+        witness = rotated_witness(L, spec, alpha, HalfSpaceSide.LEQ, cfg)
         thr = threshold_scan(family, witness, spec, HalfSpaceSide.LEQ)
         rows.append(
             SweepRow(

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import MINUS_INF, alpha_sweep, plane_samples
+from .analysis import MINUS_INF, alpha_sweep, plane_samples, rotated_witness
 from .fileio import load_density, load_operator
 from .linalg import DimensionMismatch
 from .optimize import (
@@ -38,9 +38,7 @@ from .witness import (
     ConstraintSpec,
     HalfSpaceSide,
     UewPair,
-    Witness,
     detect as run_detect,
-    normalised_rotation,
 )
 
 EXIT_OK = 0
@@ -163,17 +161,9 @@ def cmd_scan(args) -> int:
 
 
 def _build_pair(L, spec: ConstraintSpec, alpha, cfg: OptimizerConfig) -> UewPair:
-    """Pair of half-space witnesses for L itself or its rotation by alpha.
-
-    Each bound is scale times the constrained product supremum of the
-    normalised test on that witness's own half-space; alpha = -inf takes
-    the limit test L - C the same way.
-    """
-    scale, _, test = normalised_rotation(spec, L, alpha)
-    w_c, w_ct = (
-        Witness(scale * sup_product_constrained(test, spec, side, cfg).value, scale * test)
-        for side in (HalfSpaceSide.LEQ, HalfSpaceSide.GEQ)
-    )
+    """Pair of half-space witnesses for L itself or its rotation by alpha,
+    one analysis.rotated_witness per side."""
+    w_c, w_ct = (rotated_witness(L, spec, alpha, side, cfg) for side in (HalfSpaceSide.LEQ, HalfSpaceSide.GEQ))
     return UewPair(w_c=w_c, w_ctilde=w_ct, constraint=spec)
 
 

@@ -17,7 +17,6 @@ import numpy as np
 NORM_TOL = 1e-12
 HERM_TOL = 1e-12
 PHASE_TOL = 1e-12
-EIG_RESIDUAL_TOL = 1e-9
 MAX_TOTAL_DIM = 64
 
 

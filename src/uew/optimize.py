@@ -13,9 +13,10 @@ Three cooperating search mechanisms live here:
 * constrained suprema behind a feasibility short-circuit: for qubit pairs
   one exact reduction (one party in closed form over its Bloch sphere cut
   by the constraint, the other by a coarse angle grid and compass search,
-  with either party outer); beyond qubit pairs a random feasible seed,
-  coordinate-wise golden-section polish and a Lagrange-multiplier
-  root-find whose zero duality gap certifies boundary optima.
+  with either party outer); beyond qubit pairs a constrained see-saw whose
+  half steps are exact single-party maximisations under the conditioned
+  constraint, started from the best feasible points of a random sample and
+  from the point of a Lagrange-multiplier root-find.
 
 All randomness flows from explicit seeds; identical configs give
 bit-identical results.
@@ -49,6 +50,9 @@ ORACLE_MAX_TOTAL_DIM = 9
 _PAIR_GRID_CAP = 4096          # max outer-party grid points of the qubit-pair solve
 _COMPASS_MAX_STEPS = 400       # stencils per qubit-pair compass search; a smooth f needs ~100
 _GENERIC_PAIR_CAP = 1 << 24    # max pair evaluations in the generic grid oracle
+_CONSTRAINED_STARTS = 16       # best feasible sample points the d >= 3 constrained see-saw starts from
+_MU_DOUBLINGS = 64             # multiplier doublings before a party's cut counts as empty
+_MU_BISECTIONS = 30            # multiplier halvings of a constrained half step
 
 
 class EmptyFeasibleSet(RuntimeError):
@@ -262,73 +266,40 @@ def _pauli_tensor_coeffs(M: HermitianOperator) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# angle parametrization (grid oracle and polish)
-# ---------------------------------------------------------------------------
-
-
-def _ket_from_angles(mags: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """Hyperspherical ket: d-1 magnitude angles in [0, pi/2], d-1 phases.
-
-    For a qubit this is cos(m)|0> + e^{ip} sin(m)|1> with m = theta/2.
-    """
-    d = len(mags) + 1
-    amps = np.ones(d, dtype=complex)
-    sin_run = 1.0
-    for k in range(d - 1):
-        amps[k] = sin_run * np.cos(mags[k])
-        sin_run *= np.sin(mags[k])
-    amps[d - 1] = sin_run
-    amps[1:] *= np.exp(1j * phases)
-    return amps
-
-
-def _angles_from_ket(v: np.ndarray):
-    d = v.size
-    mags = np.empty(d - 1)
-    tail = 1.0
-    for k in range(d - 1):
-        ak = min(1.0, abs(v[k]) / np.sqrt(tail)) if tail > 1e-300 else 1.0
-        mags[k] = np.arccos(ak)
-        tail = max(tail - abs(v[k]) ** 2, 0.0)
-    phases = np.angle(v[1:])
-    return mags, phases
-
-
-# ---------------------------------------------------------------------------
 # grid oracle
 # ---------------------------------------------------------------------------
 
 
-def _qubit_kets(theta, phi):
-    """Qubit kets cos(t/2)|0> + e^{ip} sin(t/2)|1> at broadcast angles.
-
-    theta and phi broadcast against each other; the points are flattened
-    in C order. Returns the (N, 2) kets and their (N, 4) Bloch 4-vectors
-    (1, n), so that <k|X|k> = bloch @ (Pauli coefficients of X).
-    """
+def _columns(cols, theta, phi):
+    """The columns broadcast over theta and phi, flattened in C order, as (N, k)."""
     shape = np.broadcast_shapes(np.shape(theta), np.shape(phi))
+    return np.stack([np.broadcast_to(x, shape).ravel() for x in cols], axis=-1)
 
-    def flat(x):
-        return np.broadcast_to(x, shape).ravel()
 
+def _qubit_kets(theta, phi):
+    """(N, 2) qubit kets cos(t/2)|0> + e^{ip} sin(t/2)|1> at broadcast angles."""
+    return _columns([np.cos(theta / 2) + 0j, np.exp(1j * phi) * np.sin(theta / 2)], theta, phi)
+
+
+def _qubit_bloch(theta, phi):
+    """(N, 4) Bloch 4-vectors (1, n) of the _qubit_kets at the same angles.
+
+    <k|X|k> = bloch @ (Pauli coefficients of X).
+    """
     st = np.sin(theta)
-    kets = np.stack([flat(np.cos(theta / 2) + 0j), flat(np.exp(1j * phi) * np.sin(theta / 2))], axis=-1)
-    bloch = np.stack(
-        [np.ones(kets.shape[0]), flat(st * np.cos(phi)), flat(st * np.sin(phi)), flat(np.cos(theta))],
-        axis=-1,
-    )
-    return kets, bloch
+    return _columns([np.ones(()), st * np.cos(phi), st * np.sin(phi), np.cos(theta)], theta, phi)
 
 
-def _qubit_grid(n_theta: int, n_phi: int, phi_endpoint: bool = True):
-    """_qubit_kets on a polar/azimuth grid, theta-major.
+def _qubit_angles(n_theta: int, n_phi: int, phi_endpoint: bool = True):
+    """Broadcast (theta, phi) of a polar/azimuth grid, theta-major.
 
     theta takes n_theta points on [0, pi] with both ends; phi takes n_phi
-    points from 0, ending at 2 pi only when ``phi_endpoint``.
+    points from 0, ending at 2 pi only when ``phi_endpoint``. Pass them to
+    _qubit_kets or _qubit_bloch.
     """
     th = np.linspace(0.0, np.pi, n_theta)[:, None]
     ph = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=phi_endpoint)[None, :]
-    return _qubit_kets(th, ph)
+    return th, ph
 
 
 def _cap_cut(v, g0, u, c, sense):
@@ -404,7 +375,7 @@ def _cap_max_vectorized(w0, v, g0, u, c, sense):
 
 def _oracle_22(L, spec, side, resolution):
     TL = _pauli_tensor_coeffs(L)
-    _, U = _qubit_grid(resolution, 2 * resolution - 1)
+    U = _qubit_bloch(*_qubit_angles(resolution, 2 * resolution - 1))
     if spec is not None:
         TC = _pauli_tensor_coeffs(spec.C)
         sense = 1 if side is HalfSpaceSide.LEQ else -1
@@ -426,7 +397,7 @@ def _oracle_22(L, spec, side, resolution):
 def _party_ket_grid(d: int, resolution: int) -> np.ndarray:
     """All kets of one party on a hyperspherical angle grid."""
     if d == 2:
-        return _qubit_grid(resolution, 2 * resolution - 1)[0]
+        return _qubit_kets(*_qubit_angles(resolution, 2 * resolution - 1))
     mag_axes = [np.linspace(0.0, np.pi / 2, resolution)] * (d - 1)
     ph_axes = [np.linspace(0.0, 2.0 * np.pi, 2 * resolution - 1)] * (d - 1)
     grids = np.meshgrid(*mag_axes, *ph_axes, indexing="ij")
@@ -452,18 +423,14 @@ def _pair_grid_max(L, spec, sense, kets_a, kets_b, chunk=4096):
     if spec is not None:
         C2 = spec.C.mat.reshape(dA, dB, dA, dB).transpose(0, 2, 1, 3).reshape(dA * dA, dB * dB)
     best = -np.inf
-    arg = None
     for lo in range(0, len(kets_a), chunk):
         xa = XA[lo : lo + chunk]
         vals = (xa @ L2 @ XB.T).real
         if spec is not None:
             feas = sense * ((xa @ C2 @ XB.T).real - spec.c) <= 1e-15
             vals = np.where(feas, vals, -np.inf)
-        i, j = np.unravel_index(np.argmax(vals), vals.shape)
-        if vals[i, j] > best:
-            best = float(vals[i, j])
-            arg = (kets_a[lo + i], kets_b[j])
-    return best, arg
+        best = max(best, float(vals.max()))
+    return best
 
 
 def grid_oracle_sup(
@@ -500,7 +467,7 @@ def grid_oracle_sup(
     if len(ka) * len(kb) > _GENERIC_PAIR_CAP:
         raise ValueError("resolution too fine for the generic pair grid; lower it")
     sense = 1 if (spec is None or side is HalfSpaceSide.LEQ) else -1
-    best, _ = _pair_grid_max(L, spec, sense, ka, kb)
+    best = _pair_grid_max(L, spec, sense, ka, kb)
     if best == -np.inf:
         raise EmptyFeasibleSet("no feasible product state on the oracle grid")
     return best
@@ -537,7 +504,7 @@ def _qubit_pair_constrained(L, spec, sense, cfg):
     shrink = min(1.0, np.sqrt(_PAIR_GRID_CAP / (cfg.grid_theta * cfg.grid_phi)))
     tn = max(2, int(round(cfg.grid_theta * shrink)))
     pn = max(2, int(round(cfg.grid_phi * shrink)))
-    grid = _qubit_grid(tn, pn, phi_endpoint=False)[1]
+    grid = _qubit_bloch(*_qubit_angles(tn, pn, phi_endpoint=False))
     flip = np.repeat([False, True], len(grid))
     vals = best_inner(np.vstack([grid, grid]), flip)
     if vals.max() == -np.inf:
@@ -556,91 +523,116 @@ def _qubit_pair_constrained(L, spec, sense, cfg):
         if not live.any():
             break
         cand = x[:, None] + h[:, None, None] * stencil
-        nc = _qubit_kets(cand[..., 0].ravel(), cand[..., 1].ravel())[1]
+        nc = _qubit_bloch(cand[..., 0].ravel(), cand[..., 1].ravel())
         fv = best_inner(nc, np.repeat(flip, len(stencil))).reshape(len(ks), -1)
         j = fv.argmax(axis=1)
         up = live & (fv[rows, j] > fx)
         x[up], fx[up] = cand[rows, j][up], fv[rows, j][up]
         h[live & ~up] *= 0.5
     s = int(np.argmax(fx))
-    kets, n = _qubit_kets(x[s, :1], x[s, 1:])
+    kets, n = _qubit_kets(x[s, :1], x[s, 1:]), _qubit_bloch(x[s, :1], x[s, 1:])
     # only the winning row builds its maximiser
     nx, ny, nz = best_inner(n, flip[s : s + 1], _cap_max_vectorized)[1][0]
     outer = Ket.unit(kets[0])
-    inner = Ket.unit(_qubit_kets(np.arctan2(np.hypot(nx, ny), nz), np.arctan2(ny, nx))[0][0])
+    inner = Ket.unit(_qubit_kets(np.arctan2(np.hypot(nx, ny), nz), np.arctan2(ny, nx))[0])
     pk = ProductKet(a=inner, b=outer) if flip[s] else ProductKet(a=outer, b=inner)
     return expectation(L, pk), pk, True
 
 
-def _golden_max(f, lo, hi, iters=60):
-    inv = (np.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - inv * (hi - lo)
-    x2 = lo + inv * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(iters):
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + inv * (hi - lo)
-            f2 = f(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - inv * (hi - lo)
-            f1 = f(x1)
-    return (x1, f1) if f1 >= f2 else (x2, f2)
+def _quad(x, M):
+    """<x|M|x> of every row of x, against one matrix M or a stack of them."""
+    return np.einsum("...i,...ij,...j->...", x.conj(), M, x).real
 
 
-def _golden_polish(L, spec, sense, cfg, a, b, sweeps=25):
-    """Coordinate-wise golden-section ascent over the product angles.
+def _bloch_coeffs(h):
+    """(w0, v) of a stack of 2x2 Hermitian matrices: <y|h|y> = w0 + v.n."""
+    t = np.einsum("rij,kji->rk", h, np.array(_PAULI)).real / 2
+    return t[:, 0], t[:, 1:]
 
-    Infeasible proposals score -inf (exact penalty), so only feasible
-    improvements are ever accepted.
+
+def _cut_top(M: np.ndarray, N: np.ndarray) -> np.ndarray:
+    """Row-wise unit maximiser of <x|M|x> subject to <x|N|x> <= 0.
+
+    M and N are (R, d, d) Hermitian stacks. Where the top eigenvector of M
+    is feasible it is the maximiser. Elsewhere a multiplier mu > 0 is
+    bracketed, by doubling and then bisection, on the sign of <N> at the top
+    eigenvector of M - mu N, which falls as mu grows. The problem has zero
+    duality gap (Beck & Eldar, SIAM J. Optim. 17, 2006), so the maximiser
+    lies in the span of the bracket's two eigenvectors, also where the top
+    eigenvalue is degenerate at the multiplier; that span is a qubit, solved
+    exactly by _cap_max_vectorized with the cut at 0. Rows where doubling
+    finds no feasible eigenvector are nan.
+    """
+    _, x = _hermitian_top(M)
+    cut = np.flatnonzero(_quad(x, N) > 0)
+    if cut.size == 0:
+        return x
+    M, N = M[cut], N[cut]
+
+    def top(mu):
+        _, y = _hermitian_top(M - mu[:, None, None] * N)
+        return y, _quad(y, N)
+
+    lo, x_lo = np.zeros(len(cut)), x[cut]
+    hi = 1.0 + np.linalg.norm(M, axis=(1, 2)) / np.linalg.norm(N, axis=(1, 2))
+    x_hi, g_hi = top(hi)
+    for _ in range(_MU_DOUBLINGS):
+        up = g_hi > 0
+        if not up.any():
+            break
+        lo[up], x_lo[up] = hi[up], x_hi[up]
+        hi[up] *= 2
+        y, g = top(hi)
+        x_hi[up], g_hi[up] = y[up], g[up]
+    for _ in range(_MU_BISECTIONS):
+        mid = (lo + hi) / 2
+        y, g = top(mid)
+        down = g <= 0
+        hi[down], x_hi[down] = mid[down], y[down]
+        lo[~down], x_lo[~down] = mid[~down], y[~down]
+    Q = np.linalg.qr(np.stack([x_hi, x_lo], axis=2))[0]  # first column spans x_hi
+    QH = Q.conj().transpose(0, 2, 1)
+    _, n = _cap_max_vectorized(*_bloch_coeffs(QH @ M @ Q), *_bloch_coeffs(QH @ N @ Q), 0.0, 1)
+    y = _qubit_kets(np.arctan2(np.hypot(n[:, 0], n[:, 1]), n[:, 2]), np.arctan2(n[:, 1], n[:, 0]))
+    x[cut] = np.einsum("rij,rj->ri", Q, y)
+    x[cut[g_hi > 0]] = np.nan
+    return x
+
+
+def _constrained_seesaw(L, spec, sense, A0, B0, tol, max_iter):
+    """Alternating exact constrained ascent from R starting product kets at once.
+
+    As in _seesaw_batch, but each half step maximises the conditioned form
+    of L under the conditioned cut sense*(C - c) <= 0 (_cut_top). A move is
+    taken only when it is feasible and does not lower the row's value; an
+    infeasible start counts as -inf, so its first feasible move is taken. A
+    row retires once a sweep gains no more than ``tol``. Returns per-row
+    arrays (values, A, B).
     """
     dA, dB = L.dims
-    coords = []
-    for v, d in ((a, dA), (b, dB)):
-        mags, phases = _angles_from_ket(v)
-        coords.extend(list(mags) + list(phases))
-    n_mag = {0: dA - 1, 1: dB - 1}
-    M4 = L.mat.reshape(dA, dB, dA, dB)
-    C4 = spec.C.mat.reshape(dA, dB, dA, dB)
-
-    def kets_of(x):
-        xa = x[: 2 * (dA - 1)]
-        xb = x[2 * (dA - 1) :]
-        va = _ket_from_angles(np.asarray(xa[: dA - 1]), np.asarray(xa[dA - 1 :]))
-        vb = _ket_from_angles(np.asarray(xb[: dB - 1]), np.asarray(xb[dB - 1 :]))
-        return va, vb
-
-    def score(x):
-        va, vb = kets_of(x)
-        cons = np.einsum("i,k,ikjl,j,l->", va.conj(), vb.conj(), C4, va, vb).real
-        if sense * (cons - spec.c) > cfg.feas_tol:
-            return -np.inf
-        return np.einsum("i,k,ikjl,j,l->", va.conj(), vb.conj(), M4, va, vb).real
-
-    x = list(coords)
-    cur = score(x)
-    n_a = 2 * (dA - 1)
-    for _ in range(sweeps):
-        prev = cur
-        for k in range(len(x)):
-            local = k if k < n_a else k - n_a
-            is_mag = local < (n_mag[0] if k < n_a else n_mag[1])
-            lo, hi = (0.0, np.pi / 2) if is_mag else (0.0, 2.0 * np.pi)
-
-            def f(t, k=k):
-                y = list(x)
-                y[k] = t
-                return score(y)
-
-            t, ft = _golden_max(f, lo, hi)
-            if ft > cur:
-                x[k] = t
-                cur = ft
-        if cur - prev < 1e-12:
+    N = sense * (spec.C.mat - spec.c * np.eye(L.dim))
+    M4, N4 = (T.reshape(dA, dB, dA, dB) for T in (L.mat, N))
+    A = np.array(A0, dtype=complex)
+    B = np.array(B0, dtype=complex)
+    prod = np.einsum("ri,rk->rik", A, B).reshape(len(A), L.dim)
+    vals = _quad(prod, L.mat)
+    # a point on the cut lands within rounding of it, on either side
+    slack = L.dim * np.finfo(float).eps * np.linalg.norm(N)
+    vals[_quad(prod, N) > slack] = -np.inf
+    live = np.arange(len(A))
+    for _ in range(max_iter):
+        before = vals[live]
+        for X, Y, cond in ((B, A, "ri,ikjl,rj->rkl"), (A, B, "rk,ikjl,rl->rij")):
+            y = Y[live]
+            Mc, Nc = (np.einsum(cond, y.conj(), T, y) for T in (M4, N4))
+            x = _cut_top(Mc, Nc)
+            new = _quad(x, Mc)
+            ok = (_quad(x, Nc) <= slack) & (new >= vals[live])
+            X[live[ok]], vals[live[ok]] = x[ok], new[ok]
+        live = live[vals[live] > before + tol]
+        if live.size == 0:
             break
-    va, vb = kets_of(x)
-    return cur, va, vb
+    return vals, A, B
 
 
 def _warm_seesaw(M4, starts, extra_rngs, tol, max_iter):
@@ -755,34 +747,28 @@ def _dual_refine(L, spec, sense, cfg, a_seed, b_seed):
 
 
 def _generic_constrained(L, spec, sense, cfg):
-    """Best of 200k seeded random product states, polished, then the
-    multiplier root-find and a polish of its point; returns (value, argmax,
-    converged) of the best feasible candidate, or None when none is."""
+    """_constrained_seesaw from the best feasible points of 200k seeded
+    random product states and from the point of the multiplier root-find
+    seeded with the best one; returns (value, argmax, converged) of the
+    first best start, or None when no sample point is feasible."""
     dA, dB = L.dims
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x5EED)))
     n = 200_000
     A, B = random_product_batch(L.dims, n, rng)
     prod = np.einsum("ni,nk->nik", A, B).reshape(n, dA * dB)
-    vals = np.einsum("ni,ij,nj->n", prod.conj(), L.mat, prod).real
-    cons = np.einsum("ni,ij,nj->n", prod.conj(), spec.C.mat, prod).real
-    feas = sense * (cons - spec.c) <= cfg.feas_tol
-    if not feas.any():
+    vals, cons = (np.einsum("ni,ni->n", prod.conj() @ T.mat, prod).real for T in (L, spec.C))
+    feas = np.flatnonzero(sense * (cons - spec.c) <= cfg.feas_tol)
+    if feas.size == 0:
         return None
-    idx = np.flatnonzero(feas)[np.argmax(vals[feas])]
-    a, b = A[idx], B[idx]
-    candidates = [(float(vals[idx]), a, b)]
-    pol_val, pa, pb = _golden_polish(L, spec, sense, cfg, a, b)
-    if pol_val > -np.inf:
-        candidates.append((pol_val, pa, pb))
-        a, b = pa, pb
-    refined = _dual_refine(L, spec, sense, cfg, a, b)
+    top = feas[np.argsort(-vals[feas], kind="stable")[:_CONSTRAINED_STARTS]]
+    A0, B0 = A[top], B[top]
+    refined = _dual_refine(L, spec, sense, cfg, A0[0], B0[0])
     if refined is not None:
-        candidates.append(tuple(refined[:3]))
-        rp_val, rp_a, rp_b = _golden_polish(L, spec, sense, cfg, refined[1], refined[2])
-        if rp_val > -np.inf:
-            candidates.append((rp_val, rp_a, rp_b))
-    best_val, best_a, best_b = max(candidates, key=lambda t: t[0])
-    return best_val, ProductKet(a=Ket.unit(best_a), b=Ket.unit(best_b)), refined is not None
+        A0, B0 = np.vstack([A0, refined[1]]), np.vstack([B0, refined[2]])
+    vals, A, B = _constrained_seesaw(L, spec, sense, A0, B0, cfg.seesaw_tol, cfg.seesaw_max_iter)
+    r = int(np.argmax(vals))
+    pk = ProductKet(a=Ket.unit(A[r]), b=Ket.unit(B[r]))
+    return expectation(L, pk), pk, refined is not None
 
 
 def sup_product_constrained(
@@ -798,12 +784,13 @@ def sup_product_constrained(
     form over its Bloch sphere cut by the constraint and the other by a
     coarse angle grid refined by compass search, with either party outer
     (_qubit_pair_constrained); the result is converged whenever a grid
-    point is feasible. Beyond qubit pairs, the best feasible point of a
-    random product sample seeds a coordinate-wise golden-section polish
-    and a multiplier root-find (zero duality gap certifies boundary
-    optima), whose point is polished again; the best feasible candidate
-    wins and the result is converged when the root-find returned. Raises
-    EmptyFeasibleSet when the grid or the sample holds no feasible point.
+    point is feasible. Beyond qubit pairs, a constrained see-saw runs
+    from the 16 best feasible points of a random product sample and from
+    the point of a multiplier root-find seeded with the best of them; each
+    half step maximises one party exactly under the conditioned constraint
+    (_cut_top), and the result is converged when the root-find returned
+    (_generic_constrained). Raises EmptyFeasibleSet when the grid or the
+    sample holds no feasible point.
     """
     if side not in (HalfSpaceSide.LEQ, HalfSpaceSide.GEQ):
         raise ValueError("side must be leq or geq")

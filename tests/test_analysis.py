@@ -14,14 +14,17 @@ from uew import (
     HermitianOperator,
     Ket,
     MINUS_INF,
+    OptimizerConfig,
     Witness,
     alpha_sweep,
     build_minus_inf,
     build_v_alpha,
+    combine_alpha,
     expectation,
     halfspace_membership,
     noisy_member,
     plane_samples,
+    sup_product_constrained,
     sup_product_unconstrained,
     tensor_product,
     threshold_scan,
@@ -192,6 +195,18 @@ class TestAlphaSweep:
         opt = sup_product_unconstrained(L - spec.C, cfg_small).argmax
         assert halfspace_membership(opt, spec) is HalfSpaceSide.LEQ
         assert not Witness(rows[0].bound, L - spec.C).fires(opt)
+
+    @pytest.mark.parametrize("alpha", [-1.0, -5.0])
+    def test_rotated_rows_hold_in_case_ii(self, example, swapped, alpha):
+        # below alpha0 on the role-swapped instance the affine bound
+        # alpha*c + (1-alpha)*p_c fired on the <= side argmax of the rotated
+        # test, with witness values -0.0084 (alpha = -1) and -0.143 (alpha = -5)
+        L, spec = swapped["L"], swapped["spec"]
+        cfg = OptimizerConfig(seed=0, restarts=24)
+        (row,) = alpha_sweep(L, spec, [alpha], example["family"], cfg)
+        test = combine_alpha(spec, L, alpha)
+        opt = sup_product_constrained(test, spec, HalfSpaceSide.LEQ, cfg).argmax
+        assert not Witness(row.bound, test).fires(opt)
 
     def test_rejects_alpha_ge_one(self, example, cfg):
         with pytest.raises(ValueError):

@@ -157,6 +157,21 @@ class TestPc:
         )
         assert proc.returncode == 3
 
+    def test_qubit_qutrit_boundary(self, tmp_path):
+        # max 0.2 p0 q0 + p1 q2 subject to p1 q2 <= 1/4 has value 0.3 on the cut
+        L, C = tmp_path / "L.json", tmp_path / "C.json"
+        save_operator(HermitianOperator(np.diag([0.2, 0, 0, 0, 0, 1.0]), dims=(2, 3)), L)
+        save_operator(HermitianOperator(np.diag([0, 0, 0, 0, 0, 1.0]), dims=(2, 3)), C)
+        proc = run_cli(
+            "pc", "--test", str(L), "--constraint", str(C),
+            "--cvalue", "1/4", "--side", "leq", "--seed", "0", "--restarts", "16",
+        )
+        assert proc.returncode == 0
+        assert float(grab(proc.stdout, "p_c")) == pytest.approx(0.3, abs=1e-9)
+        assert grab(proc.stdout, "method") == "hybrid"
+        assert grab(proc.stdout, "boundary_active") == "true"
+        assert float(grab(proc.stdout, "constraint_value")) <= 0.25
+
 
 class TestScan:
     def test_full_row(self, files):

@@ -31,7 +31,10 @@ from uew.optimize import (
     _cap_max_values,
     _cap_max_vectorized,
     _pair_grid_max,
-    _qubit_grid,
+    _party_ket_grid,
+    _qubit_angles,
+    _qubit_bloch,
+    _qubit_kets,
     _random_unit,
     _restart_starts,
     _seesaw_batch,
@@ -48,22 +51,53 @@ def rand_herm_22(rng):
     return rand_herm(rng, (2, 2))
 
 
-@st.composite
-def qubit_instances(draw):
-    """Random two-qubit L and C, c between C's extreme diagonal entries, and a side.
+def recipe_instance(s, seed, delta, k, side):
+    """Solve k of the d >= 3 recipe R(s, seed, delta).
+
+    L then C are drawn from default_rng(s) as in rand_herm, on dims (2, 3)
+    for even k and (3, 3) for odd k; c sits delta past <C> at the
+    unconstrained argmax of L, so the constraint is active on that side.
+    Returns (L, spec, cfg) with cfg = OptimizerConfig(seed=seed).
+    """
+    rng = np.random.default_rng(s)
+    for j in range(k + 1):
+        dims = (2, 3) if j % 2 == 0 else (3, 3)
+        L, C = rand_herm(rng, dims), rand_herm(rng, dims)
+    cfg = OptimizerConfig(seed=seed)
+    sense = 1 if side is HalfSpaceSide.LEQ else -1
+    c = expectation(C, sup_product_unconstrained(L, cfg).argmax) - sense * delta
+    return L, ConstraintSpec(C=C, c=c), cfg
+
+
+def _diagonal_cut(draw, C):
+    """A constraint value between C's extreme diagonal entries.
 
     The diagonal entries are the constraint values of product basis kets,
-    which sit on every polar/azimuth grid, so both sides are feasible there.
+    which sit on every polar/azimuth and hyperspherical grid, so both sides
+    are feasible there.
     """
+    d = np.diag(C.mat).real
+    return float(d.min() + draw(st.floats(0.05, 0.95)) * (d.max() - d.min()))
+
+
+@st.composite
+def qubit_instances(draw):
+    """Random two-qubit L and C, c between C's extreme diagonal entries, and a side."""
     parts = arrays(np.float64, (2, 2, 4, 4), elements=st.floats(-1.0, 1.0))
     g = draw(parts)
     L, C = (
         HermitianOperator((x[0] + 1j * x[1] + x[0].T - 1j * x[1].T) / 2, dims=(2, 2))
         for x in g
     )
-    d = np.diag(C.mat).real
-    c = float(d.min() + draw(st.floats(0.05, 0.95)) * (d.max() - d.min()))
-    return L, ConstraintSpec(C=C, c=c), draw(st.sampled_from([1, -1]))
+    return L, ConstraintSpec(C=C, c=_diagonal_cut(draw, C)), draw(st.sampled_from([1, -1]))
+
+
+@st.composite
+def gaussian_instances(draw, dims):
+    """rand_herm L and C on dims from a drawn seed, c between C's extreme diagonal entries."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    L, C = rand_herm(rng, dims), rand_herm(rng, dims)
+    return L, ConstraintSpec(C=C, c=_diagonal_cut(draw, C))
 
 
 def reference_seesaw(M4, a, b, tol, max_iter):
@@ -366,6 +400,12 @@ class TestCapValues:
         assert np.isneginf(got).sum() >= 2
 
 
+def _qubit_grid(n_theta, n_phi, phi_endpoint=True):
+    """Kets and Bloch 4-vectors on the solver's polar/azimuth grid."""
+    angles = _qubit_angles(n_theta, n_phi, phi_endpoint)
+    return _qubit_kets(*angles), _qubit_bloch(*angles)
+
+
 def _coarse_grid():
     # the party-A grid of the 2x2 solve at the default grid_theta/grid_phi
     return _qubit_grid(45, 90, phi_endpoint=False)
@@ -375,7 +415,7 @@ def _assert_reaches_pair_grid(L, spec, sense, cfg, kets=None):
     """The 2x2 solve is at least the exhaustive pair-grid max over kets x kets
     (the coarse grid by default), attained and feasible."""
     kets = _coarse_grid()[0] if kets is None else kets
-    grid_val, _ = _pair_grid_max(L, spec, sense, kets, kets, chunk=1024)
+    grid_val = _pair_grid_max(L, spec, sense, kets, kets, chunk=1024)
     assert grid_val > -np.inf
     side = HalfSpaceSide.LEQ if sense == 1 else HalfSpaceSide.GEQ
     res = sup_product_constrained(L, spec, side, cfg)
@@ -618,6 +658,57 @@ class TestConstrained:
         assert res.value >= orc - 1e-9
         # coarse hyperspherical grid error, proportional to the operator scale
         assert res.value - orc <= 0.05 * np.max(np.abs(L.mat))
+
+    def test_generic_argmax_feasible_and_attained(self):
+        # R(55, 1, 0.5), k = 8: an argmax within feas_tol but 1.0e-9 past the
+        # cut fails here
+        L, spec, cfg = recipe_instance(55, 1, 0.5, 8, HalfSpaceSide.LEQ)
+        res = sup_product_constrained(L, spec, HalfSpaceSide.LEQ, cfg)
+        assert res.method == "hybrid"
+        assert expectation(spec.C, res.argmax) - spec.c <= 1e-12
+        assert abs(expectation(L, res.argmax) - res.value) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "s, seed, delta, k, side, floor",
+        [
+            # boundary optimum 3.38055044122
+            (55, 1, 0.5, 4, HalfSpaceSide.LEQ, 3.3805504409),
+            # optimum 3.10729815; a local branch sits at 2.8385755118
+            (91, 0, 0.8, 13, HalfSpaceSide.GEQ, 3.10),
+        ],
+    )
+    def test_generic_reaches_the_optimum(self, s, seed, delta, k, side, floor):
+        L, spec, cfg = recipe_instance(s, seed, delta, k, side)
+        res = sup_product_constrained(L, spec, side, cfg)
+        assert res.value >= floor
+        assert res.converged
+
+    def test_generic_dims_diagonal_instance_exact(self, cfg_small):
+        # the instance of test_generic_dims_diagonal_instance, value 0.3
+        L = HermitianOperator(np.diag([0.2, 0, 0, 0, 0, 1.0]), dims=(2, 3))
+        C = HermitianOperator(np.diag([0, 0, 0, 0, 0, 1.0]), dims=(2, 3))
+        spec = ConstraintSpec(C=C, c=0.25)
+        res = sup_product_constrained(L, spec, HalfSpaceSide.LEQ, cfg_small)
+        assert res.value == pytest.approx(0.3, abs=1e-12)
+        assert expectation(C, res.argmax) <= 0.25
+        assert expectation(L, res.argmax) == pytest.approx(res.value, abs=1e-12)
+
+    @settings(max_examples=6, deadline=None, derandomize=True, database=None)
+    @given(gaussian_instances((2, 3)))
+    def test_generic_property_against_pair_grid(self, inst):
+        # the side is the one that cuts off the unconstrained argmax, so the
+        # constrained see-saw runs
+        L, spec = inst
+        cfg = OptimizerConfig(seed=2, restarts=16)
+        at_opt = expectation(spec.C, sup_product_unconstrained(L, cfg).argmax)
+        sense = 1 if at_opt > spec.c else -1
+        side = HalfSpaceSide.LEQ if sense == 1 else HalfSpaceSide.GEQ
+        grid_val = _pair_grid_max(L, spec, sense, _party_ket_grid(2, 5), _party_ket_grid(3, 5))
+        res = sup_product_constrained(L, spec, side, cfg)
+        assert res.method == "hybrid"
+        assert res.value >= grid_val - 1e-9
+        assert abs(expectation(L, res.argmax) - res.value) <= 1e-12
+        assert sense * (expectation(spec.C, res.argmax) - spec.c) <= 1e-12
 
 
 class TestClassify:
