@@ -94,11 +94,7 @@ def _amps(ket) -> str:
 def _report_header(args, cfg: OptimizerConfig, stream) -> float:
     echo = getattr(args, "raw_argv", None) or [args.command]
     print(f"command: {' '.join(echo)}", file=stream)
-    print(
-        f"config: seed={cfg.seed} restarts={cfg.restarts} "
-        f"grid={cfg.grid_theta}x{cfg.grid_phi} seesaw_tol={cfg.seesaw_tol:g}",
-        file=stream,
-    )
+    print(f"config: seed={cfg.seed} restarts={cfg.restarts}", file=stream)
     print(f"tool: uew {__version__}", file=stream)
     return time.perf_counter()
 

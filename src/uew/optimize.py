@@ -41,13 +41,14 @@ from .linalg import (
     Ket,
     expectation,
 )
-from .states import ProductKet, random_product_batch
-from .witness import ConstraintSpec, HalfSpaceSide, normalised_rotation
+from .states import ProductKet, product_expectations, random_product_batch
+from .witness import BOUNDARY_TOL, ConstraintSpec, HalfSpaceSide, normalised_rotation
 
 ALPHA0_FEAS_TOL = 1e-8
-BOUNDARY_CLASSIFY_TOL = 1e-9
 ORACLE_MAX_TOTAL_DIM = 9
-_PAIR_GRID_CAP = 4096          # max outer-party grid points of the qubit-pair solve
+_SEESAW_TOL = 1e-11            # a see-saw row retires once a sweep gains less than this
+_SEESAW_MAX_ITER = 500         # sweeps per see-saw row
+_PAIR_GRID = (45, 90)          # outer-party polar x azimuth grid of the qubit-pair solve
 _COMPASS_MAX_STEPS = 400       # stencils per qubit-pair compass search; a smooth f needs ~100
 _GENERIC_PAIR_CAP = 1 << 24    # max pair evaluations in the generic grid oracle
 _CONSTRAINED_STARTS = 16       # best feasible sample points the d >= 3 constrained see-saw starts from
@@ -71,23 +72,14 @@ class CaseLabel(enum.Enum):
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """See-saw restart count and master seed; every other search setting is a constant."""
+
     restarts: int = 64
-    grid_theta: int = 181
-    grid_phi: int = 360
-    seesaw_tol: float = 1e-11
-    seesaw_max_iter: int = 500
-    feas_tol: float = 1e-9
     seed: int = 0
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be positive")
-        if self.grid_theta < 2 or self.grid_phi < 2:
-            raise ValueError("grids need at least 2 points")
-        if min(self.seesaw_tol, self.feas_tol) <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.seesaw_max_iter < 1:
-            raise ValueError("seesaw_max_iter must be positive")
 
 
 @dataclass(frozen=True)
@@ -226,8 +218,8 @@ def sup_product_unconstrained(L: HermitianOperator, cfg: OptimizerConfig) -> Opt
     vals, A, B, its, conv = _seesaw_batch(
         L.mat.reshape(dA, dB, dA, dB),
         *_restart_starts(cfg.seed, cfg.restarts, dA, dB),
-        cfg.seesaw_tol,
-        cfg.seesaw_max_iter,
+        _SEESAW_TOL,
+        _SEESAW_MAX_ITER,
     )
     best = _best_restart(vals, A, B)
     val, a, b = vals[best], A[best], B[best]
@@ -414,7 +406,7 @@ def _party_ket_grid(d: int, resolution: int) -> np.ndarray:
     return kets
 
 
-def _pair_grid_max(L, spec, sense, kets_a, kets_b, chunk=4096):
+def _pair_grid_max(L, spec, sense, kets_a, kets_b):
     """Exhaustive feasibility-filtered max over the product of two ket grids."""
     dA, dB = L.dims
     XA = np.einsum("ni,nj->nij", kets_a.conj(), kets_a).reshape(len(kets_a), dA * dA)
@@ -423,8 +415,8 @@ def _pair_grid_max(L, spec, sense, kets_a, kets_b, chunk=4096):
     if spec is not None:
         C2 = spec.C.mat.reshape(dA, dB, dA, dB).transpose(0, 2, 1, 3).reshape(dA * dA, dB * dB)
     best = -np.inf
-    for lo in range(0, len(kets_a), chunk):
-        xa = XA[lo : lo + chunk]
+    for lo in range(0, len(kets_a), 4096):
+        xa = XA[lo : lo + 4096]
         vals = (xa @ L2 @ XB.T).real
         if spec is not None:
             feas = sense * ((xa @ C2 @ XB.T).real - spec.c) <= 1e-15
@@ -478,14 +470,15 @@ def grid_oracle_sup(
 # ---------------------------------------------------------------------------
 
 
-def _qubit_pair_constrained(L, spec, sense, cfg):
+def _qubit_pair_constrained(L, spec, sense):
     """Constrained supremum over qubit product states by one exact reduction.
 
     For the outer party's Bloch vector n, f(n) is the inner party's
     closed-form maximum over its Bloch sphere cut by the constraint. f is
-    scanned on the outer party's grid (sized from grid_theta/grid_phi and
-    _PAIR_GRID_CAP) with either party outer: where the optimum shrinks the
-    inner cut to a point, f has a curved ridge in that orientation only.
+    scanned on the outer party's _PAIR_GRID (polar angles with both poles,
+    azimuths without the 2 pi endpoint) with either party outer: where the
+    optimum shrinks the inner cut to a point, f has a curved ridge in that
+    orientation only.
     The 4 best grid points of each orientation seed a compass search on
     (theta, phi): move to the best improving point of the 3x3 stencil, else
     halve the step, until it is below 1e-13 (Kolda, Lewis & Torczon, SIAM
@@ -501,9 +494,7 @@ def _qubit_pair_constrained(L, spec, sense, cfg):
         g = np.where(flip[:, None], n @ TC.T, n @ TC)
         return kernel(w[:, 0], w[:, 1:], g[:, 0], g[:, 1:], spec.c, sense)
 
-    shrink = min(1.0, np.sqrt(_PAIR_GRID_CAP / (cfg.grid_theta * cfg.grid_phi)))
-    tn = max(2, int(round(cfg.grid_theta * shrink)))
-    pn = max(2, int(round(cfg.grid_phi * shrink)))
+    tn, pn = _PAIR_GRID
     grid = _qubit_bloch(*_qubit_angles(tn, pn, phi_endpoint=False))
     flip = np.repeat([False, True], len(grid))
     vals = best_inner(np.vstack([grid, grid]), flip)
@@ -599,15 +590,15 @@ def _cut_top(M: np.ndarray, N: np.ndarray) -> np.ndarray:
     return x
 
 
-def _constrained_seesaw(L, spec, sense, A0, B0, tol, max_iter):
+def _constrained_seesaw(L, spec, sense, A0, B0):
     """Alternating exact constrained ascent from R starting product kets at once.
 
     As in _seesaw_batch, but each half step maximises the conditioned form
     of L under the conditioned cut sense*(C - c) <= 0 (_cut_top). A move is
     taken only when it is feasible and does not lower the row's value; an
     infeasible start counts as -inf, so its first feasible move is taken. A
-    row retires once a sweep gains no more than ``tol``. Returns per-row
-    arrays (values, A, B).
+    row retires once a sweep gains no more than _SEESAW_TOL, with at most
+    _SEESAW_MAX_ITER sweeps. Returns per-row arrays (values, A, B).
     """
     dA, dB = L.dims
     N = sense * (spec.C.mat - spec.c * np.eye(L.dim))
@@ -620,7 +611,7 @@ def _constrained_seesaw(L, spec, sense, A0, B0, tol, max_iter):
     slack = L.dim * np.finfo(float).eps * np.linalg.norm(N)
     vals[_quad(prod, N) > slack] = -np.inf
     live = np.arange(len(A))
-    for _ in range(max_iter):
+    for _ in range(_SEESAW_MAX_ITER):
         before = vals[live]
         for X, Y, cond in ((B, A, "ri,ikjl,rj->rkl"), (A, B, "rk,ikjl,rl->rij")):
             y = Y[live]
@@ -629,13 +620,13 @@ def _constrained_seesaw(L, spec, sense, A0, B0, tol, max_iter):
             new = _quad(x, Mc)
             ok = (_quad(x, Nc) <= slack) & (new >= vals[live])
             X[live[ok]], vals[live[ok]] = x[ok], new[ok]
-        live = live[vals[live] > before + tol]
+        live = live[vals[live] > before + _SEESAW_TOL]
         if live.size == 0:
             break
     return vals, A, B
 
 
-def _warm_seesaw(M4, starts, extra_rngs, tol, max_iter):
+def _warm_seesaw(M4, starts, extra_rngs):
     """Best see-saw value over warm starts followed by fresh random draws.
 
     All starts run as one batch; the first maximum in start order wins.
@@ -644,7 +635,7 @@ def _warm_seesaw(M4, starts, extra_rngs, tol, max_iter):
     starts = list(starts) + [(_random_unit(rng, dA), _random_unit(rng, dB)) for rng in extra_rngs]
     A0 = np.array([a for a, _ in starts])
     B0 = np.array([b for _, b in starts])
-    vals, A, B, _, _ = _seesaw_batch(M4, A0, B0, tol, max_iter)
+    vals, A, B, _, _ = _seesaw_batch(M4, A0, B0, _SEESAW_TOL, _SEESAW_MAX_ITER)
     r = int(np.argmax(vals))
     return vals[r], A[r], B[r]
 
@@ -664,9 +655,9 @@ def _dual_refine(L, spec, sense, cfg, a_seed, b_seed):
     """Boundary optimum via a multiplier root-find on the penalized see-saw.
 
     For mu >= 0 the see-saw maximum v(mu) of L - sense*mu*C gives the dual
-    bound v(mu) + mu*sense_adjusted_c; when the penalized optimizer lands on
-    <C> = c the duality gap vanishes and the point is a certified global
-    constrained optimum. A sign-change bisection tracks that crossing; if
+    bound v(mu) + sense*mu*c on the side sense*(<C> - c) <= 0; when the
+    penalized optimizer lands on <C> = c the duality gap vanishes and the
+    point is a certified global constrained optimum. A sign-change bisection tracks that crossing; if
     the crossing is a jump between branches, the two branch endpoints are
     bridged along a product-state path to restore attainment.
     """
@@ -685,7 +676,7 @@ def _dual_refine(L, spec, sense, cfg, a_seed, b_seed):
 
     def solve(mu, warm):
         M4 = (M - sense * mu * CM).reshape(dA, dB, dA, dB)
-        val, a, b = _warm_seesaw(M4, warm, fresh(3), cfg.seesaw_tol, cfg.seesaw_max_iter)
+        val, a, b = _warm_seesaw(M4, warm, fresh(3))
         prod = np.kron(a, b)
         gam = float(np.vdot(prod, CM @ prod).real)
         lval = float(np.vdot(prod, M @ prod).real)
@@ -693,7 +684,7 @@ def _dual_refine(L, spec, sense, cfg, a_seed, b_seed):
 
     warm = [(a_seed, b_seed)]
     gam0, l0, a0, b0 = solve(0.0, warm)
-    if sense * (gam0 - c) <= cfg.feas_tol:
+    if sense * (gam0 - c) <= BOUNDARY_TOL:
         return l0, a0, b0, True  # constraint not active after all
     lo_mu, lo_pt = 0.0, (a0, b0)
     hi_mu = 1.0
@@ -751,13 +742,10 @@ def _generic_constrained(L, spec, sense, cfg):
     random product states and from the point of the multiplier root-find
     seeded with the best one; returns (value, argmax, converged) of the
     first best start, or None when no sample point is feasible."""
-    dA, dB = L.dims
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x5EED)))
-    n = 200_000
-    A, B = random_product_batch(L.dims, n, rng)
-    prod = np.einsum("ni,nk->nik", A, B).reshape(n, dA * dB)
-    vals, cons = (np.einsum("ni,ni->n", prod.conj() @ T.mat, prod).real for T in (L, spec.C))
-    feas = np.flatnonzero(sense * (cons - spec.c) <= cfg.feas_tol)
+    A, B = random_product_batch(L.dims, 200_000, rng)
+    vals, cons = (product_expectations(T, A, B) for T in (L, spec.C))
+    feas = np.flatnonzero(sense * (cons - spec.c) <= BOUNDARY_TOL)
     if feas.size == 0:
         return None
     top = feas[np.argsort(-vals[feas], kind="stable")[:_CONSTRAINED_STARTS]]
@@ -765,7 +753,7 @@ def _generic_constrained(L, spec, sense, cfg):
     refined = _dual_refine(L, spec, sense, cfg, A0[0], B0[0])
     if refined is not None:
         A0, B0 = np.vstack([A0, refined[1]]), np.vstack([B0, refined[2]])
-    vals, A, B = _constrained_seesaw(L, spec, sense, A0, B0, cfg.seesaw_tol, cfg.seesaw_max_iter)
+    vals, A, B = _constrained_seesaw(L, spec, sense, A0, B0)
     r = int(np.argmax(vals))
     pk = ProductKet(a=Ket.unit(A[r]), b=Ket.unit(B[r]))
     return expectation(L, pk), pk, refined is not None
@@ -779,17 +767,18 @@ def sup_product_constrained(
 ) -> OptimizationResult:
     """Supremum of <a,b|L|a,b> over product kets on one constraint side.
 
-    Stage 1 returns the unconstrained optimum whenever it already satisfies
-    the side. Otherwise, for qubit pairs, one party is maximised in closed
-    form over its Bloch sphere cut by the constraint and the other by a
-    coarse angle grid refined by compass search, with either party outer
-    (_qubit_pair_constrained); the result is converged whenever a grid
-    point is feasible. Beyond qubit pairs, a constrained see-saw runs
+    Stage 1 returns the unconstrained optimum whenever it satisfies the side
+    to within the boundary band witness.BOUNDARY_TOL. Otherwise, for qubit
+    pairs, one party is maximised in closed form over its Bloch sphere cut
+    by the constraint and the other by the fixed _PAIR_GRID refined by
+    compass search, with either party outer (_qubit_pair_constrained); the
+    result is converged whenever a grid point is feasible. Beyond qubit pairs, a constrained see-saw runs
     from the 16 best feasible points of a random product sample and from
     the point of a multiplier root-find seeded with the best of them; each
     half step maximises one party exactly under the conditioned constraint
     (_cut_top), and the result is converged when the root-find returned
-    (_generic_constrained). Raises EmptyFeasibleSet when the grid or the
+    (_generic_constrained). Only cfg.restarts and cfg.seed are read; the
+    see-saw stopping rule is _SEESAW_TOL and _SEESAW_MAX_ITER. Raises EmptyFeasibleSet when the grid or the
     sample holds no feasible point.
     """
     if side not in (HalfSpaceSide.LEQ, HalfSpaceSide.GEQ):
@@ -799,11 +788,13 @@ def sup_product_constrained(
     sense = 1 if side is HalfSpaceSide.LEQ else -1
     base = sup_product_unconstrained(L, cfg)
     cval = expectation(spec.C, base.argmax)
-    if sense * (cval - spec.c) <= cfg.feas_tol:
+    if sense * (cval - spec.c) <= BOUNDARY_TOL:
         return replace(base, constraint_value=cval)
 
-    solve = _qubit_pair_constrained if L.dims == (2, 2) else _generic_constrained
-    found = solve(L, spec, sense, cfg)
+    if L.dims == (2, 2):
+        found = _qubit_pair_constrained(L, spec, sense)
+    else:
+        found = _generic_constrained(L, spec, sense, cfg)
     if found is None:
         raise EmptyFeasibleSet("no product state on the coarse grid satisfies the constraint side")
     value, pk, converged = found
@@ -830,7 +821,7 @@ def classify_case(L: HermitianOperator, spec: ConstraintSpec, cfg: OptimizerConf
     """
     opt_l = sup_product_unconstrained(L, cfg)
     c_at_l = expectation(spec.C, opt_l.argmax)
-    if c_at_l < spec.c - BOUNDARY_CLASSIFY_TOL:
+    if c_at_l < spec.c - BOUNDARY_TOL:
         raise AssumptionViolated(
             f"optimum of the test operator has constraint value {c_at_l!r} < c; "
             "relabel the half-spaces"
@@ -838,8 +829,8 @@ def classify_case(L: HermitianOperator, spec: ConstraintSpec, cfg: OptimizerConf
     opt_d = sup_product_unconstrained(L - spec.C, cfg)
     c_at_d = expectation(spec.C, opt_d.argmax)
     if (
-        abs(c_at_l - spec.c) <= BOUNDARY_CLASSIFY_TOL
-        or abs(c_at_d - spec.c) <= BOUNDARY_CLASSIFY_TOL
+        abs(c_at_l - spec.c) <= BOUNDARY_TOL
+        or abs(c_at_d - spec.c) <= BOUNDARY_TOL
     ):
         return CaseLabel.DEGENERATE
     return CaseLabel.CASE_I if c_at_d > spec.c else CaseLabel.CASE_II
@@ -953,7 +944,7 @@ def rotated_bound_residual(
     # nbar is a positive multiple of the rotated operator: same argmax
     for name, op in (("test", L), ("rotated test", nbar)):
         opt = sup_product_unconstrained(op, cfg)
-        if expectation(spec.C, opt.argmax) < spec.c - BOUNDARY_CLASSIFY_TOL:
+        if expectation(spec.C, opt.argmax) < spec.c - BOUNDARY_TOL:
             warnings.warn(
                 f"optimum of the {name} operator crosses to the <= side; "
                 "the affine identity is not guaranteed",

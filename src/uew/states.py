@@ -205,7 +205,7 @@ def product_expectations(M: HermitianOperator, A: np.ndarray, B: np.ndarray) -> 
     dA, dB = M.dims
     n = A.shape[0]
     prod = np.einsum("ni,nk->nik", A, B).reshape(n, dA * dB)
-    return np.einsum("ni,ij,nj->n", prod.conj(), M.mat, prod).real
+    return np.einsum("ni,ni->n", prod.conj() @ M.mat, prod).real
 
 
 def partial_transpose(op: HermitianOperator, party: str = "B") -> HermitianOperator:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .linalg import DimensionMismatch, HermitianOperator, expectation
 
 DETECTION_TOL = 1e-10
-BOUNDARY_TOL = 1e-9
+BOUNDARY_TOL = 1e-9  # the boundary band; also the optimizers' slack for "on the side"
 
 
 class HalfSpaceSide(enum.Enum):
@@ -33,6 +33,10 @@ class ConstraintSpec:
 
     C: HermitianOperator
     c: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.c):
+            raise ValueError(f"constraint value {self.c!r} must be finite")
 
     def membership(self, rho) -> HalfSpaceSide:
         return halfspace_membership(rho, self)
@@ -52,8 +56,8 @@ class Witness:
         """Expectation of the witness operator on a state."""
         return self.bound - expectation(self.test, rho)
 
-    def fires(self, rho, tol: float = DETECTION_TOL) -> bool:
-        return self.value(rho) < -tol
+    def fires(self, rho) -> bool:
+        return self.value(rho) < -DETECTION_TOL
 
 
 @dataclass(frozen=True)
@@ -93,7 +97,7 @@ class Verdict:
 
 
 def halfspace_membership(rho, spec: ConstraintSpec) -> HalfSpaceSide:
-    """Which side of Tr(rho C) = c a state falls on, with a 1e-9 boundary band."""
+    """Which side of Tr(rho C) = c a state falls on, with a BOUNDARY_TOL band."""
     val = expectation(spec.C, rho)
     if val < spec.c - BOUNDARY_TOL:
         return HalfSpaceSide.LEQ

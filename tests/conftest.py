@@ -1,6 +1,10 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import uew
 from uew import (
     ConstraintSpec,
     DensityMatrix,
@@ -10,6 +14,12 @@ from uew import (
     OptimizerConfig,
     build_example31,
     sup_product_constrained,
+)
+
+# The CLI tests run `python -m uew` in subprocesses; they import the same
+# package as this process, also where only pytest's pythonpath finds it.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (str(Path(uew.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")) if p
 )
 
 # Exact reference numbers for the worked two-qubit instance (x = 2/3, c = 1/100),

@@ -16,6 +16,7 @@ from uew import (
     noisy_member,
     sup_product_unconstrained,
 )
+from uew.cli import main
 from uew.fileio import load_operator, operator_from_dict, operator_to_dict, save_density, save_operator
 from uew.states import NoisyStateFamily
 
@@ -195,11 +196,12 @@ class TestScan:
         proc = run_cli("scan", "--example31", "--alphas", "2")
         assert proc.returncode == 1
 
-    @pytest.mark.parametrize("alphas, cvalue", [("1/0", "1/100"), ("0", "1/0")])
+    @pytest.mark.parametrize("alphas, cvalue", [("1/0", "1/100"), ("0", "1/0"), ("0", "nan"), ("0", "inf")])
     def test_zero_denominator_exits_1(self, files, alphas, cvalue):
         proc = run_cli("scan", "--example31", "--alphas", alphas, "--cvalue", cvalue)
         assert proc.returncode == 1
-        assert "denominator" in proc.stderr
+        assert ("finite" if cvalue in ("nan", "inf") else "denominator") in proc.stderr
+        assert proc.stdout == ""
         assert "Traceback" not in proc.stderr
 
     def test_byte_identical_reruns(self, files):
@@ -264,6 +266,22 @@ class TestDetect:
             "--constraint", str(files["C"]), "--cvalue", "0.01",
         )
         assert proc.returncode == 1
+
+
+class TestNonFiniteCvalue:
+    @pytest.mark.parametrize("cvalue", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command", ["pc", "detect", "alpha0"])
+    def test_exits_1_without_a_result(self, files, command, cvalue, capsys):
+        extra = {"pc": ["--side", "leq"], "detect": ["--state", str(files["rho0"])], "alpha0": []}[command]
+        code = main([
+            command, "--test", str(files["L"]), "--constraint", str(files["C"]),
+            "--cvalue", cvalue, "--restarts", "8", *extra,
+        ])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert "must be finite" in err
+        # the report header only
+        assert [ln.split(":")[0] for ln in out.splitlines()] == ["command", "config", "tool"]
 
 
 class TestAlpha0:
@@ -344,6 +362,7 @@ class TestSeedResolution:
     def test_flag_wins_over_env(self, files):
         proc = run_cli("gs", "--test", str(files["I4"]), "--seed", "5", env_extra={"UEW_SEED": "77"})
         assert "seed=5" in proc.stdout
+        assert "config: seed=5 restarts=64" in proc.stdout.splitlines()
 
     def test_report_reproducible_apart_from_wall_time(self, files):
         out1 = run_cli("gs", "--test", str(files["L"]), "--seed", "5").stdout

@@ -24,7 +24,11 @@ from uew import (
     sup_product_unconstrained,
 )
 from uew.linalg import _lex_key
+from uew.witness import BOUNDARY_TOL
 from uew.optimize import (
+    _PAIR_GRID,
+    _SEESAW_MAX_ITER,
+    _SEESAW_TOL,
     _alpha_feasible,
     _best_restart,
     _canonical_rows,
@@ -155,11 +159,6 @@ class TestOptimizerConfig:
         "kwargs",
         [
             {"restarts": 0},
-            {"grid_theta": 1},
-            {"grid_phi": 1},
-            {"seesaw_tol": 0.0},
-            {"feas_tol": -1e-9},
-            {"seesaw_max_iter": 0},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -252,7 +251,7 @@ class TestSeesawBatch:
         cfg = OptimizerConfig(seed=9, restarts=16)
         starts = spawn_loop_starts(cfg.seed, cfg.restarts, dims)
         M4 = op.mat.reshape(dims + dims)
-        best = max(reference_seesaw(M4, a, b, cfg.seesaw_tol, cfg.seesaw_max_iter)[0] for a, b in starts)
+        best = max(reference_seesaw(M4, a, b, _SEESAW_TOL, _SEESAW_MAX_ITER)[0] for a, b in starts)
         r1 = sup_product_unconstrained(op, cfg)
         r2 = sup_product_unconstrained(op, cfg)
         assert abs(r1.value - best) <= 1e-12
@@ -298,8 +297,8 @@ class TestTieBreak:
         vals, A, B, its, _ = _seesaw_batch(
             op.mat.reshape(dA, dB, dA, dB),
             *_restart_starts(cfg.seed, cfg.restarts, dA, dB),
-            cfg.seesaw_tol,
-            cfg.seesaw_max_iter,
+            _SEESAW_TOL,
+            _SEESAW_MAX_ITER,
         )
         best = reference_best_restart(vals, A, B)
         assert _best_restart(vals, A, B) == best
@@ -407,15 +406,15 @@ def _qubit_grid(n_theta, n_phi, phi_endpoint=True):
 
 
 def _coarse_grid():
-    # the party-A grid of the 2x2 solve at the default grid_theta/grid_phi
-    return _qubit_grid(45, 90, phi_endpoint=False)
+    # the outer-party grid of the 2x2 solve
+    return _qubit_grid(*_PAIR_GRID, phi_endpoint=False)
 
 
 def _assert_reaches_pair_grid(L, spec, sense, cfg, kets=None):
     """The 2x2 solve is at least the exhaustive pair-grid max over kets x kets
     (the coarse grid by default), attained and feasible."""
     kets = _coarse_grid()[0] if kets is None else kets
-    grid_val = _pair_grid_max(L, spec, sense, kets, kets, chunk=1024)
+    grid_val = _pair_grid_max(L, spec, sense, kets, kets)
     assert grid_val > -np.inf
     side = HalfSpaceSide.LEQ if sense == 1 else HalfSpaceSide.GEQ
     res = sup_product_constrained(L, spec, side, cfg)
@@ -423,8 +422,9 @@ def _assert_reaches_pair_grid(L, spec, sense, cfg, kets=None):
         v_tol, c_tol = 1e-12, 1e-12
     else:
         # the short-circuit returns the unconstrained see-saw, which stops once
-        # a sweep gains less than seesaw_tol, and accepts it within feas_tol
-        v_tol, c_tol = 1e-9, cfg.feas_tol
+        # a sweep gains less than _SEESAW_TOL, and accepts it within the
+        # boundary band
+        v_tol, c_tol = 1e-9, BOUNDARY_TOL
     assert res.value >= grid_val - v_tol
     assert abs(expectation(L, res.argmax) - res.value) <= 1e-12
     assert sense * (expectation(spec.C, res.argmax) - spec.c) <= c_tol
@@ -660,8 +660,8 @@ class TestConstrained:
         assert res.value - orc <= 0.05 * np.max(np.abs(L.mat))
 
     def test_generic_argmax_feasible_and_attained(self):
-        # R(55, 1, 0.5), k = 8: an argmax within feas_tol but 1.0e-9 past the
-        # cut fails here
+        # R(55, 1, 0.5), k = 8: an argmax within BOUNDARY_TOL but 1.0e-9 past
+        # the cut fails here
         L, spec, cfg = recipe_instance(55, 1, 0.5, 8, HalfSpaceSide.LEQ)
         res = sup_product_constrained(L, spec, HalfSpaceSide.LEQ, cfg)
         assert res.method == "hybrid"

@@ -33,6 +33,13 @@ def _xi_hat():
     return Ket.unit([np.sqrt(1.0 / 6.0), np.sqrt(0.5)])
 
 
+class TestConstraintSpec:
+    @pytest.mark.parametrize("c", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_value(self, example, c):
+        with pytest.raises(ValueError, match="finite"):
+            ConstraintSpec(example["C"], c)
+
+
 class TestCombineAlpha:
     def test_alpha_zero_returns_test_operator(self, example):
         out = combine_alpha(example["spec"], example["L"], 0.0)
