@@ -159,10 +159,18 @@ class TestOptimizerConfig:
         "kwargs",
         [
             {"restarts": 0},
+            {"grid_theta": 1},
+            {"grid_phi": 1},
+            {"seesaw_tol": 0.0},
+            {"feas_tol": -1e-9},
+            {"seesaw_max_iter": 0},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
+        # restarts is range-checked; the removed search settings are now
+        # unknown keywords
+        error = ValueError if "restarts" in kwargs else TypeError
+        with pytest.raises(error):
             OptimizerConfig(**kwargs)
 
 
