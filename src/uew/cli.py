@@ -35,6 +35,7 @@ from .optimize import (
 )
 from .states import DensityMatrix, Example31Config, NoisyStateFamily, build_example31
 from .witness import (
+    BOUNDARY_TOL,
     ConstraintSpec,
     HalfSpaceSide,
     UewPair,
@@ -124,7 +125,7 @@ def cmd_pc(args) -> int:
     spec = ConstraintSpec(C=C, c=_parse_real(args.cvalue))
     side = HalfSpaceSide.LEQ if args.side == "leq" else HalfSpaceSide.GEQ
     res = sup_product_constrained(L, spec, side, cfg)
-    boundary_active = abs(res.constraint_value - spec.c) <= 1e-6
+    boundary_active = abs(res.constraint_value - spec.c) <= BOUNDARY_TOL
     print(f"p_c: {_fmt(res.value)}")
     print(f"argmax_a: {_amps(res.argmax.a)}")
     print(f"argmax_b: {_amps(res.argmax.b)}")

@@ -1,7 +1,7 @@
 """JSON serialization of operators and density matrices.
 
-Matrices are stored row-major as [re, im] pairs with 17 significant digits,
-which round-trips IEEE doubles exactly.
+Matrices are stored row-major as [re, im] pairs in shortest round-trip
+decimals, which read back as the same IEEE doubles.
 """
 
 from __future__ import annotations
@@ -17,16 +17,12 @@ from .states import DensityMatrix
 LOAD_HERM_TOL = 1e-10
 
 
-def _float17(x: float) -> float:
-    return float(f"{x:.17g}")
-
-
 def operator_to_dict(op: HermitianOperator, kind: str | None = None) -> dict:
     dims = list(op.dims) if len(op.dims) == 2 else [op.dims[0], 1]
     doc = {
         "dims": dims,
         "matrix": [
-            [[_float17(z.real), _float17(z.imag)] for z in row] for row in op.mat
+            [[z.real, z.imag] for z in row] for row in op.mat.tolist()
         ],
     }
     if kind is not None:

@@ -16,7 +16,8 @@ Three cooperating search mechanisms live here:
   with either party outer); beyond qubit pairs a constrained see-saw whose
   half steps are exact single-party maximisations under the conditioned
   constraint, started from the best feasible points of a random sample and
-  from the point of a Lagrange-multiplier root-find.
+  from the point of a Lagrange-multiplier root-find, whose penalised
+  see-saws continue from its bracket ends and draw no random starts.
 
 All randomness flows from explicit seeds; identical configs give
 bit-identical results.
@@ -626,20 +627,6 @@ def _constrained_seesaw(L, spec, sense, A0, B0):
     return vals, A, B
 
 
-def _warm_seesaw(M4, starts, extra_rngs):
-    """Best see-saw value over warm starts followed by fresh random draws.
-
-    All starts run as one batch; the first maximum in start order wins.
-    """
-    dA, dB = M4.shape[0], M4.shape[1]
-    starts = list(starts) + [(_random_unit(rng, dA), _random_unit(rng, dB)) for rng in extra_rngs]
-    A0 = np.array([a for a, _ in starts])
-    B0 = np.array([b for _, b in starts])
-    vals, A, B, _, _ = _seesaw_batch(M4, A0, B0, _SEESAW_TOL, _SEESAW_MAX_ITER)
-    r = int(np.argmax(vals))
-    return vals[r], A[r], B[r]
-
-
 def _slerp(u: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
     ov = np.vdot(u, v)
     if abs(ov) > 1e-15:
@@ -651,97 +638,79 @@ def _slerp(u: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
     return w / nw
 
 
-def _dual_refine(L, spec, sense, cfg, a_seed, b_seed):
-    """Boundary optimum via a multiplier root-find on the penalized see-saw.
+def _dual_refine(L, spec, sense, a_seed, b_seed):
+    """Boundary point (a, b) via a multiplier root-find on the penalized see-saw.
 
     For mu >= 0 the see-saw maximum v(mu) of L - sense*mu*C gives the dual
     bound v(mu) + sense*mu*c on the side sense*(<C> - c) <= 0; when the
     penalized optimizer lands on <C> = c the duality gap vanishes and the
-    point is a certified global constrained optimum. A sign-change bisection tracks that crossing; if
-    the crossing is a jump between branches, the two branch endpoints are
-    bridged along a product-state path to restore attainment.
+    point is a certified global constrained optimum. A sign-change bisection
+    tracks that crossing; each penalized see-saw continues from the bracket
+    ends and the seed, with no random starts. If the crossing is a jump
+    between branches, the two branch endpoints are bridged along a
+    product-state path to restore attainment. None when no multiplier
+    reaches the feasible side.
     """
     dA, dB = L.dims
-    M = L.mat
-    CM = spec.C.mat
-    c = spec.c
-    seeds = np.random.SeedSequence((cfg.seed, 0xD0A1)).spawn(64)
-    seed_i = 0
+    CM, c = spec.C.mat, spec.c
 
-    def fresh(k):
-        nonlocal seed_i
-        out = [np.random.default_rng(seeds[(seed_i + j) % 64]) for j in range(k)]
-        seed_i += k
-        return out
-
-    def solve(mu, warm):
-        M4 = (M - sense * mu * CM).reshape(dA, dB, dA, dB)
-        val, a, b = _warm_seesaw(M4, warm, fresh(3))
+    def gamma(a, b):
         prod = np.kron(a, b)
-        gam = float(np.vdot(prod, CM @ prod).real)
-        lval = float(np.vdot(prod, M @ prod).real)
-        return gam, lval, a, b
+        return float(np.vdot(prod, CM @ prod).real)
 
-    warm = [(a_seed, b_seed)]
-    gam0, l0, a0, b0 = solve(0.0, warm)
+    def solve(mu, starts):
+        M4 = (L.mat - sense * mu * CM).reshape(dA, dB, dA, dB)
+        A0, B0 = (np.array(x) for x in zip(*starts))
+        vals, A, B, _, _ = _seesaw_batch(M4, A0, B0, _SEESAW_TOL, _SEESAW_MAX_ITER)
+        r = int(np.argmax(vals))
+        return vals[r], gamma(A[r], B[r]), (A[r], B[r])
+
+    seed = (a_seed, b_seed)
+    v0, gam0, lo_pt = solve(0.0, [seed])
     if sense * (gam0 - c) <= BOUNDARY_TOL:
-        return l0, a0, b0, True  # constraint not active after all
-    lo_mu, lo_pt = 0.0, (a0, b0)
-    hi_mu = 1.0
-    hi_pt = None
-    scale = max(1.0, abs(l0))
+        return lo_pt  # constraint not active after all
+    lo_mu, hi_mu = 0.0, 1.0
+    scale = max(1.0, abs(v0))
     for _ in range(80):
-        gam, lval, a, b = solve(hi_mu, [lo_pt] + warm)
-        if sense * (gam - c) <= 0.0:
-            hi_pt = (a, b, gam, lval)
+        _, hi_gam, hi_pt = solve(hi_mu, [lo_pt, seed])
+        if sense * (hi_gam - c) <= 0.0:
             break
-        lo_mu, lo_pt = hi_mu, (a, b)
+        lo_mu, lo_pt = hi_mu, hi_pt
         hi_mu *= 2.0
         if hi_mu > 1e9 * scale:
             return None
-    if hi_pt is None:
+    else:
         return None
-    lo_pt_full = None
+    bisected_lo = False
     for _ in range(90):
         mid = 0.5 * (lo_mu + hi_mu)
-        gam, lval, a, b = solve(mid, [lo_pt, hi_pt[:2]])
+        _, gam, pt = solve(mid, [lo_pt, hi_pt])
         if sense * (gam - c) <= 0.0:
-            hi_mu, hi_pt = mid, (a, b, gam, lval)
+            hi_mu, hi_pt, hi_gam = mid, pt, gam
         else:
-            lo_mu, lo_pt = mid, (a, b)
-            lo_pt_full = (a, b, gam, lval)
+            lo_mu, lo_pt, bisected_lo = mid, pt, True
         if hi_mu - lo_mu < 1e-14 * max(1.0, hi_mu):
             break
-    a, b, gam, lval = hi_pt
-    if abs(gam - c) > 1e-7 and lo_pt_full is not None:
-        # branch jump: bridge the two endpoints through product states
-        af, bf, gf, _ = hi_pt
-        ai, bi, gi, _ = lo_pt_full
-
-        def gamma_at(t):
-            va, vb = _slerp(af, ai, t), _slerp(bf, bi, t)
-            prod = np.kron(va, vb)
-            return float(np.vdot(prod, CM @ prod).real), va, vb
-
-        tlo, thi = 0.0, 1.0  # t=0 feasible side, t=1 infeasible side
-        for _ in range(200):
-            tm = 0.5 * (tlo + thi)
-            g, va, vb = gamma_at(tm)
-            if sense * (g - c) <= 0.0:
-                tlo = tm
-            else:
-                thi = tm
-        g, a, b = gamma_at(tlo)
-        prod = np.kron(a, b)
-        lval = float(np.vdot(prod, M @ prod).real)
-    return lval, a, b, True
+    if abs(hi_gam - c) <= 1e-7 or not bisected_lo:
+        return hi_pt
+    # branch jump: bridge the two endpoints through product states
+    (af, bf), (ai, bi) = hi_pt, lo_pt
+    tlo, thi = 0.0, 1.0  # t=0 feasible side, t=1 infeasible side
+    for _ in range(200):
+        tm = 0.5 * (tlo + thi)
+        if sense * (gamma(_slerp(af, ai, tm), _slerp(bf, bi, tm)) - c) <= 0.0:
+            tlo = tm
+        else:
+            thi = tm
+    return _slerp(af, ai, tlo), _slerp(bf, bi, tlo)
 
 
 def _generic_constrained(L, spec, sense, cfg):
     """_constrained_seesaw from the best feasible points of 200k seeded
     random product states and from the point of the multiplier root-find
-    seeded with the best one; returns (value, argmax, converged) of the
-    first best start, or None when no sample point is feasible."""
+    seeded with the best one, which draws no further random starts; returns
+    (value, argmax, converged) of the first best start, or None when no
+    sample point is feasible."""
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x5EED)))
     A, B = random_product_batch(L.dims, 200_000, rng)
     vals, cons = (product_expectations(T, A, B) for T in (L, spec.C))
@@ -750,9 +719,9 @@ def _generic_constrained(L, spec, sense, cfg):
         return None
     top = feas[np.argsort(-vals[feas], kind="stable")[:_CONSTRAINED_STARTS]]
     A0, B0 = A[top], B[top]
-    refined = _dual_refine(L, spec, sense, cfg, A0[0], B0[0])
+    refined = _dual_refine(L, spec, sense, A0[0], B0[0])
     if refined is not None:
-        A0, B0 = np.vstack([A0, refined[1]]), np.vstack([B0, refined[2]])
+        A0, B0 = np.vstack([A0, refined[0]]), np.vstack([B0, refined[1]])
     vals, A, B = _constrained_seesaw(L, spec, sense, A0, B0)
     r = int(np.argmax(vals))
     pk = ProductKet(a=Ket.unit(A[r]), b=Ket.unit(B[r]))
@@ -774,8 +743,9 @@ def sup_product_constrained(
     compass search, with either party outer (_qubit_pair_constrained); the
     result is converged whenever a grid point is feasible. Beyond qubit pairs, a constrained see-saw runs
     from the 16 best feasible points of a random product sample and from
-    the point of a multiplier root-find seeded with the best of them; each
-    half step maximises one party exactly under the conditioned constraint
+    the point of a multiplier root-find seeded with the best of them, which
+    continues from its bracket ends and draws no random starts; each half
+    step maximises one party exactly under the conditioned constraint
     (_cut_top), and the result is converged when the root-find returned
     (_generic_constrained). Only cfg.restarts and cfg.seed are read; the
     see-saw stopping rule is _SEESAW_TOL and _SEESAW_MAX_ITER. Raises EmptyFeasibleSet when the grid or the

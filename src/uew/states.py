@@ -15,6 +15,7 @@ from .linalg import (
     DimensionMismatch,
     HermitianOperator,
     Ket,
+    PHASE_TOL,
     eig_hermitian,
     tensor_product,
 )
@@ -191,7 +192,7 @@ def random_product_batch(dims, n: int, rng_seed):
         m = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
         m /= np.linalg.norm(m, axis=1)[:, None]
         # canonical phase per row: rotate by the first non-tiny amplitude
-        idx = (np.abs(m) > 1e-12).argmax(axis=1)
+        idx = (np.abs(m) > PHASE_TOL).argmax(axis=1)
         lead = m[np.arange(n), idx]
         m *= (lead.conj() / np.abs(lead))[:, None]
         out.append(m)

@@ -151,6 +151,18 @@ class TestPc:
         assert float(grab(proc.stdout, "p_c")) == pytest.approx(PC_EXACT, abs=1e-8)
         assert grab(proc.stdout, "boundary_active") == "true"
 
+    def test_leq_near_the_cut_is_not_active(self, files):
+        # the unconstrained optimum has <C> = 0.25000000000000006, 5e-7 inside
+        # the cut: far outside the 1e-9 boundary band
+        proc = run_cli(
+            "pc", "--test", str(files["L"]), "--constraint", str(files["C"]),
+            "--cvalue", "0.2500005", "--side", "leq", "--seed", "0",
+        )
+        assert proc.returncode == 0
+        assert float(grab(proc.stdout, "p_c")) == pytest.approx(GS_EXACT, abs=1e-12)
+        assert grab(proc.stdout, "method") == "seesaw"
+        assert grab(proc.stdout, "boundary_active") == "false"
+
     def test_infeasible_exits_3(self, files):
         proc = run_cli(
             "pc", "--test", str(files["L"]), "--constraint", str(files["C"]),

@@ -683,6 +683,8 @@ class TestConstrained:
             (55, 1, 0.5, 4, HalfSpaceSide.LEQ, 3.3805504409),
             # optimum 3.10729815; a local branch sits at 2.8385755118
             (91, 0, 0.8, 13, HalfSpaceSide.GEQ, 3.10),
+            # 3.88262439 reached; a point at 3.8774521 falls short of it
+            (91, 0, 0.8, 11, HalfSpaceSide.LEQ, 3.8826243),
         ],
     )
     def test_generic_reaches_the_optimum(self, s, seed, delta, k, side, floor):
@@ -690,6 +692,23 @@ class TestConstrained:
         res = sup_product_constrained(L, spec, side, cfg)
         assert res.value >= floor
         assert res.converged
+
+    def test_generic_draws_only_the_sample(self, monkeypatch):
+        # the root-find continues from its bracket ends, so a repeat solve
+        # (restart starts cached) builds one generator: the sample's
+        L, spec, cfg = recipe_instance(55, 1, 0.5, 4, HalfSpaceSide.LEQ)
+        sup_product_constrained(L, spec, HalfSpaceSide.LEQ, cfg)
+        built = []
+        real = np.random.default_rng
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        res = sup_product_constrained(L, spec, HalfSpaceSide.LEQ, cfg)
+        assert res.method == "hybrid"
+        assert len(built) == 1
 
     def test_generic_dims_diagonal_instance_exact(self, cfg_small):
         # the instance of test_generic_dims_diagonal_instance, value 0.3
