@@ -85,7 +85,8 @@ def rotated_witness(L, spec: ConstraintSpec, alpha, side: HalfSpaceSide, cfg: Op
     normalised test lam*C + L on that side (witness.normalised_rotation),
     and the test is the rotated operator scale * (lam*C + L). Below alpha0
     the affine bound of build_v_alpha is too low, and build_minus_inf's
-    p_c - c is too low outside case I, so both fire on product states there;
+    p_c - c can be too low in either case (the product set is not convex, so
+    alpha0 can be finite in case I too); both then fire on product states;
     alpha = -inf takes the limit test L - C, alpha = None the test L itself.
     """
     scale, _, test = normalised_rotation(spec, L, alpha)

@@ -16,8 +16,9 @@ Three cooperating search mechanisms live here:
   with either party outer); beyond qubit pairs a constrained see-saw whose
   half steps are exact single-party maximisations under the conditioned
   constraint, started from the best feasible points of a random sample and
-  from the point of a Lagrange-multiplier root-find, whose penalised
-  see-saws continue from its bracket ends and draw no random starts.
+  from the cut point of a Lagrange-multiplier root-find, which starts at the
+  unconstrained optimum, continues from its bracket ends with no random
+  starts and always bridges its two ends onto the cut.
 
 All randomness flows from explicit seeds; identical configs give
 bit-identical results.
@@ -638,17 +639,17 @@ def _slerp(u: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
     return w / nw
 
 
-def _dual_refine(L, spec, sense, a_seed, b_seed):
-    """Boundary point (a, b) via a multiplier root-find on the penalized see-saw.
+def _dual_refine(L, spec, sense, base):
+    """Cut point (a, b) via a multiplier root-find on the penalized see-saw.
 
     For mu >= 0 the see-saw maximum v(mu) of L - sense*mu*C gives the dual
-    bound v(mu) + sense*mu*c on the side sense*(<C> - c) <= 0; when the
-    penalized optimizer lands on <C> = c the duality gap vanishes and the
-    point is a certified global constrained optimum. A sign-change bisection
-    tracks that crossing; each penalized see-saw continues from the bracket
-    ends and the seed, with no random starts. If the crossing is a jump
-    between branches, the two branch endpoints are bridged along a
-    product-state path to restore attainment. None when no multiplier
+    bound v(mu) + sense*mu*c on the side sense*(<C> - c) <= 0. The bracket
+    starts at mu = 0 from base, the unconstrained optimum, which lies past
+    the cut; each penalized see-saw continues from the bracket ends, with no
+    random starts. A sign-change bisection narrows the bracket to its
+    crossing, and the feasible and infeasible ends are then bridged along a
+    product-state path onto the cut, which restores attainment also where
+    the crossing is a jump between branches. None when no multiplier
     reaches the feasible side.
     """
     dA, dB = L.dims
@@ -663,16 +664,13 @@ def _dual_refine(L, spec, sense, a_seed, b_seed):
         A0, B0 = (np.array(x) for x in zip(*starts))
         vals, A, B, _, _ = _seesaw_batch(M4, A0, B0, _SEESAW_TOL, _SEESAW_MAX_ITER)
         r = int(np.argmax(vals))
-        return vals[r], gamma(A[r], B[r]), (A[r], B[r])
+        return gamma(A[r], B[r]), (A[r], B[r])
 
-    seed = (a_seed, b_seed)
-    v0, gam0, lo_pt = solve(0.0, [seed])
-    if sense * (gam0 - c) <= BOUNDARY_TOL:
-        return lo_pt  # constraint not active after all
     lo_mu, hi_mu = 0.0, 1.0
-    scale = max(1.0, abs(v0))
+    lo_pt = (base.argmax.a.amplitudes, base.argmax.b.amplitudes)
+    scale = max(1.0, abs(base.value))
     for _ in range(80):
-        _, hi_gam, hi_pt = solve(hi_mu, [lo_pt, seed])
+        hi_gam, hi_pt = solve(hi_mu, [lo_pt])
         if sense * (hi_gam - c) <= 0.0:
             break
         lo_mu, lo_pt = hi_mu, hi_pt
@@ -681,19 +679,16 @@ def _dual_refine(L, spec, sense, a_seed, b_seed):
             return None
     else:
         return None
-    bisected_lo = False
     for _ in range(90):
         mid = 0.5 * (lo_mu + hi_mu)
-        _, gam, pt = solve(mid, [lo_pt, hi_pt])
+        gam, pt = solve(mid, [lo_pt, hi_pt])
         if sense * (gam - c) <= 0.0:
-            hi_mu, hi_pt, hi_gam = mid, pt, gam
+            hi_mu, hi_pt = mid, pt
         else:
-            lo_mu, lo_pt, bisected_lo = mid, pt, True
+            lo_mu, lo_pt = mid, pt
         if hi_mu - lo_mu < 1e-14 * max(1.0, hi_mu):
             break
-    if abs(hi_gam - c) <= 1e-7 or not bisected_lo:
-        return hi_pt
-    # branch jump: bridge the two endpoints through product states
+    # bridge the two ends through product states onto the cut
     (af, bf), (ai, bi) = hi_pt, lo_pt
     tlo, thi = 0.0, 1.0  # t=0 feasible side, t=1 infeasible side
     for _ in range(200):
@@ -705,12 +700,12 @@ def _dual_refine(L, spec, sense, a_seed, b_seed):
     return _slerp(af, ai, tlo), _slerp(bf, bi, tlo)
 
 
-def _generic_constrained(L, spec, sense, cfg):
+def _generic_constrained(L, spec, sense, cfg, base):
     """_constrained_seesaw from the best feasible points of 200k seeded
-    random product states and from the point of the multiplier root-find
-    seeded with the best one, which draws no further random starts; returns
-    (value, argmax, converged) of the first best start, or None when no
-    sample point is feasible."""
+    random product states and from the cut point of the multiplier
+    root-find, which starts at base, the infeasible unconstrained optimum,
+    and draws no further random starts; returns (value, argmax, converged)
+    of the first best start, or None when no sample point is feasible."""
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x5EED)))
     A, B = random_product_batch(L.dims, 200_000, rng)
     vals, cons = (product_expectations(T, A, B) for T in (L, spec.C))
@@ -719,7 +714,7 @@ def _generic_constrained(L, spec, sense, cfg):
         return None
     top = feas[np.argsort(-vals[feas], kind="stable")[:_CONSTRAINED_STARTS]]
     A0, B0 = A[top], B[top]
-    refined = _dual_refine(L, spec, sense, A0[0], B0[0])
+    refined = _dual_refine(L, spec, sense, base)
     if refined is not None:
         A0, B0 = np.vstack([A0, refined[0]]), np.vstack([B0, refined[1]])
     vals, A, B = _constrained_seesaw(L, spec, sense, A0, B0)
@@ -741,15 +736,17 @@ def sup_product_constrained(
     pairs, one party is maximised in closed form over its Bloch sphere cut
     by the constraint and the other by the fixed _PAIR_GRID refined by
     compass search, with either party outer (_qubit_pair_constrained); the
-    result is converged whenever a grid point is feasible. Beyond qubit pairs, a constrained see-saw runs
-    from the 16 best feasible points of a random product sample and from
-    the point of a multiplier root-find seeded with the best of them, which
-    continues from its bracket ends and draws no random starts; each half
-    step maximises one party exactly under the conditioned constraint
-    (_cut_top), and the result is converged when the root-find returned
-    (_generic_constrained). Only cfg.restarts and cfg.seed are read; the
-    see-saw stopping rule is _SEESAW_TOL and _SEESAW_MAX_ITER. Raises EmptyFeasibleSet when the grid or the
-    sample holds no feasible point.
+    result is converged whenever a grid point is feasible. Beyond qubit
+    pairs, a constrained see-saw runs from the 16 best feasible points of a
+    random product sample and from the cut point of a multiplier root-find,
+    which starts at the stage-1 optimum, continues from its bracket ends,
+    draws no random starts and always bridges its two ends onto the cut;
+    each half step maximises one party exactly under the conditioned
+    constraint (_cut_top), and the result is converged when the root-find
+    returned (_generic_constrained). Only cfg.restarts and cfg.seed are
+    read; the see-saw stopping rule is _SEESAW_TOL and _SEESAW_MAX_ITER.
+    Raises EmptyFeasibleSet when the qubit-pair grid or the random sample
+    holds no feasible point.
     """
     if side not in (HalfSpaceSide.LEQ, HalfSpaceSide.GEQ):
         raise ValueError("side must be leq or geq")
@@ -764,9 +761,10 @@ def sup_product_constrained(
     if L.dims == (2, 2):
         found = _qubit_pair_constrained(L, spec, sense)
     else:
-        found = _generic_constrained(L, spec, sense, cfg)
+        found = _generic_constrained(L, spec, sense, cfg, base)
     if found is None:
-        raise EmptyFeasibleSet("no product state on the coarse grid satisfies the constraint side")
+        where = "qubit-pair grid" if L.dims == (2, 2) else "random product sample"
+        raise EmptyFeasibleSet(f"no product state on the {where} satisfies the constraint side")
     value, pk, converged = found
     return OptimizationResult(
         value=float(value),

@@ -162,9 +162,10 @@ def build_v_alpha(
 def build_minus_inf(spec: ConstraintSpec, L: HermitianOperator, p_c: float) -> Witness:
     """Limit witness (p_c - c)*I - (L - C) of the rotated family.
 
-    The affine bound p_c - c is the constrained supremum of L - C only in
-    case I. Outside it the witness can fire on a product state; there the
-    bound must be the constrained supremum of L - C itself.
+    The affine bound p_c - c can fall below the constrained supremum of
+    L - C, outside case I and, since the product set is not convex, in
+    case I too; the witness then fires on a product state. A sound bound is
+    the constrained supremum of L - C itself.
     """
     if spec.C.dims != L.dims:
         raise DimensionMismatch(f"dims {spec.C.dims} vs {L.dims}")

@@ -620,8 +620,13 @@ class TestConstrained:
 
     def test_empty_feasible_set(self, example, cfg_small):
         spec = ConstraintSpec(C=example["C"], c=-0.5)
-        with pytest.raises(EmptyFeasibleSet):
+        with pytest.raises(EmptyFeasibleSet, match="qubit-pair grid"):
             sup_product_constrained(example["L"], spec, HalfSpaceSide.LEQ, cfg_small)
+        # beyond qubit pairs it is the random sample that holds no feasible point
+        L = rand_herm(np.random.default_rng(0), (2, 3))
+        spec = ConstraintSpec(C=HermitianOperator.identity((2, 3)), c=0.5)
+        with pytest.raises(EmptyFeasibleSet, match="random product sample"):
+            sup_product_constrained(L, spec, HalfSpaceSide.LEQ, cfg_small)
 
     def test_constrained_below_unconstrained(self, example, cfg, pc_result):
         gs = sup_product_unconstrained(example["L"], cfg).value
@@ -685,6 +690,9 @@ class TestConstrained:
             (91, 0, 0.8, 13, HalfSpaceSide.GEQ, 3.10),
             # 3.88262439 reached; a point at 3.8774521 falls short of it
             (91, 0, 0.8, 11, HalfSpaceSide.LEQ, 3.8826243),
+            # 1.34651413 reached; a root-find re-solved from the best sample
+            # point lands on a local branch at 0.4290605
+            (55, 1, 0.5, 10, HalfSpaceSide.LEQ, 1.3465141),
         ],
     )
     def test_generic_reaches_the_optimum(self, s, seed, delta, k, side, floor):
@@ -692,6 +700,13 @@ class TestConstrained:
         res = sup_product_constrained(L, spec, side, cfg)
         assert res.value >= floor
         assert res.converged
+
+    def test_generic_dominates_grid_oracle_on_recipe(self):
+        # R(55, 1, 0.5), k = 10 (2x3): the res-11 oracle reaches 1.1433637,
+        # far above the local branch at 0.4290605
+        L, spec, cfg = recipe_instance(55, 1, 0.5, 10, HalfSpaceSide.LEQ)
+        res = sup_product_constrained(L, spec, HalfSpaceSide.LEQ, cfg)
+        assert res.value >= grid_oracle_sup(L, spec, HalfSpaceSide.LEQ, resolution=11) - 1e-9
 
     def test_generic_draws_only_the_sample(self, monkeypatch):
         # the root-find continues from its bracket ends, so a repeat solve
