@@ -47,6 +47,7 @@ from .states import ProductKet, product_expectations, random_product_batch
 from .witness import BOUNDARY_TOL, ConstraintSpec, HalfSpaceSide, normalised_rotation
 
 ALPHA0_FEAS_TOL = 1e-8
+_ALPHA0_AIM = 0.8              # share of the way from the tangent to the square-root Newton crossing
 ORACLE_MAX_TOTAL_DIM = 9
 _SEESAW_TOL = 1e-11            # a see-saw row retires once a sweep gains less than this
 _SEESAW_MAX_ITER = 500         # sweeps per see-saw row
@@ -249,14 +250,13 @@ _PAULI = (
 )
 
 
+# kron(_PAULI[i], _PAULI[j]) at row 4*i + j
+_PAULI_PAIRS = np.array([np.kron(p, q) for p in _PAULI for q in _PAULI])
+
+
 def _pauli_tensor_coeffs(M: HermitianOperator) -> np.ndarray:
     """Real 4x4 coefficients of a two-qubit operator in the Pauli basis."""
-    T = np.empty((4, 4))
-    mat = M.mat
-    for i in range(4):
-        for j in range(4):
-            T[i, j] = float(np.trace(mat @ np.kron(_PAULI[i], _PAULI[j])).real) / 4.0
-    return T
+    return np.trace(M.mat @ _PAULI_PAIRS, axis1=1, axis2=2).real.reshape(4, 4) / 4.0
 
 
 # ---------------------------------------------------------------------------
@@ -810,7 +810,7 @@ def _alpha_feasible(L, spec, cfg, p_c, alpha):
 
 
 def _alpha0_probe(L, spec, cfg, p_c, alpha):
-    """Validity of the rotated witness at alpha, plus a Newton step when it fails.
+    """Validity of the rotated witness at alpha, plus a tangent step and an aim when it fails.
 
     Evaluated on the (1-alpha)-normalized operator nbar = lam*C + L so the
     comparison stays well scaled for arbitrarily negative alpha. A failing
@@ -818,8 +818,14 @@ def _alpha0_probe(L, spec, cfg, p_c, alpha):
     F(lam) = sup_{<C> <= c} <nbar> - lam c - p_c obeys
     F(lam) >= (<L>_s - p_c) + lam (<C>_s - c). Where that line meets the
     tolerance, at alpha_t, every alpha < alpha_t is certified invalid.
-    Returns (valid, alpha_t); alpha_t is None for a valid probe, for
-    <C>_s >= c (no decreasing line), and for a non-finite step.
+    F is convex with a double root at the plateau edge, so the tangent only
+    halves the distance to the flip; Newton on sqrt(F) - sqrt(tol), exact
+    for a quadratic margin, crosses at
+    lam_s = lam + 2 sqrt(F) (sqrt(F) - sqrt(tol)) / (c - <C>_s) >= lam_t.
+    The aim lies _ALPHA0_AIM of the way from lam_t to lam_s, short of an
+    overshoot onto the flat part of F, where a valid probe gives no tangent.
+    Returns (valid, (alpha_t, alpha_aim)); the pair is None for a valid
+    probe, for <C>_s >= c (no decreasing line), and for a non-finite step.
     """
     _, lam, nbar = normalised_rotation(spec, L, alpha)
     bound = lam * spec.c + p_c
@@ -830,9 +836,12 @@ def _alpha0_probe(L, spec, cfg, p_c, alpha):
     if not slope < 0:
         return False, None
     lam_t = (ALPHA0_FEAS_TOL - (expectation(L, res.argmax) - p_c)) / slope
-    if not (np.isfinite(lam_t) and lam_t > -1.0):
+    root = math.sqrt(res.value - bound)
+    lam_s = lam - 2.0 * root * (root - math.sqrt(ALPHA0_FEAS_TOL)) / slope
+    lam_a = lam_t + _ALPHA0_AIM * (lam_s - lam_t)
+    if not (np.isfinite(lam_t) and np.isfinite(lam_a) and lam_t > -1.0):
         return False, None
-    return False, lam_t / (1.0 + lam_t)
+    return False, (lam_t / (1.0 + lam_t), lam_a / (1.0 + lam_a))
 
 
 def compute_alpha0(
@@ -847,10 +856,13 @@ def compute_alpha0(
     Locates the flip of the monotone predicate _alpha_feasible on
     [bracket_min, 0] by safeguarded Newton (Dinkelbach) steps on the convex
     validity margin. Each failing probe's argmax yields a tangent minorant
-    whose tolerance crossing is a certified lower end of the bracket; the
-    next probe goes there, so a valid tangent probe is the threshold itself.
-    A step shorter than the 1e-6 width is closed by one probe just above
-    it. Bisection takes over when a step is missing or leaves the bracket.
+    whose tolerance crossing is a certified lower end of the bracket. The
+    next probe goes to the probe's aim, short of the square-root Newton
+    crossing (see _alpha0_probe), so the distance to the flip shrinks
+    superlinearly where the tangent alone would only halve it. An aim
+    within half the 1e-6 width of the new lower end, or at or above the
+    valid end, is replaced by one closing probe half a width above the lower
+    end. Bisection takes over when a step is missing or leaves the bracket.
 
     Returns the valid end of a bracket narrower than 1e-6, or None when the
     predicate already holds at bracket_min (no finite threshold in the
@@ -873,13 +885,12 @@ def compute_alpha0(
     lo, hi = bracket_min, None  # every alpha below lo fails; hi: least alpha found valid
     while True:
         top = 0.0 if hi is None else hi
-        if step is not None and lo < step < top and tangents_left:
+        if step is not None and lo < step[0] < top and tangents_left:
             tangents_left -= 1
-            short = step - lo <= width
-            lo, step = step, None
+            (lo, aim), step = step, None
             if top - lo <= width:
                 continue
-            x = lo + 0.5 * width if short else lo
+            x = aim if lo + 0.5 * width < aim < top else lo + 0.5 * width
         elif hi is None:
             x = 0.0  # bisection needs a valid upper end
         elif hi - lo > width:
@@ -903,22 +914,24 @@ def rotated_bound_residual(
 
     The identity requires the unconstrained optima of both the original and
     the rotated test operator to stay on the >= side; a violation is
-    reported as a warning and the residual is returned regardless.
+    reported as a warning and the residual is returned regardless. Both
+    optima are read from the constrained solves: a "seesaw" result is the
+    unconstrained optimum with its constraint value, and a "hybrid" one
+    means that optimum lay beyond the boundary band on the >= side.
     """
     if not -math.inf < alpha < 1.0:
         raise ValueError("alpha must be finite and < 1")
-    p_c = sup_product_constrained(L, spec, HalfSpaceSide.LEQ, cfg).value
+    pc_res = sup_product_constrained(L, spec, HalfSpaceSide.LEQ, cfg)
     scale, _, nbar = normalised_rotation(spec, L, alpha)
     # nbar is a positive multiple of the rotated operator: same argmax
-    for name, op in (("test", L), ("rotated test", nbar)):
-        opt = sup_product_unconstrained(op, cfg)
-        if expectation(spec.C, opt.argmax) < spec.c - BOUNDARY_TOL:
+    res = sup_product_constrained(nbar, spec, HalfSpaceSide.LEQ, cfg)
+    for name, r in (("test", pc_res), ("rotated test", res)):
+        if r.method == "seesaw" and r.constraint_value < spec.c - BOUNDARY_TOL:
             warnings.warn(
                 f"optimum of the {name} operator crosses to the <= side; "
                 "the affine identity is not guaranteed",
                 RuntimeWarning,
                 stacklevel=2,
             )
-    h = scale * sup_product_constrained(nbar, spec, HalfSpaceSide.LEQ, cfg).value
-    affine = alpha * spec.c + (1.0 - alpha) * p_c
-    return abs(h - affine)
+    affine = alpha * spec.c + (1.0 - alpha) * pc_res.value
+    return abs(scale * res.value - affine)

@@ -27,6 +27,7 @@ from uew.linalg import _lex_key
 from uew.witness import BOUNDARY_TOL
 from uew.optimize import (
     _PAIR_GRID,
+    _PAULI,
     _SEESAW_MAX_ITER,
     _SEESAW_TOL,
     _alpha_feasible,
@@ -36,6 +37,7 @@ from uew.optimize import (
     _cap_max_vectorized,
     _pair_grid_max,
     _party_ket_grid,
+    _pauli_tensor_coeffs,
     _qubit_angles,
     _qubit_bloch,
     _qubit_kets,
@@ -407,6 +409,22 @@ class TestCapValues:
         assert np.isneginf(got).sum() >= 2
 
 
+def _parent_pauli_coeffs(M):
+    """Pauli coefficients entry by entry, each kron rebuilt on the spot."""
+    T = np.empty((4, 4))
+    for i in range(4):
+        for j in range(4):
+            T[i, j] = float(np.trace(M.mat @ np.kron(_PAULI[i], _PAULI[j])).real) / 4.0
+    return T
+
+
+def test_pauli_coeffs_match_per_entry_kron():
+    rng = np.random.default_rng(5)
+    for _ in range(500):
+        M = rand_herm_22(rng)
+        assert _pauli_tensor_coeffs(M).tobytes() == _parent_pauli_coeffs(M).tobytes()
+
+
 def _qubit_grid(n_theta, n_phi, phi_endpoint=True):
     """Kets and Bloch 4-vectors on the solver's polar/azimuth grid."""
     angles = _qubit_angles(n_theta, n_phi, phi_endpoint)
@@ -776,6 +794,40 @@ class TestClassify:
         assert l1 is l2
 
 
+@pytest.fixture
+def constrained_calls(monkeypatch):
+    """Operators of the sup_product_constrained calls made inside uew.optimize."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return sup_product_constrained(*args, **kwargs)
+
+    monkeypatch.setattr(uew.optimize, "sup_product_constrained", counting)
+    return calls
+
+
+def case_ii_instances(n):
+    """The first n case-ii two-qubit instances of the default_rng(12) recipe.
+
+    L then C are drawn as in rand_herm; a pair is kept when <C> at the
+    unconstrained argmax of L - C lies more than 0.1 below <C> at that of
+    L, with c at the midpoint. Yields (L, spec, cfg) with
+    cfg = OptimizerConfig(seed=5, restarts=24).
+    """
+    rng = np.random.default_rng(12)
+    cfg = OptimizerConfig(seed=5, restarts=24)
+    while n:
+        L, C = rand_herm_22(rng), rand_herm_22(rng)
+        c_l, c_d = (expectation(C, sup_product_unconstrained(op, cfg).argmax) for op in (L, L - C))
+        if not c_d < c_l - 0.1:
+            continue
+        spec = ConstraintSpec(C=C, c=0.5 * (c_l + c_d))
+        if classify_case(L, spec, cfg) is CaseLabel.CASE_II:
+            n -= 1
+            yield L, spec, cfg
+
+
 @pytest.fixture(scope="module")
 def swapped_bisection(swapped, cfg_small):
     """p_c of the swapped instance and a plain bisection on the same predicate over [-1e6, 0]."""
@@ -836,19 +888,37 @@ class TestAlpha0:
             compute_alpha0(swapped["L"], swapped["spec"], cfg_small, bracket_min=bracket_min, p_c=0.1)
 
     def test_tangent_search_few_probes_and_matches_bisection(
-        self, swapped, cfg_small, swapped_bisection, monkeypatch
+        self, swapped, cfg_small, swapped_bisection, constrained_calls
     ):
         p_c, reference = swapped_bisection
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(args[0])
-            return sup_product_constrained(*args, **kwargs)
-
-        monkeypatch.setattr(uew.optimize, "sup_product_constrained", counting)
         a0 = compute_alpha0(swapped["L"], swapped["spec"], cfg_small, p_c=p_c)
-        assert len(calls) <= 16
+        assert len(constrained_calls) <= 16
         assert abs(a0 - reference) <= 1e-6
+
+    @staticmethod
+    def certified_alpha0(L, spec, cfg, calls):
+        """compute_alpha0 with p_c given; returns its probe count after
+        checking that a0 is valid and a0 - 1e-6 is not."""
+        p_c = sup_product_constrained(L, spec, HalfSpaceSide.LEQ, cfg).value
+        a0 = compute_alpha0(L, spec, cfg, p_c=p_c)
+        probes = len(calls)
+        assert _alpha_feasible(L, spec, cfg, p_c, a0)
+        assert not _alpha_feasible(L, spec, cfg, p_c, a0 - 1e-6)
+        return probes
+
+    @pytest.mark.parametrize("seed0", [False, True], ids=["cfg_small", "seed0"])
+    def test_aimed_steps_take_few_probes(self, swapped, cfg_small, seed0, constrained_calls):
+        # the tangent alone halves the distance to the flip: 15 probes here
+        cfg = OptimizerConfig(seed=0) if seed0 else cfg_small
+        assert self.certified_alpha0(swapped["L"], swapped["spec"], cfg, constrained_calls) <= 6
+
+    def test_aimed_steps_on_random_case_ii_instances(self, constrained_calls):
+        # the tangent alone takes 98 probes on these six
+        probes = 0
+        for L, spec, cfg in case_ii_instances(6):
+            constrained_calls.clear()
+            probes += self.certified_alpha0(L, spec, cfg, constrained_calls)
+        assert probes <= 60
 
     def test_without_tangent_steps_falls_back_to_bisection(
         self, swapped, cfg_small, swapped_bisection, monkeypatch
