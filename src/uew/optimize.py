@@ -48,6 +48,7 @@ from .witness import BOUNDARY_TOL, ConstraintSpec, HalfSpaceSide, normalised_rot
 
 ALPHA0_FEAS_TOL = 1e-8
 _ALPHA0_AIM = 0.8              # share of the way from the tangent to the square-root Newton crossing
+_ALPHA0_MAX_TANGENTS = 64      # tangent steps per alpha0 search, at least its lam bisection's depth
 ORACLE_MAX_TOTAL_DIM = 9
 _SEESAW_TOL = 1e-11            # a see-saw row retires once a sweep gains less than this
 _SEESAW_MAX_ITER = 500         # sweeps per see-saw row
@@ -806,30 +807,30 @@ def classify_case(L: HermitianOperator, spec: ConstraintSpec, cfg: OptimizerConf
 
 def _alpha_feasible(L, spec, cfg, p_c, alpha):
     """Whether the rotated witness bound still dominates on the <= side."""
-    return _alpha0_probe(L, spec, cfg, p_c, alpha)[0]
+    return _alpha0_probe(L, spec, cfg, p_c, normalised_rotation(spec, L, alpha)[1])[0]
 
 
-def _alpha0_probe(L, spec, cfg, p_c, alpha):
-    """Validity of the rotated witness at alpha, plus a tangent step and an aim when it fails.
+def _alpha0_probe(L, spec, cfg, p_c, lam):
+    """Validity of the rotated witness at lam, plus a tangent step and an aim when it fails.
 
-    Evaluated on the (1-alpha)-normalized operator nbar = lam*C + L so the
-    comparison stays well scaled for arbitrarily negative alpha. A failing
-    probe's argmax s is feasible, so the validity margin
-    F(lam) = sup_{<C> <= c} <nbar> - lam c - p_c obeys
-    F(lam) >= (<L>_s - p_c) + lam (<C>_s - c). Where that line meets the
-    tolerance, at alpha_t, every alpha < alpha_t is certified invalid.
-    F is convex with a double root at the plateau edge, so the tangent only
-    halves the distance to the flip; Newton on sqrt(F) - sqrt(tol), exact
-    for a quadratic margin, crosses at
+    lam = alpha/(1-alpha) runs over [-1, 0] as alpha runs over [-inf, 0];
+    lam = -1 is the limit witness L - C. The probe is evaluated on
+    nbar = lam*C + L, the rotated operator divided by 1 - alpha, so the
+    comparison stays well scaled. A failing probe's argmax s is feasible,
+    so the validity margin F(lam) = sup_{<C> <= c} <nbar> - lam c - p_c,
+    convex in lam, obeys F(lam) >= (<L>_s - p_c) + lam (<C>_s - c). Where
+    that line meets the tolerance, at lam_t, every lam < lam_t is
+    certified invalid. F has a double root at the plateau edge, so the
+    tangent only halves the distance to the flip; Newton on
+    sqrt(F) - sqrt(tol), exact for a quadratic margin, crosses at
     lam_s = lam + 2 sqrt(F) (sqrt(F) - sqrt(tol)) / (c - <C>_s) >= lam_t.
     The aim lies _ALPHA0_AIM of the way from lam_t to lam_s, short of an
     overshoot onto the flat part of F, where a valid probe gives no tangent.
-    Returns (valid, (alpha_t, alpha_aim)); the pair is None for a valid
-    probe, for <C>_s >= c (no decreasing line), and for a non-finite step.
+    Returns (valid, (lam_t, lam_aim)); the pair is None for a valid probe,
+    for <C>_s >= c (no decreasing line), and for a non-finite step.
     """
-    _, lam, nbar = normalised_rotation(spec, L, alpha)
     bound = lam * spec.c + p_c
-    res = sup_product_constrained(nbar, spec, HalfSpaceSide.LEQ, cfg)
+    res = sup_product_constrained(lam * spec.C + L, spec, HalfSpaceSide.LEQ, cfg)
     if res.value <= bound + ALPHA0_FEAS_TOL:
         return True, None
     slope = res.constraint_value - spec.c
@@ -839,64 +840,63 @@ def _alpha0_probe(L, spec, cfg, p_c, alpha):
     root = math.sqrt(res.value - bound)
     lam_s = lam - 2.0 * root * (root - math.sqrt(ALPHA0_FEAS_TOL)) / slope
     lam_a = lam_t + _ALPHA0_AIM * (lam_s - lam_t)
-    if not (np.isfinite(lam_t) and np.isfinite(lam_a) and lam_t > -1.0):
+    if not (np.isfinite(lam_t) and np.isfinite(lam_a)):
         return False, None
-    return False, (lam_t / (1.0 + lam_t), lam_a / (1.0 + lam_a))
+    return False, (lam_t, lam_a)
 
 
 def compute_alpha0(
     L: HermitianOperator,
     spec: ConstraintSpec,
     cfg: OptimizerConfig,
-    bracket_min: float = -1e6,
     p_c: Optional[float] = None,
 ) -> Optional[float]:
     """Smallest rotation parameter whose witness stays valid on the <= side.
 
-    Locates the flip of the monotone predicate _alpha_feasible on
-    [bracket_min, 0] by safeguarded Newton (Dinkelbach) steps on the convex
-    validity margin. Each failing probe's argmax yields a tangent minorant
-    whose tolerance crossing is a certified lower end of the bracket. The
-    next probe goes to the probe's aim, short of the square-root Newton
-    crossing (see _alpha0_probe), so the distance to the flip shrinks
-    superlinearly where the tangent alone would only halve it. An aim
-    within half the 1e-6 width of the new lower end, or at or above the
-    valid end, is replaced by one closing probe half a width above the lower
-    end. Bisection takes over when a step is missing or leaves the bracket.
+    Searches lam = alpha/(1-alpha) on [-1, 0], the whole rotated family, for
+    the flip of the monotone predicate of _alpha0_probe. The first probe is
+    lam = -1, the limit witness L - C; None means it is valid, and so every
+    member is. Otherwise safeguarded Newton (Dinkelbach) steps run on the
+    validity margin, convex in lam: each failing probe's tangent crossing
+    is a certified lower end of the bracket, and the next probe goes to its
+    aim (see _alpha0_probe). An aim within half the 1e-6 width (in alpha)
+    of the new lower end, or at or above the valid end, is replaced by one
+    closing probe half a width above the lower end, or at the next double
+    if that is farther. Bisection in lam takes over when a step is missing
+    or leaves the bracket.
 
-    Returns the valid end of a bracket narrower than 1e-6, or None when the
-    predicate already holds at bracket_min (no finite threshold in the
-    searchable range). Raises ValueError for a non-finite or non-negative
-    bracket_min, and when the predicate fails at alpha = 0 (inconsistent
-    p_c). Being monotone, the predicate is probed at alpha = 0 only while
-    no point below it has been found valid.
+    Returns the alpha of the valid end of a bracket narrower than 1e-6 in
+    alpha, or of one with no double strictly between its ends: for |alpha|
+    beyond about 1e5 the lam grid near -1 is coarser than 1e-6 in alpha.
+    Raises ValueError when the predicate fails at alpha = 0 (inconsistent
+    p_c), which is probed only while no smaller lam has been found valid.
     """
-    if not (np.isfinite(bracket_min) and bracket_min < 0):
-        raise ValueError("bracket_min must be finite and negative")
     if p_c is None:
         p_c = sup_product_constrained(L, spec, HalfSpaceSide.LEQ, cfg).value
-    valid, step = _alpha0_probe(L, spec, cfg, p_c, bracket_min)
+    valid, step = _alpha0_probe(L, spec, cfg, p_c, -1.0)
     if valid:
         return None
-    width = 1e-6
-    # tangent steps are capped at the probe count of a plain bisection, so a
-    # stalling iteration costs at most twice what the bisection would
-    tangents_left = max(1, int(np.ceil(np.log2(-bracket_min) - np.log2(width))))
-    lo, hi = bracket_min, None  # every alpha below lo fails; hi: least alpha found valid
+    width = 1e-6  # in alpha; alpha(hi) - alpha(lo) = (hi - lo) / ((1 + lo) (1 + hi))
+    tangents_left = _ALPHA0_MAX_TANGENTS
+    lo, hi = -1.0, None  # every lam below lo fails; hi: least lam found valid
     while True:
         top = 0.0 if hi is None else hi
         if step is not None and lo < step[0] < top and tangents_left:
             tangents_left -= 1
             (lo, aim), step = step, None
-            if top - lo <= width:
+            if top - lo <= width * (1.0 + lo) * (1.0 + top):
                 continue
-            x = aim if lo + 0.5 * width < aim < top else lo + 0.5 * width
+            a = lo / (1.0 + lo) + 0.5 * width
+            close = max(a / (1.0 - a), math.nextafter(lo, 0.0))
+            x = aim if close < aim < top else close
         elif hi is None:
             x = 0.0  # bisection needs a valid upper end
-        elif hi - lo > width:
+        elif hi - lo > width * (1.0 + lo) * (1.0 + hi):
             x = 0.5 * (lo + hi)
         else:
             break
+        if hi is not None and not lo < x < hi:
+            break  # no double strictly between the ends
         valid, step = _alpha0_probe(L, spec, cfg, p_c, x)
         if valid:
             hi = x
@@ -904,7 +904,7 @@ def compute_alpha0(
             raise ValueError("feasibility fails at alpha = 0; inconsistent inputs")
         else:
             lo = x
-    return float(hi)
+    return float(hi / (1.0 + hi))
 
 
 def rotated_bound_residual(

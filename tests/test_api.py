@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 
 
 def test_public_names_and_config_fields():
@@ -61,3 +62,5 @@ def test_public_names_and_config_fields():
 
     assert isinstance(__version__, str)
     assert [f.name for f in dataclasses.fields(OptimizerConfig)] == ["restarts", "seed"]
+    assert list(inspect.signature(compute_alpha0).parameters) == ["L", "spec", "cfg", "p_c"]
+    assert inspect.signature(compute_alpha0).parameters["p_c"].default is None

@@ -322,7 +322,7 @@ class TestAlpha0:
             "--cvalue", "0.2", "--restarts", "24", "--seed", "3", "--bracket-min", "-inf",
         )
         assert proc.returncode == 1
-        assert "bracket_min" in proc.stderr
+        assert "--bracket-min" in proc.stderr  # the flag is gone
         assert "infeasible" not in proc.stderr
         assert "Warning" not in proc.stderr
 

@@ -828,6 +828,22 @@ def case_ii_instances(n):
             yield L, spec, cfg
 
 
+def case_i_with_finite_alpha0():
+    """The last of 36 two-qubit pairs of the default_rng(2024) recipe.
+
+    L then C are drawn as in rand_herm; c sits 0.3 below <C> at the
+    unconstrained argmax of L. classify_case calls it case I, yet L - C
+    exceeds p_c - c on the <= side, so alpha0 is finite. Returns
+    (L, spec, cfg) with cfg = OptimizerConfig(seed=1, restarts=24).
+    """
+    rng = np.random.default_rng(2024)
+    for _ in range(36):
+        L, C = rand_herm_22(rng), rand_herm_22(rng)
+    cfg = OptimizerConfig(seed=1, restarts=24)
+    c = expectation(C, sup_product_unconstrained(L, cfg).argmax) - 0.3
+    return L, ConstraintSpec(C=C, c=c), cfg
+
+
 @pytest.fixture(scope="module")
 def swapped_bisection(swapped, cfg_small):
     """p_c of the swapped instance and a plain bisection on the same predicate over [-1e6, 0]."""
@@ -884,7 +900,8 @@ class TestAlpha0:
 
     @pytest.mark.parametrize("bracket_min", [-np.inf, np.nan, 0.0, 1.0])
     def test_rejects_bad_bracket_min(self, swapped, cfg_small, bracket_min):
-        with pytest.raises(ValueError, match="bracket_min"):
+        # the search covers the whole family, lam in [-1, 0]: no bracket to set
+        with pytest.raises(TypeError, match="bracket_min"):
             compute_alpha0(swapped["L"], swapped["spec"], cfg_small, bracket_min=bracket_min, p_c=0.1)
 
     def test_tangent_search_few_probes_and_matches_bisection(
@@ -920,15 +937,78 @@ class TestAlpha0:
             probes += self.certified_alpha0(L, spec, cfg, constrained_calls)
         assert probes <= 60
 
-    def test_without_tangent_steps_falls_back_to_bisection(
-        self, swapped, cfg_small, swapped_bisection, monkeypatch
-    ):
-        p_c, reference = swapped_bisection
+    @staticmethod
+    def without_tangent_steps(monkeypatch):
         probe = uew.optimize._alpha0_probe
         monkeypatch.setattr(
             uew.optimize, "_alpha0_probe", lambda *args: (probe(*args)[0], None)
         )
-        assert compute_alpha0(swapped["L"], swapped["spec"], cfg_small, p_c=p_c) == reference
+        return probe
+
+    def test_without_tangent_steps_falls_back_to_bisection(
+        self, swapped, cfg_small, swapped_bisection, monkeypatch
+    ):
+        L, spec = swapped["L"], swapped["spec"]
+        p_c, _ = swapped_bisection
+        probe = self.without_tangent_steps(monkeypatch)
+        # plain bisection in lam on [-1, 0] down to a width of 1e-6 in alpha,
+        # alpha(hi) - alpha(lo) = (hi - lo) / ((1 + lo) (1 + hi))
+        lo, hi = -1.0, 0.0
+        while hi - lo > 1e-6 * (1.0 + lo) * (1.0 + hi):
+            mid = 0.5 * (lo + hi)
+            if probe(L, spec, cfg_small, p_c, mid)[0]:
+                hi = mid
+            else:
+                lo = mid
+        assert compute_alpha0(L, spec, cfg_small, p_c=p_c) == hi / (1.0 + hi)
+
+    def test_without_tangent_steps_few_probes(
+        self, swapped, cfg_small, swapped_bisection, constrained_calls, monkeypatch
+    ):
+        # bisection in alpha on [-1e6, 0] took 42 probes
+        p_c, _ = swapped_bisection
+        self.without_tangent_steps(monkeypatch)
+        compute_alpha0(swapped["L"], swapped["spec"], cfg_small, p_c=p_c)
+        assert len(constrained_calls) <= 24
+
+    @pytest.mark.parametrize(
+        "lam_flip",
+        [-0.3 / 1.3, -1e3 / (1.0 + 1e3), -5e5 / (1.0 + 5e5), -1e7 / (1.0 + 1e7), -1.0],
+        ids=["alpha-0.3", "alpha-1e3", "alpha-5e5", "alpha-1e7", "lam-1"],
+    )
+    def test_monotone_predicate_ends_next_to_its_flip(self, swapped, cfg_small, lam_flip, monkeypatch):
+        probes = []
+
+        def predicate(L, spec, cfg, p_c, lam):
+            probes.append(lam)
+            return lam >= lam_flip, None
+
+        monkeypatch.setattr(uew.optimize, "_alpha0_probe", predicate)
+        a0 = compute_alpha0(swapped["L"], swapped["spec"], cfg_small, p_c=0.0)
+        assert len(probes) <= 60
+        if lam_flip == -1.0:
+            assert a0 is None
+            return
+        hi = min(lam for lam in probes if lam >= lam_flip)
+        lo = max(lam for lam in probes if lam < lam_flip)
+        alpha_lo = lo / (1.0 + lo) if lo > -1.0 else -np.inf
+        assert a0 == hi / (1.0 + hi)
+        assert a0 - alpha_lo <= 1e-6 or np.nextafter(lo, 0.0) == hi
+
+    @pytest.mark.parametrize("instance", ["worked", "rng2024"])
+    def test_none_exactly_when_the_limit_witness_is_valid(self, example, cfg_small, instance):
+        if instance == "worked":
+            L, spec, cfg = example["L"], example["spec"], cfg_small
+        else:
+            L, spec, cfg = case_i_with_finite_alpha0()
+        p_c = sup_product_constrained(L, spec, HalfSpaceSide.LEQ, cfg).value
+        a0 = compute_alpha0(L, spec, cfg, p_c=p_c)
+        assert (a0 is None) == _alpha_feasible(L, spec, cfg, p_c, -np.inf)
+        if instance == "worked":
+            assert a0 is None
+        else:
+            assert classify_case(L, spec, cfg) is CaseLabel.CASE_I
+            assert a0 == pytest.approx(-2.0036471, abs=1e-6)
 
 
 class TestRotatedBoundResidual:
