@@ -46,7 +46,7 @@ class Ket:
         if vec.ndim != 1 or vec.size == 0:
             raise ValueError("ket must be a non-empty 1-d vector")
         norm = np.linalg.norm(vec)
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise ValueError(f"ket norm {norm!r} is not 1 within {NORM_TOL}")
         vec = _canonicalize_phase(vec)
         vec.setflags(write=False)
@@ -57,11 +57,11 @@ class Ket:
 
     @classmethod
     def unit(cls, amplitudes) -> "Ket":
-        """Build a Ket from any non-zero vector by normalizing it."""
+        """Build a Ket from any non-zero finite vector by normalizing it."""
         vec = np.asarray(amplitudes, dtype=complex)
         norm = np.linalg.norm(vec)
-        if norm == 0:
-            raise ValueError("cannot normalize the zero vector")
+        if not 0 < norm < np.inf:
+            raise ValueError(f"cannot normalize a vector of norm {norm!r}")
         return cls(vec / norm)
 
     @classmethod

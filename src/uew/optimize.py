@@ -4,10 +4,11 @@ Three cooperating search mechanisms live here:
 
 * a see-saw that alternates exact single-party eigenvector updates, used
   for unconstrained suprema; all restarts run as one (R, d, d) stack, one
-  einsum and one batched ``numpy.linalg.eigh`` per half step. The random
-  starts are drawn once per (seed, restarts, dims) and cached read-only,
-  and value ties between restarts are broken on canonical argmax rows
-  computed in one batch;
+  einsum and one batched ``numpy.linalg.eigh`` per half step. Each row
+  starts from a party-A ket; these starts are drawn once per (seed,
+  restarts, dA) and cached read-only, each (operator, seed, restarts) is
+  solved once per process, with 16 kept, and value ties between restarts
+  are broken on canonical argmax rows computed in one batch;
 * an exhaustive per-party angle-grid oracle, kept deliberately independent
   of the see-saw so the two can cross-check each other;
 * constrained suprema behind a feasibility short-circuit: for qubit pairs
@@ -111,31 +112,31 @@ def _hermitian_top(mats: np.ndarray):
     return vals[:, -1], vecs[:, :, -1]
 
 
-def _seesaw_batch(M4: np.ndarray, A0: np.ndarray, B0: np.ndarray, tol: float, max_iter: int):
-    """Alternating eigenvector ascent from R starting product kets at once.
+def _seesaw_batch(M4: np.ndarray, A0: np.ndarray):
+    """Alternating eigenvector ascent from R starting party-A kets at once.
 
-    The starts are the rows of ``A0`` (R, dA) and ``B0`` (R, dB), copied
-    and never written: sup_product_unconstrained passes the read-only
-    starts that _restart_starts draws once per (seed, restarts, dims), and
-    breaks value ties between the returned rows in one batch
-    (_best_restart). Each half step is an exact maximization of the
-    conditioned quadratic form, so no row's value ever decreases. A row
-    retires once its gain drops below ``tol``, keeping its value and
-    iteration count. Returns per-row arrays (values, A, B, iterations,
-    converged).
+    The starts are the rows of ``A0`` (R, dA), copied and never written:
+    sup_product_unconstrained passes the read-only starts that
+    _restart_starts draws once per (seed, restarts, dA), and breaks value
+    ties between the returned rows in one batch (_best_restart). Each row's
+    party-B ket is set by its first half step. Each half step is an exact
+    maximization of the conditioned quadratic form, so no row's value ever
+    decreases. A row retires once its gain drops below _SEESAW_TOL, keeping
+    its value and iteration count, with at most _SEESAW_MAX_ITER sweeps.
+    Returns per-row arrays (values, A, B, iterations, converged).
     """
     A = np.array(A0, dtype=complex)
-    B = np.array(B0, dtype=complex)
     R = len(A)
+    B = np.empty((R, M4.shape[1]), dtype=complex)
     vals = np.full(R, -np.inf)
-    its = np.full(R, max_iter)
+    its = np.full(R, _SEESAW_MAX_ITER)
     conv = np.zeros(R, dtype=bool)
     live = np.arange(R)
-    for it in range(1, max_iter + 1):
+    for it in range(1, _SEESAW_MAX_ITER + 1):
         a = A[live]
         _, b = _hermitian_top(np.einsum("ri,ikjl,rj->rkl", a.conj(), M4, a))
         new, a = _hermitian_top(np.einsum("rk,ikjl,rl->rij", b.conj(), M4, b))
-        done = new - vals[live] < tol
+        done = new - vals[live] < _SEESAW_TOL
         A[live], B[live], vals[live] = a, b, new
         its[live[done]] = it
         conv[live[done]] = True
@@ -151,22 +152,17 @@ def _random_unit(rng: np.random.Generator, d: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=32)
-def _restart_starts(seed, restarts: int, dA: int, dB: int):
-    """Read-only (restarts, dA) and (restarts, dB) see-saw start kets.
+def _restart_starts(seed, restarts: int, d: int):
+    """Read-only (restarts, d) party-A see-saw start kets.
 
-    Row r is drawn from the r-th child of SeedSequence(seed), party A
-    first. Every solve with the same (seed, restarts, dims) starts from the
-    same rows, so they are drawn once and shared.
+    Row r is the first draw of the r-th child of SeedSequence(seed). Every
+    solve with the same (seed, restarts, dA) starts from the same rows, so
+    they are drawn once and shared.
     """
-    A = np.empty((restarts, dA), dtype=complex)
-    B = np.empty((restarts, dB), dtype=complex)
-    for r, ss in enumerate(np.random.SeedSequence(seed).spawn(restarts)):
-        rng = np.random.default_rng(ss)
-        A[r] = _random_unit(rng, dA)
-        B[r] = _random_unit(rng, dB)
+    children = np.random.SeedSequence(seed).spawn(restarts)
+    A = np.array([_random_unit(np.random.default_rng(ss), d) for ss in children])
     A.setflags(write=False)
-    B.setflags(write=False)
-    return A, B
+    return A
 
 
 def _canonical_rows(X: np.ndarray) -> np.ndarray:
@@ -210,31 +206,32 @@ def _best_restart(vals: np.ndarray, A: np.ndarray, B: np.ndarray) -> int:
 def sup_product_unconstrained(L: HermitianOperator, cfg: OptimizerConfig) -> OptimizationResult:
     """Supremum of <a,b|L|a,b> over product kets via restarted see-saw.
 
-    The cfg.restarts starts are drawn once per (seed, restarts, dims) and
-    shared by every later solve with the same triple. Restarts are reduced
-    deterministically: best value wins, value ties within 1e-12 go to the
-    lexicographically smallest canonicalized argmax, with the canonical
-    argmaxes of all restarts computed in one batch (_best_restart).
+    The cfg.restarts party-A starts are drawn once per (seed, restarts, dA)
+    and shared by every later solve with the same triple. Restarts are
+    reduced deterministically: best value wins, value ties within 1e-12 go
+    to the lexicographically smallest canonicalized argmax, with the
+    canonical argmaxes of all restarts computed in one batch
+    (_best_restart). Each (operator, seed, restarts) is solved once per
+    process, with the 16 latest kept; the frozen result is shared.
     """
     if len(L.dims) != 2:
         raise DimensionMismatch("bipartite operator required")
-    dA, dB = L.dims
-    vals, A, B, its, conv = _seesaw_batch(
-        L.mat.reshape(dA, dB, dA, dB),
-        *_restart_starts(cfg.seed, cfg.restarts, dA, dB),
-        _SEESAW_TOL,
-        _SEESAW_MAX_ITER,
-    )
+    return _unconstrained_solve(L.mat.tobytes(), L.dims, cfg)
+
+
+@functools.lru_cache(maxsize=16)
+def _unconstrained_solve(mat: bytes, dims: tuple, cfg: OptimizerConfig) -> OptimizationResult:
+    """sup_product_unconstrained of the operator with these matrix bytes and dims."""
+    dA, dB = dims
+    M4 = np.frombuffer(mat, dtype=complex).reshape(dA, dB, dA, dB)
+    vals, A, B, its, conv = _seesaw_batch(M4, _restart_starts(cfg.seed, cfg.restarts, dA))
     best = _best_restart(vals, A, B)
-    val, a, b = vals[best], A[best], B[best]
-    its, conv = int(its[best]), bool(conv[best])
-    pk = ProductKet(a=Ket.unit(a), b=Ket.unit(b))
     return OptimizationResult(
-        value=float(val),
-        argmax=pk,
+        value=float(vals[best]),
+        argmax=ProductKet(a=Ket.unit(A[best]), b=Ket.unit(B[best])),
         constraint_value=None,
-        converged=conv,
-        iterations=its,
+        converged=bool(conv[best]),
+        iterations=int(its[best]),
         method="seesaw",
     )
 
@@ -340,10 +337,10 @@ def _cap_max_values(w0, v, g0, u, c, sense):
     return np.where(empty, -np.inf, val)
 
 
-def _cap_max_vectorized(w0, v, g0, u, c, sense):
-    """The values of _cap_max_values and the (N, 3) maximisers.
+def _cap_argmax(w0, v, g0, u, c, sense):
+    """(N, 2) unit qubit kets whose Bloch vectors maximise _cap_max_values.
 
-    An empty cap has a nan maximiser.
+    An empty cap has a nan row.
     """
     nv, us, _, nu, nu2, _, ratio, rise, free, empty = _cap_cut(v, g0, u, c, sense)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
@@ -365,7 +362,7 @@ def _cap_max_vectorized(w0, v, g0, u, c, sense):
         )
     n = np.where((free & (nv > 0))[:, None], n_free, n_cap)
     n[empty] = np.nan
-    return _cap_max_values(w0, v, g0, u, c, sense), n
+    return _qubit_kets(np.arctan2(np.hypot(n[:, 0], n[:, 1]), n[:, 2]), np.arctan2(n[:, 1], n[:, 0]))
 
 
 def _oracle_22(L, spec, side, resolution):
@@ -526,9 +523,8 @@ def _qubit_pair_constrained(L, spec, sense):
     s = int(np.argmax(fx))
     kets, n = _qubit_kets(x[s, :1], x[s, 1:]), _qubit_bloch(x[s, :1], x[s, 1:])
     # only the winning row builds its maximiser
-    nx, ny, nz = best_inner(n, flip[s : s + 1], _cap_max_vectorized)[1][0]
     outer = Ket.unit(kets[0])
-    inner = Ket.unit(_qubit_kets(np.arctan2(np.hypot(nx, ny), nz), np.arctan2(ny, nx))[0])
+    inner = Ket.unit(best_inner(n, flip[s : s + 1], _cap_argmax)[0])
     pk = ProductKet(a=inner, b=outer) if flip[s] else ProductKet(a=outer, b=inner)
     return expectation(L, pk), pk, True
 
@@ -554,8 +550,8 @@ def _cut_top(M: np.ndarray, N: np.ndarray) -> np.ndarray:
     duality gap (Beck & Eldar, SIAM J. Optim. 17, 2006), so the maximiser
     lies in the span of the bracket's two eigenvectors, also where the top
     eigenvalue is degenerate at the multiplier; that span is a qubit, solved
-    exactly by _cap_max_vectorized with the cut at 0. Rows where doubling
-    finds no feasible eigenvector are nan.
+    exactly by _cap_argmax with the cut at 0. Rows where doubling finds no
+    feasible eigenvector are nan.
     """
     _, x = _hermitian_top(M)
     cut = np.flatnonzero(_quad(x, N) > 0)
@@ -586,8 +582,7 @@ def _cut_top(M: np.ndarray, N: np.ndarray) -> np.ndarray:
         lo[~down], x_lo[~down] = mid[~down], y[~down]
     Q = np.linalg.qr(np.stack([x_hi, x_lo], axis=2))[0]  # first column spans x_hi
     QH = Q.conj().transpose(0, 2, 1)
-    _, n = _cap_max_vectorized(*_bloch_coeffs(QH @ M @ Q), *_bloch_coeffs(QH @ N @ Q), 0.0, 1)
-    y = _qubit_kets(np.arctan2(np.hypot(n[:, 0], n[:, 1]), n[:, 2]), np.arctan2(n[:, 1], n[:, 0]))
+    y = _cap_argmax(*_bloch_coeffs(QH @ M @ Q), *_bloch_coeffs(QH @ N @ Q), 0.0, 1)
     x[cut] = np.einsum("rij,rj->ri", Q, y)
     x[cut[g_hi > 0]] = np.nan
     return x
@@ -646,12 +641,12 @@ def _dual_refine(L, spec, sense, base):
     For mu >= 0 the see-saw maximum v(mu) of L - sense*mu*C gives the dual
     bound v(mu) + sense*mu*c on the side sense*(<C> - c) <= 0. The bracket
     starts at mu = 0 from base, the unconstrained optimum, which lies past
-    the cut; each penalized see-saw continues from the bracket ends, with no
-    random starts. A sign-change bisection narrows the bracket to its
-    crossing, and the feasible and infeasible ends are then bridged along a
-    product-state path onto the cut, which restores attainment also where
-    the crossing is a jump between branches. None when no multiplier
-    reaches the feasible side.
+    the cut; each penalized see-saw continues from the party-A kets of the
+    bracket ends, with no random starts. A sign-change bisection narrows
+    the bracket to its crossing, and the feasible and infeasible ends are
+    then bridged along a product-state path onto the cut, which restores
+    attainment also where the crossing is a jump between branches. None
+    when no multiplier reaches the feasible side.
     """
     dA, dB = L.dims
     CM, c = spec.C.mat, spec.c
@@ -660,10 +655,9 @@ def _dual_refine(L, spec, sense, base):
         prod = np.kron(a, b)
         return float(np.vdot(prod, CM @ prod).real)
 
-    def solve(mu, starts):
+    def solve(mu, A0):
         M4 = (L.mat - sense * mu * CM).reshape(dA, dB, dA, dB)
-        A0, B0 = (np.array(x) for x in zip(*starts))
-        vals, A, B, _, _ = _seesaw_batch(M4, A0, B0, _SEESAW_TOL, _SEESAW_MAX_ITER)
+        vals, A, B, _, _ = _seesaw_batch(M4, A0)
         r = int(np.argmax(vals))
         return gamma(A[r], B[r]), (A[r], B[r])
 
@@ -671,7 +665,7 @@ def _dual_refine(L, spec, sense, base):
     lo_pt = (base.argmax.a.amplitudes, base.argmax.b.amplitudes)
     scale = max(1.0, abs(base.value))
     for _ in range(80):
-        hi_gam, hi_pt = solve(hi_mu, [lo_pt])
+        hi_gam, hi_pt = solve(hi_mu, [lo_pt[0]])
         if sense * (hi_gam - c) <= 0.0:
             break
         lo_mu, lo_pt = hi_mu, hi_pt
@@ -682,7 +676,7 @@ def _dual_refine(L, spec, sense, base):
         return None
     for _ in range(90):
         mid = 0.5 * (lo_mu + hi_mu)
-        gam, pt = solve(mid, [lo_pt, hi_pt])
+        gam, pt = solve(mid, [lo_pt[0], hi_pt[0]])
         if sense * (gam - c) <= 0.0:
             hi_mu, hi_pt = mid, pt
         else:

@@ -148,8 +148,8 @@ class NoisyStateFamily:
         if not 0.0 <= p <= 1.0:
             raise ValueError("p must lie in [0, 1]")
         d = self.pure.op.dim
-        mixed = (p / d) * HermitianOperator.identity(self.pure.dims) + (1.0 - p) * self.pure.op
-        return DensityMatrix(mixed)
+        mixed = (p / d) * np.eye(d) + (1.0 - p) * self.pure.op.mat
+        return DensityMatrix(HermitianOperator(mixed, dims=self.pure.dims))
 
     @property
     def dim(self) -> int:

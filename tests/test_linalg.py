@@ -25,6 +25,14 @@ class TestKet:
     def test_norm_validated(self):
         with pytest.raises(ValueError):
             Ket([1.0, 1.0])
+        # a NaN norm fails the tolerance check too
+        with pytest.raises(ValueError):
+            Ket([np.nan, 0.0])
+        with pytest.raises(ValueError):
+            Ket([np.inf, 0.0])
+        for bad in ([0.0, 0.0], [np.nan, 1.0], [np.inf, 1.0]):
+            with pytest.raises(ValueError):
+                Ket.unit(bad)
 
     def test_unit_normalizes(self):
         k = Ket.unit([3.0, 4.0])

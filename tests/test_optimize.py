@@ -33,8 +33,8 @@ from uew.optimize import (
     _alpha_feasible,
     _best_restart,
     _canonical_rows,
+    _cap_argmax,
     _cap_max_values,
-    _cap_max_vectorized,
     _pair_grid_max,
     _party_ket_grid,
     _pauli_tensor_coeffs,
@@ -44,6 +44,7 @@ from uew.optimize import (
     _random_unit,
     _restart_starts,
     _seesaw_batch,
+    _unconstrained_solve,
 )
 
 
@@ -202,17 +203,17 @@ class TestSeesawUnconstrained:
             attained = expectation(op, res.argmax)
             assert attained == pytest.approx(res.value, abs=1e-8)
 
-    def test_monotone_iterations(self):
+    def test_monotone_iterations(self, monkeypatch):
         rng = np.random.default_rng(14)
         op = rand_herm_22(rng)
         M4 = op.mat.reshape(2, 2, 2, 2)
         a0 = rng.normal(size=2) + 1j * rng.normal(size=2)
         a0 /= np.linalg.norm(a0)
-        b0 = rng.normal(size=2) + 1j * rng.normal(size=2)
-        b0 /= np.linalg.norm(b0)
-        vals = [
-            _seesaw_batch(M4, a0[None], b0[None], 0.0, k)[0][0] for k in range(1, 10)
-        ]
+        monkeypatch.setattr(uew.optimize, "_SEESAW_TOL", 0.0)
+        vals = []
+        for k in range(1, 10):
+            monkeypatch.setattr(uew.optimize, "_SEESAW_MAX_ITER", k)
+            vals.append(_seesaw_batch(M4, a0[None])[0][0])
         assert all(v2 >= v1 - 1e-13 for v1, v2 in zip(vals, vals[1:]))
 
     def test_deterministic(self, example):
@@ -237,19 +238,21 @@ class TestSeesawBatch:
         for _ in range(3):
             M4 = rand_herm(rng, dims).mat.reshape(dims + dims)
             starts = [(_random_unit(rng, dims[0]), _random_unit(rng, dims[1])) for _ in range(12)]
-            vals, _, _, _, conv = _seesaw_batch(M4, *stack_starts(starts), 1e-11, 500)
+            vals, _, _, _, conv = _seesaw_batch(M4, stack_starts(starts)[0])
             for r, (a, b) in enumerate(starts):
                 ref = reference_seesaw(M4, a, b, 1e-11, 500)
                 assert abs(vals[r] - ref[0]) <= 1e-12
                 assert conv[r] == ref[4]
 
-    def test_retired_rows_keep_their_state(self):
+    def test_retired_rows_keep_their_state(self, monkeypatch):
         # a row capped at fewer iterations than it needs stops where the
         # per-restart loop stops, whatever the other rows do
         rng = np.random.default_rng(21)
         M4 = rand_herm(rng, (3, 3)).mat.reshape(3, 3, 3, 3)
         starts = [(_random_unit(rng, 3), _random_unit(rng, 3)) for _ in range(6)]
-        vals, _, _, its, conv = _seesaw_batch(M4, *stack_starts(starts), 0.0, 7)
+        monkeypatch.setattr(uew.optimize, "_SEESAW_TOL", 0.0)
+        monkeypatch.setattr(uew.optimize, "_SEESAW_MAX_ITER", 7)
+        vals, _, _, its, conv = _seesaw_batch(M4, stack_starts(starts)[0])
         assert np.all(its == 7) and not conv.any()
         for r, (a, b) in enumerate(starts):
             assert abs(vals[r] - reference_seesaw(M4, a, b, 0.0, 7)[0]) <= 1e-12
@@ -273,18 +276,17 @@ class TestSeesawBatch:
 class TestRestartStarts:
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
     def test_equal_to_spawn_loop(self, dims):
-        A, B = _restart_starts(9, 16, *dims)
-        ref_a, ref_b = stack_starts(spawn_loop_starts(9, 16, dims))
-        assert A.tobytes() == ref_a.tobytes() and B.tobytes() == ref_b.tobytes()
+        A = _restart_starts(9, 16, dims[0])
+        ref_a, _ = stack_starts(spawn_loop_starts(9, 16, dims))
+        assert A.tobytes() == ref_a.tobytes()
 
     def test_read_only_and_unchanged_by_a_solve(self, example):
-        A, B = _restart_starts(4, 8, 2, 2)
-        before = A.tobytes() + B.tobytes()
-        assert not A.flags.writeable and not B.flags.writeable
+        A = _restart_starts(4, 8, 2)
+        before = A.tobytes()
+        assert not A.flags.writeable
         sup_product_unconstrained(example["L"], OptimizerConfig(seed=4, restarts=8))
-        again = _restart_starts(4, 8, 2, 2)
-        assert again[0] is A and again[1] is B
-        assert A.tobytes() + B.tobytes() == before
+        assert _restart_starts(4, 8, 2) is A
+        assert A.tobytes() == before
 
     def test_alpha0_draws_once(self, swapped, cfg_small, monkeypatch):
         spawned = []
@@ -296,8 +298,34 @@ class TestRestartStarts:
 
         monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
         _restart_starts.cache_clear()
+        _unconstrained_solve.cache_clear()
         assert compute_alpha0(swapped["L"], swapped["spec"], cfg_small) is not None
         assert spawned == [cfg_small.restarts]
+
+
+class TestUnconstrainedMemo:
+    def test_alpha0_solves_each_operator_once(self, swapped, cfg_small, monkeypatch):
+        # classify_case solves L and L - C; the p_c solve's stage 1 repeats
+        # the first, and the first alpha0 probe, -1.0 * C + L, the second
+        seen, batches = [], []
+
+        def recording(L, cfg):
+            seen.append((L.mat.tobytes(), L.dims))
+            return sup_product_unconstrained(L, cfg)
+
+        def counting(*args):
+            batches.append(None)
+            return _seesaw_batch(*args)
+
+        monkeypatch.setattr(uew.optimize, "sup_product_unconstrained", recording)
+        monkeypatch.setattr(uew.optimize, "_seesaw_batch", counting)
+        _unconstrained_solve.cache_clear()
+        L, spec = swapped["L"], swapped["spec"]
+        classify_case(L, spec, cfg_small)
+        p_c = sup_product_constrained(L, spec, HalfSpaceSide.LEQ, cfg_small).value
+        compute_alpha0(L, spec, cfg_small, p_c=p_c)
+        assert len(seen) == 8
+        assert len(batches) == len(set(seen)) == 6
 
 
 class TestTieBreak:
@@ -305,10 +333,7 @@ class TestTieBreak:
     def assert_matches_reference(op, cfg):
         dA, dB = op.dims
         vals, A, B, its, _ = _seesaw_batch(
-            op.mat.reshape(dA, dB, dA, dB),
-            *_restart_starts(cfg.seed, cfg.restarts, dA, dB),
-            _SEESAW_TOL,
-            _SEESAW_MAX_ITER,
+            op.mat.reshape(dA, dB, dA, dB), _restart_starts(cfg.seed, cfg.restarts, dA)
         )
         best = reference_best_restart(vals, A, B)
         assert _best_restart(vals, A, B) == best
@@ -404,9 +429,16 @@ class TestCapValues:
         v, g0, u = (np.array(x) for x in zip(*rows))
         w0 = rng.normal(size=len(rows))
         got = _cap_max_values(w0, v, g0, u, c, sense)
-        assert got.tobytes() == _cap_max_vectorized(w0, v, g0, u, c, sense)[0].tobytes()
         assert got.tobytes() == _parent_cap_values(w0, v, g0, u, c, sense).tobytes()
         assert np.isneginf(got).sum() >= 2
+        # the argmax kernel's kets lie in the cap and attain its value; empty caps are nan
+        kets = _cap_argmax(w0, v, g0, u, c, sense)
+        empty = np.isneginf(got)
+        assert np.array_equal(np.isnan(kets).all(axis=1), empty) and not np.isnan(kets[~empty]).any()
+        n = np.einsum("ri,kij,rj->rk", kets.conj(), np.array(_PAULI[1:]), kets).real
+        attained = w0 + np.einsum("ij,ij->i", v, n)
+        assert np.max(np.abs(attained - got)[~empty]) <= 1e-12
+        assert np.all(sense * (g0 + np.einsum("ij,ij->i", u, n) - c)[~empty] <= 1e-12)
 
 
 def _parent_pauli_coeffs(M):

@@ -6,6 +6,7 @@ from uew import (
     Example31Config,
     HermitianOperator,
     Ket,
+    NoisyStateFamily,
     build_phi,
     build_povm,
     eig_hermitian,
@@ -116,6 +117,19 @@ class TestNoisyFamily:
         for p in np.linspace(0.0, 1.0, 11):
             rho = noisy_member(example["family"], p)  # constructor re-validates
             assert rho.op.trace() == pytest.approx(1.0, abs=1e-12)
+
+    def test_member_matches_operator_arithmetic(self, example):
+        # one validated construction gives the same bits as building the
+        # mixture from validated identity and scaled operators
+        bell = Ket(np.eye(3).ravel() / np.sqrt(3.0))
+        families = [example["family"], NoisyStateFamily(pure=DensityMatrix.from_ket(bell, dims=(3, 3)))]
+        for family in families:
+            pure = family.pure
+            for p in (0.0, 1e-3, 5.0 / 96.0, 0.5, 1.0):
+                ident = HermitianOperator.identity(pure.dims)
+                ref = (p / pure.op.dim) * ident + (1.0 - p) * pure.op
+                got = family.member(p).op
+                assert got.mat.tobytes() == ref.mat.tobytes() and got.dims == ref.dims
 
     def test_entangled_below_detection_caps(self, example):
         # ground truth via partial transpose: everything the witnesses can
