@@ -152,15 +152,15 @@ def _random_unit(rng: np.random.Generator, d: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=32)
-def _restart_starts(seed, restarts: int, d: int):
-    """Read-only (restarts, d) party-A see-saw start kets.
+def _restart_starts(seed, restarts: int, dA: int):
+    """Read-only (restarts, dA) party-A see-saw start kets.
 
     Row r is the first draw of the r-th child of SeedSequence(seed). Every
     solve with the same (seed, restarts, dA) starts from the same rows, so
     they are drawn once and shared.
     """
     children = np.random.SeedSequence(seed).spawn(restarts)
-    A = np.array([_random_unit(np.random.default_rng(ss), d) for ss in children])
+    A = np.array([_random_unit(np.random.default_rng(ss), dA) for ss in children])
     A.setflags(write=False)
     return A
 

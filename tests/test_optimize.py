@@ -219,7 +219,9 @@ class TestSeesawUnconstrained:
     def test_deterministic(self, example):
         cfg = OptimizerConfig(seed=123)
         r1 = sup_product_unconstrained(example["L"], cfg)
+        _unconstrained_solve.cache_clear()  # rerun the see-saw, not the memo
         r2 = sup_product_unconstrained(example["L"], cfg)
+        assert r2 is not r1
         assert r1.value == r2.value
         assert np.array_equal(r1.argmax.a.amplitudes, r2.argmax.a.amplitudes)
         assert np.array_equal(r1.argmax.b.amplitudes, r2.argmax.b.amplitudes)
@@ -266,7 +268,9 @@ class TestSeesawBatch:
         M4 = op.mat.reshape(dims + dims)
         best = max(reference_seesaw(M4, a, b, _SEESAW_TOL, _SEESAW_MAX_ITER)[0] for a, b in starts)
         r1 = sup_product_unconstrained(op, cfg)
+        _unconstrained_solve.cache_clear()  # rerun from the shared starts, not the memo
         r2 = sup_product_unconstrained(op, cfg)
+        assert r2 is not r1
         assert abs(r1.value - best) <= 1e-12
         assert r1.value == r2.value and r1.iterations == r2.iterations
         assert np.array_equal(r1.argmax.a.amplitudes, r2.argmax.a.amplitudes)
@@ -688,6 +692,7 @@ class TestConstrained:
     def test_deterministic(self, example):
         cfg = OptimizerConfig(seed=5, restarts=16)
         r1 = sup_product_constrained(example["L"], example["spec"], HalfSpaceSide.LEQ, cfg)
+        _unconstrained_solve.cache_clear()  # rerun stage 1 too
         r2 = sup_product_constrained(example["L"], example["spec"], HalfSpaceSide.LEQ, cfg)
         assert r1.value == r2.value
         assert np.array_equal(r1.argmax.a.amplitudes, r2.argmax.a.amplitudes)
