@@ -7,17 +7,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import expectation
+from .linalg import BOUNDARY_TOL, DETECTION_TOL, SCAN_RESOLUTION, expectation
 from .optimize import OptimizerConfig, sup_product_constrained
 from .states import NoisyStateFamily
-from .witness import (
-    BOUNDARY_TOL,
-    DETECTION_TOL,
-    ConstraintSpec,
-    HalfSpaceSide,
-    Witness,
-    normalised_rotation,
-)
+from .witness import ConstraintSpec, HalfSpaceSide, Witness, normalised_rotation
 
 MINUS_INF = float("-inf")
 
@@ -44,22 +37,22 @@ def threshold_scan(
     witness: Witness,
     spec: ConstraintSpec,
     side: HalfSpaceSide,
-    resolution: float = 1e-3,
+    resolution: float = SCAN_RESOLUTION,
 ) -> Optional[float]:
     """Supremum p* of the detected noise interval [0, p*], or None.
 
     A noise level p counts as detected when family.member(p) lies on the
-    given side of the constraint (within its 1e-9 boundary band; both
-    bands for BOUNDARY) and the witness fires on it. The witness value
-    and the constraint expectation are affine in p, so each condition
-    holds on a half-line and the detected set is an interval starting at
-    0; p* is the first zero of the conditions, found from the members at
-    p = 0 and p = 1 alone. Returns None when p = 0 itself escapes
-    detection. resolution is only validated (finite, 0 < r <= 1e-3): the
-    edge is exact.
+    given side of the constraint (within its BOUNDARY_TOL band; both
+    bands for BOUNDARY) and the witness fires on it (value below
+    -DETECTION_TOL). The witness value and the constraint expectation are
+    affine in p, so each condition holds on a half-line and the detected
+    set is an interval starting at 0; p* is the first zero of the
+    conditions, found from the members at p = 0 and p = 1 alone. Returns
+    None when p = 0 itself escapes detection. resolution is only
+    validated (finite, 0 < r <= SCAN_RESOLUTION): the edge is exact.
     """
-    if not 0.0 < resolution <= 1e-3:
-        raise ValueError("resolution must be finite with 0 < resolution <= 1e-3")
+    if not 0.0 < resolution <= SCAN_RESOLUTION:
+        raise ValueError(f"resolution must be finite with 0 < resolution <= {SCAN_RESOLUTION}")
     ends = [family.member(p) for p in (0.0, 1.0)]
     # each condition f(p) <= 0 is kept as (f(0), f(1)); the witness condition
     # is strict, and at p = 0 every comparison is the one detection makes

@@ -21,7 +21,7 @@ from pathlib import Path
 from . import __version__
 from .analysis import MINUS_INF, alpha_sweep, plane_samples, rotated_witness
 from .fileio import load_density, load_operator
-from .linalg import DimensionMismatch
+from .linalg import BOUNDARY_TOL, DimensionMismatch
 from .optimize import (
     AssumptionViolated,
     EmptyFeasibleSet,
@@ -32,13 +32,7 @@ from .optimize import (
     sup_product_unconstrained,
 )
 from .states import DensityMatrix, Example31Config, NoisyStateFamily, build_example31
-from .witness import (
-    BOUNDARY_TOL,
-    ConstraintSpec,
-    HalfSpaceSide,
-    UewPair,
-    detect as run_detect,
-)
+from .witness import ConstraintSpec, HalfSpaceSide, UewPair, detect as run_detect
 
 EXIT_OK = 0
 EXIT_INPUT = 1

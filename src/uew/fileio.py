@@ -11,10 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import HermitianOperator
+from .linalg import INPUT_TOL, HermitianOperator
 from .states import DensityMatrix
-
-LOAD_HERM_TOL = 1e-10
 
 
 def operator_to_dict(op: HermitianOperator, kind: str | None = None) -> dict:
@@ -44,8 +42,8 @@ def operator_from_dict(doc: dict) -> HermitianOperator:
         raise ValueError("operator matrix must be square")
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, rejected below
         dev = np.max(np.abs(mat - mat.conj().T))
-    if not dev <= LOAD_HERM_TOL:
-        raise ValueError("operator matrix is not finite and Hermitian within 1e-10")
+    if not dev <= INPUT_TOL:
+        raise ValueError(f"operator matrix is not finite and Hermitian within {INPUT_TOL}")
     mat = (mat + mat.conj().T) / 2
     if len(dims) == 2 and dims[1] == 1:
         dims = (dims[0],)

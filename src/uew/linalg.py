@@ -5,7 +5,9 @@ total dimension cap of 64. Hermiticity and normalization are validated
 once at construction and trusted afterwards, so the hot loops (see-saw
 updates) stay cheap. All objects are immutable values. Eigensystems of
 every size come from LAPACK through ``numpy.linalg.eigh``; the see-saw in
-``optimize`` calls it batched over restarts.
+``optimize`` calls it batched over restarts. The constants block below is
+the package's tolerance table: every rounding decision of ``uew`` has one
+name and one reason there, and the other modules import the names they read.
 """
 
 from __future__ import annotations
@@ -14,10 +16,34 @@ from dataclasses import dataclass
 
 import numpy as np
 
-NORM_TOL = 1e-12
-HERM_TOL = 1e-12
-PHASE_TOL = 1e-12
 MAX_TOTAL_DIM = 64
+
+# Tolerance table. Each name is one decision; equal values that decide
+# different things keep separate names.
+# -- validation of kets, operators and states
+NORM_TOL = 1e-12         # a ket's norm may differ from 1 by this much
+HERM_TOL = 1e-12         # entrywise operator equality: Hermiticity at construction, allclose
+PHASE_TOL = 1e-12        # an amplitude of this modulus or less cannot fix the global phase
+INPUT_TOL = 1e-10        # density matrices and decoded operators carry rounding from construction or decimal text
+IMAG_TOL = 1e-10         # an expectation value's imaginary residue up to this is rounding
+TIE_TOL = 1e-12          # values this close count as tied
+# -- witnesses and scans
+DETECTION_TOL = 1e-10    # a witness fires only when its value lies below -DETECTION_TOL
+BOUNDARY_TOL = 1e-9      # the boundary band; also the optimizers' slack for "on the side"
+SCAN_RESOLUTION = 1e-3   # the coarsest threshold_scan resolution, and its default
+# -- optimizers
+SEESAW_TOL = 1e-11       # a see-saw row retires once a sweep gains less than this
+CUT_TOL = 1e-15          # a point this far past the cut still counts as on it
+FLAT_NORMAL_TOL = 1e-14  # a constraint normal shorter than this does not cut the Bloch sphere
+FLAT_EMPTY_TOL = 1e-12   # an uncut cap is empty only when its threshold lies below -FLAT_EMPTY_TOL
+DIV_FLOOR = 1e-300       # a norm that divides is floored here, so a zero norm gives no inf or nan
+COMPASS_STOP = 1e-13     # a compass search stops once its step in radians falls below this
+SLERP_PHASE_TOL = 1e-15  # two kets with an overlap this small have no relative phase to align
+SLERP_ZERO_TOL = 1e-12   # an interpolated vector this short falls back to the path's start
+MU_CAP = 1e9             # the multiplier search gives up past this times the value scale
+MU_STOP = 1e-14          # the multiplier bisection stops at this width relative to the multiplier
+ALPHA0_FEAS_TOL = 1e-8   # a rotated bound this far below its supremum still counts as valid
+ALPHA0_WIDTH = 1e-6      # compute_alpha0 stops once its bracket is this narrow in alpha
 
 
 class DimensionMismatch(ValueError):
@@ -92,7 +118,7 @@ class HermitianOperator:
     ``dims`` is the tuple of local dimensions: ``(dA, dB)`` for a bipartite
     operator, ``(d,)`` for a single-party one. The product of ``dims`` must
     equal the matrix dimension. Finiteness and Hermiticity are checked
-    entrywise at construction (tolerance 1e-12) and then trusted.
+    entrywise at construction (within HERM_TOL) and then trusted.
     """
 
     __slots__ = ("mat", "dims")
@@ -108,7 +134,7 @@ class HermitianOperator:
         with np.errstate(invalid="ignore"):
             dev = np.max(np.abs(m - m.conj().T))
         if not dev <= HERM_TOL:
-            raise ValueError("matrix is not finite and Hermitian within 1e-12")
+            raise ValueError(f"matrix is not finite and Hermitian within {HERM_TOL}")
         if dims is None:
             dims = (n,)
         dims = tuple(int(d) for d in dims)
@@ -132,9 +158,6 @@ class HermitianOperator:
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    def with_dims(self, dims) -> "HermitianOperator":
-        return HermitianOperator(self.mat, dims=dims)
-
     def __add__(self, other: "HermitianOperator") -> "HermitianOperator":
         self._check_same_space(other)
         return HermitianOperator(self.mat + other.mat, dims=self.dims)
@@ -152,7 +175,7 @@ class HermitianOperator:
         if self.dims != other.dims:
             raise DimensionMismatch(f"dims {self.dims} vs {other.dims}")
 
-    def allclose(self, other: "HermitianOperator", tol: float = 1e-12) -> bool:
+    def allclose(self, other: "HermitianOperator", tol: float = HERM_TOL) -> bool:
         return self.dims == other.dims and bool(
             np.max(np.abs(self.mat - other.mat)) <= tol
         )
@@ -190,25 +213,30 @@ def tensor_product(a, b):
 
 def _state_matrix_or_ket(state):
     # Accepts HermitianOperator (density), Ket, anything with .op (DensityMatrix)
-    # or with .a/.b kets (ProductKet).
+    # or with .a/.b kets (ProductKet). Returns (matrix, vector, dims), one of
+    # matrix and vector None; a bare Ket has no dims.
     if hasattr(state, "op"):
         state = state.op
     if hasattr(state, "a") and hasattr(state, "b"):
-        return None, np.kron(state.a.amplitudes, state.b.amplitudes)
+        return None, np.kron(state.a.amplitudes, state.b.amplitudes), (state.a.dim, state.b.dim)
     if isinstance(state, Ket):
-        return None, state.amplitudes
+        return None, state.amplitudes, None
     if isinstance(state, HermitianOperator):
-        return state.mat, None
+        return state.mat, None, state.dims
     raise TypeError(f"unsupported state object {type(state).__name__}")
 
 
 def expectation(M: HermitianOperator, state) -> float:
     """Tr(M rho) or <psi|M|psi>, returned as a real number.
 
-    The imaginary residue must vanish within 1e-10; it is checked and
-    discarded.
+    A bipartite state must carry the operator's party dims when the
+    operator is bipartite too; a bare Ket and single-party dims are checked
+    on the total dimension only. The imaginary residue must vanish within
+    IMAG_TOL; it is checked and discarded.
     """
-    mat, vec = _state_matrix_or_ket(state)
+    mat, vec, dims = _state_matrix_or_ket(state)
+    if dims is not None and len(dims) == 2 == len(M.dims) and dims != M.dims:
+        raise DimensionMismatch(f"state dims {dims} vs operator dims {M.dims}")
     if vec is not None:
         if vec.size != M.dim:
             raise DimensionMismatch(f"state dim {vec.size} vs operator dim {M.dim}")
@@ -219,7 +247,7 @@ def expectation(M: HermitianOperator, state) -> float:
                 f"state dim {mat.shape[0]} vs operator dim {M.dim}"
             )
         val = complex(np.einsum("ij,ji->", M.mat, mat))
-    if abs(val.imag) > 1e-10:
+    if abs(val.imag) > IMAG_TOL:
         raise ValueError(f"expectation has imaginary residue {val.imag}")
     return float(val.real)
 
@@ -261,13 +289,13 @@ def max_eigenpair(M: HermitianOperator) -> EigenPair:
     """Largest eigenvalue and eigenvector.
 
     The eigensystem comes from ``numpy.linalg.eigh`` (see ``eig_hermitian``).
-    A degenerate top eigenvalue (within 1e-12) is broken deterministically
+    A degenerate top eigenvalue (within TIE_TOL) is broken deterministically
     in favour of the candidate whose canonicalized amplitudes are
     lexicographically largest, which picks the lowest-index basis vector
     for diagonal ties.
     """
     vals, vecs = eig_hermitian(M)
     top = vals[-1]
-    cand = [Ket.unit(vecs[:, i]) for i in range(len(vals)) if vals[i] >= top - 1e-12]
+    cand = [Ket.unit(vecs[:, i]) for i in range(len(vals)) if vals[i] >= top - TIE_TOL]
     best = max(cand, key=lambda k: _lex_key(k.amplitudes))
     return EigenPair(value=float(top), vector=best)

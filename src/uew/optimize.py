@@ -38,20 +38,32 @@ from typing import Optional
 import numpy as np
 
 from .linalg import (
+    ALPHA0_FEAS_TOL,
+    ALPHA0_WIDTH,
+    BOUNDARY_TOL,
+    COMPASS_STOP,
+    CUT_TOL,
+    DIV_FLOOR,
+    FLAT_EMPTY_TOL,
+    FLAT_NORMAL_TOL,
+    MU_CAP,
+    MU_STOP,
+    PHASE_TOL,
+    SEESAW_TOL,
+    SLERP_PHASE_TOL,
+    SLERP_ZERO_TOL,
+    TIE_TOL,
     DimensionMismatch,
     HermitianOperator,
-    PHASE_TOL,
     Ket,
     expectation,
 )
 from .states import ProductKet, product_expectations, random_product_batch
-from .witness import BOUNDARY_TOL, ConstraintSpec, HalfSpaceSide, normalised_rotation
+from .witness import ConstraintSpec, HalfSpaceSide, normalised_rotation
 
-ALPHA0_FEAS_TOL = 1e-8
 _ALPHA0_AIM = 0.8              # share of the way from the tangent to the square-root Newton crossing
 _ALPHA0_MAX_TANGENTS = 64      # tangent steps per alpha0 search, at least its lam bisection's depth
 ORACLE_MAX_TOTAL_DIM = 9
-_SEESAW_TOL = 1e-11            # a see-saw row retires once a sweep gains less than this
 _SEESAW_MAX_ITER = 500         # sweeps per see-saw row
 _PAIR_GRID = (45, 90)          # outer-party polar x azimuth grid of the qubit-pair solve
 _COMPASS_MAX_STEPS = 400       # stencils per qubit-pair compass search; a smooth f needs ~100
@@ -121,7 +133,7 @@ def _seesaw_batch(M4: np.ndarray, A0: np.ndarray):
     ties between the returned rows in one batch (_best_restart). Each row's
     party-B ket is set by its first half step. Each half step is an exact
     maximization of the conditioned quadratic form, so no row's value ever
-    decreases. A row retires once its gain drops below _SEESAW_TOL, keeping
+    decreases. A row retires once its gain drops below SEESAW_TOL, keeping
     its value and iteration count, with at most _SEESAW_MAX_ITER sweeps.
     Returns per-row arrays (values, A, B, iterations, converged).
     """
@@ -136,7 +148,7 @@ def _seesaw_batch(M4: np.ndarray, A0: np.ndarray):
         a = A[live]
         _, b = _hermitian_top(np.einsum("ri,ikjl,rj->rkl", a.conj(), M4, a))
         new, a = _hermitian_top(np.einsum("rk,ikjl,rl->rij", b.conj(), M4, b))
-        done = new - vals[live] < _SEESAW_TOL
+        done = new - vals[live] < SEESAW_TOL
         A[live], B[live], vals[live] = a, b, new
         its[live[done]] = it
         conv[live[done]] = True
@@ -190,7 +202,7 @@ def _best_restart(vals: np.ndarray, A: np.ndarray, B: np.ndarray) -> int:
     """Index of the winning see-saw restart, reduced in start order.
 
     A restart replaces the current best when its value is higher by more
-    than 1e-12, or within 1e-12 and its key is lexicographically smaller.
+    than TIE_TOL, or within TIE_TOL and its key is lexicographically smaller.
     The key is the real and imaginary parts of Ket.unit(a) then
     Ket.unit(b); the canonical rows of all restarts come in one batch.
     """
@@ -198,7 +210,7 @@ def _best_restart(vals: np.ndarray, A: np.ndarray, B: np.ndarray) -> int:
     v = vals.tolist()
     best = 0
     for r in range(1, len(v)):
-        if v[r] > v[best] + 1e-12 or (abs(v[r] - v[best]) <= 1e-12 and keys[r] < keys[best]):
+        if v[r] > v[best] + TIE_TOL or (abs(v[r] - v[best]) <= TIE_TOL and keys[r] < keys[best]):
             best = r
     return best
 
@@ -208,7 +220,7 @@ def sup_product_unconstrained(L: HermitianOperator, cfg: OptimizerConfig) -> Opt
 
     The cfg.restarts party-A starts are drawn once per (seed, restarts, dA)
     and shared by every later solve with the same triple. Restarts are
-    reduced deterministically: best value wins, value ties within 1e-12 go
+    reduced deterministically: best value wins, value ties within TIE_TOL go
     to the lexicographically smallest canonicalized argmax, with the
     canonical argmaxes of all restarts computed in one batch
     (_best_restart). Each (operator, seed, restarts) is solved once per
@@ -299,22 +311,22 @@ def _cap_cut(v, g0, u, c, sense):
 
     Returns (nv, us, t, nu, nu2, uv, ratio, rise, free, empty): |v|, the
     signed normal us = sense*u, the threshold t = sense*(c - g0), |us| and
-    its floor at 1e-300, us.v, the cut circle's height t/|us| and radius
+    its floor at DIV_FLOOR, us.v, the cut circle's height t/|us| and radius
     (both clipped to the sphere), whether v/|v| satisfies the cut, and
-    whether the cap is empty. A row with |u| < 1e-14 counts as uncut when
-    its threshold is at least -1e-12, and a cut is empty only 1e-15 past
-    the tangent plane.
+    whether the cap is empty. A row with |u| < FLAT_NORMAL_TOL counts as
+    uncut when its threshold is at least -FLAT_EMPTY_TOL, and a cut is
+    empty only CUT_TOL past the tangent plane.
     """
     nv = np.linalg.norm(v, axis=1)
     us = sense * u
     t = sense * (c - g0)
     nu = np.linalg.norm(us, axis=1)
     uv = np.einsum("ij,ij->i", us, v)
-    tiny = nu < 1e-14
-    free = (uv / np.maximum(nv, 1e-300) <= t) | tiny
-    empty = np.where(tiny, t < -1e-12, t < -nu - 1e-15)
+    tiny = nu < FLAT_NORMAL_TOL
+    free = (uv / np.maximum(nv, DIV_FLOOR) <= t) | tiny
+    empty = np.where(tiny, t < -FLAT_EMPTY_TOL, t < -nu - CUT_TOL)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        nu2 = np.maximum(nu, 1e-300)
+        nu2 = np.maximum(nu, DIV_FLOOR)
         ratio = np.clip(t / nu2, -1.0, 1.0)
         rise = np.sqrt(np.maximum(1.0 - ratio**2, 0.0))
     return nv, us, t, nu, nu2, uv, ratio, rise, free, empty
@@ -419,7 +431,7 @@ def _pair_grid_max(L, spec, sense, kets_a, kets_b):
         xa = XA[lo : lo + 4096]
         vals = (xa @ L2 @ XB.T).real
         if spec is not None:
-            feas = sense * ((xa @ C2 @ XB.T).real - spec.c) <= 1e-15
+            feas = sense * ((xa @ C2 @ XB.T).real - spec.c) <= CUT_TOL
             vals = np.where(feas, vals, -np.inf)
         best = max(best, float(vals.max()))
     return best
@@ -481,8 +493,8 @@ def _qubit_pair_constrained(L, spec, sense):
     orientation only.
     The 4 best grid points of each orientation seed a compass search on
     (theta, phi): move to the best improving point of the 3x3 stencil, else
-    halve the step, until it is below 1e-13 (Kolda, Lewis & Torczon, SIAM
-    Rev. 45, 2003) or _COMPASS_MAX_STEPS stencils have run. Returns
+    halve the step, until it is below COMPASS_STOP (Kolda, Lewis & Torczon,
+    SIAM Rev. 45, 2003) or _COMPASS_MAX_STEPS stencils have run. Returns
     (value, argmax, True) at the best end point, or None when no grid
     point is feasible.
     """
@@ -510,7 +522,7 @@ def _qubit_pair_constrained(L, spec, sense):
     h = np.ones(len(ks))
     rows = np.arange(len(ks))
     for _ in range(_COMPASS_MAX_STEPS):
-        live = h * step.max() >= 1e-13
+        live = h * step.max() >= COMPASS_STOP
         if not live.any():
             break
         cand = x[:, None] + h[:, None, None] * stencil
@@ -595,7 +607,7 @@ def _constrained_seesaw(L, spec, sense, A0, B0):
     of L under the conditioned cut sense*(C - c) <= 0 (_cut_top). A move is
     taken only when it is feasible and does not lower the row's value; an
     infeasible start counts as -inf, so its first feasible move is taken. A
-    row retires once a sweep gains no more than _SEESAW_TOL, with at most
+    row retires once a sweep gains no more than SEESAW_TOL, with at most
     _SEESAW_MAX_ITER sweeps. Returns per-row arrays (values, A, B).
     """
     dA, dB = L.dims
@@ -618,7 +630,7 @@ def _constrained_seesaw(L, spec, sense, A0, B0):
             new = _quad(x, Mc)
             ok = (_quad(x, Nc) <= slack) & (new >= vals[live])
             X[live[ok]], vals[live[ok]] = x[ok], new[ok]
-        live = live[vals[live] > before + _SEESAW_TOL]
+        live = live[vals[live] > before + SEESAW_TOL]
         if live.size == 0:
             break
     return vals, A, B
@@ -626,11 +638,11 @@ def _constrained_seesaw(L, spec, sense, A0, B0):
 
 def _slerp(u: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
     ov = np.vdot(u, v)
-    if abs(ov) > 1e-15:
+    if abs(ov) > SLERP_PHASE_TOL:
         v = v * (ov.conjugate() / abs(ov))  # align phases first
     w = (1 - t) * u + t * v
     nw = np.linalg.norm(w)
-    if nw < 1e-12:
+    if nw < SLERP_ZERO_TOL:
         return u
     return w / nw
 
@@ -670,7 +682,7 @@ def _dual_refine(L, spec, sense, base):
             break
         lo_mu, lo_pt = hi_mu, hi_pt
         hi_mu *= 2.0
-        if hi_mu > 1e9 * scale:
+        if hi_mu > MU_CAP * scale:
             return None
     else:
         return None
@@ -681,7 +693,7 @@ def _dual_refine(L, spec, sense, base):
             hi_mu, hi_pt = mid, pt
         else:
             lo_mu, lo_pt = mid, pt
-        if hi_mu - lo_mu < 1e-14 * max(1.0, hi_mu):
+        if hi_mu - lo_mu < MU_STOP * max(1.0, hi_mu):
             break
     # bridge the two ends through product states onto the cut
     (af, bf), (ai, bi) = hi_pt, lo_pt
@@ -727,7 +739,7 @@ def sup_product_constrained(
     """Supremum of <a,b|L|a,b> over product kets on one constraint side.
 
     Stage 1 returns the unconstrained optimum whenever it satisfies the side
-    to within the boundary band witness.BOUNDARY_TOL. Otherwise, for qubit
+    to within the boundary band BOUNDARY_TOL. Otherwise, for qubit
     pairs, one party is maximised in closed form over its Bloch sphere cut
     by the constraint and the other by the fixed _PAIR_GRID refined by
     compass search, with either party outer (_qubit_pair_constrained); the
@@ -739,7 +751,7 @@ def sup_product_constrained(
     each half step maximises one party exactly under the conditioned
     constraint (_cut_top), and the result is converged when the root-find
     returned (_generic_constrained). Only cfg.restarts and cfg.seed are
-    read; the see-saw stopping rule is _SEESAW_TOL and _SEESAW_MAX_ITER.
+    read; the see-saw stopping rule is SEESAW_TOL and _SEESAW_MAX_ITER.
     Raises EmptyFeasibleSet when the qubit-pair grid or the random sample
     holds no feasible point.
     """
@@ -813,7 +825,7 @@ def _alpha0_probe(L, spec, cfg, p_c, lam):
     comparison stays well scaled. A failing probe's argmax s is feasible,
     so the validity margin F(lam) = sup_{<C> <= c} <nbar> - lam c - p_c,
     convex in lam, obeys F(lam) >= (<L>_s - p_c) + lam (<C>_s - c). Where
-    that line meets the tolerance, at lam_t, every lam < lam_t is
+    that line meets tol = ALPHA0_FEAS_TOL, at lam_t, every lam < lam_t is
     certified invalid. F has a double root at the plateau edge, so the
     tangent only halves the distance to the flip; Newton on
     sqrt(F) - sqrt(tol), exact for a quadratic margin, crosses at
@@ -853,15 +865,16 @@ def compute_alpha0(
     member is. Otherwise safeguarded Newton (Dinkelbach) steps run on the
     validity margin, convex in lam: each failing probe's tangent crossing
     is a certified lower end of the bracket, and the next probe goes to its
-    aim (see _alpha0_probe). An aim within half the 1e-6 width (in alpha)
+    aim (see _alpha0_probe). An aim within half the ALPHA0_WIDTH (in alpha)
     of the new lower end, or at or above the valid end, is replaced by one
     closing probe half a width above the lower end, or at the next double
     if that is farther. Bisection in lam takes over when a step is missing
     or leaves the bracket.
 
-    Returns the alpha of the valid end of a bracket narrower than 1e-6 in
-    alpha, or of one with no double strictly between its ends: for |alpha|
-    beyond about 1e5 the lam grid near -1 is coarser than 1e-6 in alpha.
+    Returns the alpha of the valid end of a bracket narrower than
+    ALPHA0_WIDTH in alpha, or of one with no double strictly between its
+    ends: for |alpha| beyond about 1e5 the lam grid near -1 is coarser than
+    ALPHA0_WIDTH in alpha.
     Raises ValueError when the predicate fails at alpha = 0 (inconsistent
     p_c), which is probed only while no smaller lam has been found valid.
     """
@@ -870,7 +883,7 @@ def compute_alpha0(
     valid, step = _alpha0_probe(L, spec, cfg, p_c, -1.0)
     if valid:
         return None
-    width = 1e-6  # in alpha; alpha(hi) - alpha(lo) = (hi - lo) / ((1 + lo) (1 + hi))
+    width = ALPHA0_WIDTH  # in alpha; alpha(hi) - alpha(lo) = (hi - lo) / ((1 + lo) (1 + hi))
     tangents_left = _ALPHA0_MAX_TANGENTS
     lo, hi = -1.0, None  # every lam below lo fails; hi: least lam found valid
     while True:

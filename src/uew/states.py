@@ -14,14 +14,12 @@ import numpy as np
 from .linalg import (
     DimensionMismatch,
     HermitianOperator,
+    INPUT_TOL,
     Ket,
     PHASE_TOL,
     eig_hermitian,
     tensor_product,
 )
-
-TRACE_TOL = 1e-10
-PSD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -49,11 +47,11 @@ class DensityMatrix:
 
     def __init__(self, op: HermitianOperator) -> None:
         tr = op.trace()
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"trace {tr!r} is not 1 within {TRACE_TOL}")
+        if abs(tr - 1.0) > INPUT_TOL:
+            raise ValueError(f"trace {tr!r} is not 1 within {INPUT_TOL}")
         vals, _ = eig_hermitian(op)
-        if vals[0] < -PSD_TOL:
-            raise ValueError(f"smallest eigenvalue {vals[0]!r} below -{PSD_TOL}")
+        if vals[0] < -INPUT_TOL:
+            raise ValueError(f"smallest eigenvalue {vals[0]!r} below -{INPUT_TOL}")
         object.__setattr__(self, "op", op)
 
     def __setattr__(self, name, value):

@@ -12,10 +12,13 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .linalg import DimensionMismatch, HermitianOperator, expectation
-
-DETECTION_TOL = 1e-10
-BOUNDARY_TOL = 1e-9  # the boundary band; also the optimizers' slack for "on the side"
+from .linalg import (
+    BOUNDARY_TOL,
+    DETECTION_TOL,
+    DimensionMismatch,
+    HermitianOperator,
+    expectation,
+)
 
 
 class HalfSpaceSide(enum.Enum):

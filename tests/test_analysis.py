@@ -10,6 +10,7 @@ from uew import (
     ConstraintSpec,
     DensityMatrix,
     DimensionMismatch,
+    Example31Config,
     HalfSpaceSide,
     HermitianOperator,
     Ket,
@@ -17,6 +18,7 @@ from uew import (
     OptimizerConfig,
     Witness,
     alpha_sweep,
+    build_example31,
     build_minus_inf,
     build_v_alpha,
     combine_alpha,
@@ -211,6 +213,39 @@ class TestAlphaSweep:
     def test_rejects_alpha_ge_one(self, example, cfg):
         with pytest.raises(ValueError):
             alpha_sweep(example["L"], example["spec"], [2.0], example["family"], cfg)
+
+
+class TestRotationDetectsMore:
+    """The paper's headline claim on two variants of Example 3.1.
+
+    The plain ultrafine witness (alpha = 0) detects no member of the noisy
+    family, while the rotated witnesses detect an interval of noise levels
+    that widens as alpha falls. Same rows as
+    ``uew scan --example31 --x X --cvalue C --alphas 0,-1,-10,-100,-inf --seed 11``.
+    """
+
+    ALPHAS = [0.0, -1.0, -10.0, -100.0, MINUS_INF]
+
+    @pytest.mark.parametrize(
+        "x, c, expected",
+        [
+            (1 / 2, 1 / 100, [None, None, 0.0065893158, 0.0088596204, 0.0091311452]),
+            (4 / 5, 1 / 50, [None, 0.0157735872, 0.0430391039, 0.0461820266, 0.0465366347]),
+        ],
+    )
+    def test_thresholds(self, x, c, expected):
+        ex = Example31Config(x=x, c=c)
+        C, L, phi = build_example31(ex)
+        family = NoisyStateFamily(pure=DensityMatrix.from_ket(phi, dims=(2, 2)))
+        rows = alpha_sweep(L, ConstraintSpec(C=C, c=c), self.ALPHAS, family, OptimizerConfig(seed=11))
+        got = [r.threshold_p for r in rows]
+        assert got[0] is None and not rows[0].detected_at_zero
+        detected = [t for t in got if t is not None]
+        assert detected == sorted(detected)
+        assert [t is None for t in got] == [t is None for t in expected]
+        for t, want in zip(got, expected):
+            if want is not None:
+                assert t == pytest.approx(want, abs=1e-6)
 
 
 class TestPlaneSamples:

@@ -1,5 +1,9 @@
+import ast
 import dataclasses
 import inspect
+from pathlib import Path
+
+import uew
 
 
 def test_public_names_and_config_fields():
@@ -64,3 +68,33 @@ def test_public_names_and_config_fields():
     assert [f.name for f in dataclasses.fields(OptimizerConfig)] == ["restarts", "seed"]
     assert list(inspect.signature(compute_alpha0).parameters) == ["L", "spec", "cfg", "p_c"]
     assert inspect.signature(compute_alpha0).parameters["p_c"].default is None
+
+
+def _is_tolerance(node):
+    return isinstance(node, ast.Constant) and type(node.value) is float and (
+        0 < abs(node.value) <= 1e-3 or abs(node.value) >= 1e6
+    )
+
+
+def test_tolerances_live_in_the_linalg_table():
+    # every rounding band of the package is a named, commented entry of the
+    # table at the top of linalg.py; a float constant that small or that
+    # large anywhere else is an unnamed band
+    bare, reasonless = [], []
+    for path in sorted(Path(uew.__file__).parent.glob("*.py")):
+        source = path.read_text()
+        tree = ast.parse(source)
+        table = set()
+        if path.name == "linalg.py":
+            for stmt in tree.body:
+                if isinstance(stmt, ast.Assign) and any(_is_tolerance(n) for n in ast.walk(stmt.value)):
+                    table.update(id(n) for n in ast.walk(stmt.value))
+                    if "#" not in source.splitlines()[stmt.lineno - 1]:
+                        reasonless.append(stmt.targets[0].id)
+        bare += [
+            f"{path.name}:{node.lineno} {node.value!r}"
+            for node in ast.walk(tree)
+            if _is_tolerance(node) and id(node) not in table
+        ]
+    assert bare == []
+    assert reasonless == []

@@ -268,6 +268,21 @@ class TestDetect:
         assert grab(proc.stdout, "side") == "leq"
         assert grab(proc.stdout, "verdict") == "not-detected"
 
+    def test_state_with_other_party_dims_exits_1(self, tmp_path):
+        # a (3, 2) state has the total dimension of the (2, 3) operators,
+        # but their witness bound belongs to the (2, 3) factorisation
+        paths = {name: tmp_path / f"{name}.json" for name in ("L6", "C6", "rho32")}
+        save_operator(HermitianOperator(np.diag([0.2, 0, 0, 0, 0, 1.0]), dims=(2, 3)), paths["L6"])
+        save_operator(HermitianOperator(np.diag([0, 0, 0, 0, 0, 1.0]), dims=(2, 3)), paths["C6"])
+        save_density(DensityMatrix.maximally_mixed((3, 2)), paths["rho32"])
+        proc = run_cli(
+            "detect", "--state", str(paths["rho32"]), "--test", str(paths["L6"]),
+            "--constraint", str(paths["C6"]), "--cvalue", "0.1",
+        )
+        assert proc.returncode == 1
+        assert "state dims (3, 2) vs operator dims (2, 3)" in proc.stderr
+        assert "verdict" not in proc.stdout
+
     def test_non_state_input_exits_1(self, files, tmp_path):
         bad = tmp_path / "notpsd.json"
         mat = np.diag([1.5, -0.5, 0.0, 0.0])

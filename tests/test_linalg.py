@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from uew import (
+    DensityMatrix,
     DimensionMismatch,
     HermitianOperator,
     Ket,
+    ProductKet,
     conditional_operator,
     eig_hermitian,
     expectation,
@@ -157,6 +159,21 @@ class TestExpectation:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             expectation(HermitianOperator.identity((2, 2)), Ket([1, 0]))
+
+    def test_party_dims_mismatch(self):
+        # a (3, 2) state against a (2, 3) operator has the right total
+        # dimension but another factorisation, so no bound applies to it
+        op = HermitianOperator(np.diag([0.2, 0, 0, 0, 0, 1.0]), dims=(2, 3))
+        for state in (
+            DensityMatrix.maximally_mixed((3, 2)),
+            ProductKet(a=Ket.basis(3, 2), b=Ket.basis(2, 1)),
+        ):
+            with pytest.raises(DimensionMismatch, match=r"state dims \(3, 2\) vs operator dims \(2, 3\)"):
+                expectation(op, state)
+        # a bare ket and single-party dims are checked on the total dimension only
+        assert expectation(op, Ket.basis(6, 5)) == 1.0
+        assert expectation(op, HermitianOperator.identity(6) * (1.0 / 6.0)) == pytest.approx(0.2)
+        assert expectation(op, ProductKet(a=Ket.basis(2, 1), b=Ket.basis(3, 2))) == 1.0
 
 
 class TestConditionalOperator:

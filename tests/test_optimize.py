@@ -29,7 +29,7 @@ from uew.optimize import (
     _PAIR_GRID,
     _PAULI,
     _SEESAW_MAX_ITER,
-    _SEESAW_TOL,
+    SEESAW_TOL,
     _alpha_feasible,
     _best_restart,
     _canonical_rows,
@@ -209,7 +209,7 @@ class TestSeesawUnconstrained:
         M4 = op.mat.reshape(2, 2, 2, 2)
         a0 = rng.normal(size=2) + 1j * rng.normal(size=2)
         a0 /= np.linalg.norm(a0)
-        monkeypatch.setattr(uew.optimize, "_SEESAW_TOL", 0.0)
+        monkeypatch.setattr(uew.optimize, "SEESAW_TOL", 0.0)
         vals = []
         for k in range(1, 10):
             monkeypatch.setattr(uew.optimize, "_SEESAW_MAX_ITER", k)
@@ -252,7 +252,7 @@ class TestSeesawBatch:
         rng = np.random.default_rng(21)
         M4 = rand_herm(rng, (3, 3)).mat.reshape(3, 3, 3, 3)
         starts = [(_random_unit(rng, 3), _random_unit(rng, 3)) for _ in range(6)]
-        monkeypatch.setattr(uew.optimize, "_SEESAW_TOL", 0.0)
+        monkeypatch.setattr(uew.optimize, "SEESAW_TOL", 0.0)
         monkeypatch.setattr(uew.optimize, "_SEESAW_MAX_ITER", 7)
         vals, _, _, its, conv = _seesaw_batch(M4, stack_starts(starts)[0])
         assert np.all(its == 7) and not conv.any()
@@ -266,7 +266,7 @@ class TestSeesawBatch:
         cfg = OptimizerConfig(seed=9, restarts=16)
         starts = spawn_loop_starts(cfg.seed, cfg.restarts, dims)
         M4 = op.mat.reshape(dims + dims)
-        best = max(reference_seesaw(M4, a, b, _SEESAW_TOL, _SEESAW_MAX_ITER)[0] for a, b in starts)
+        best = max(reference_seesaw(M4, a, b, SEESAW_TOL, _SEESAW_MAX_ITER)[0] for a, b in starts)
         r1 = sup_product_unconstrained(op, cfg)
         _unconstrained_solve.cache_clear()  # rerun from the shared starts, not the memo
         r2 = sup_product_unconstrained(op, cfg)
@@ -484,7 +484,7 @@ def _assert_reaches_pair_grid(L, spec, sense, cfg, kets=None):
         v_tol, c_tol = 1e-12, 1e-12
     else:
         # the short-circuit returns the unconstrained see-saw, which stops once
-        # a sweep gains less than _SEESAW_TOL, and accepts it within the
+        # a sweep gains less than SEESAW_TOL, and accepts it within the
         # boundary band
         v_tol, c_tol = 1e-9, BOUNDARY_TOL
     assert res.value >= grid_val - v_tol
