@@ -47,13 +47,14 @@ def threshold_scan(
     -DETECTION_TOL). The witness value and the constraint expectation are
     affine in p, so each condition holds on a half-line and the detected
     set is an interval starting at 0; p* is the first zero of the
-    conditions, found from the members at p = 0 and p = 1 alone. Returns
-    None when p = 0 itself escapes detection. resolution is only
-    validated (finite, 0 < r <= SCAN_RESOLUTION): the edge is exact.
+    conditions, found from the family's pure state (p = 0) and the member
+    at p = 1 alone. Returns None when p = 0 itself escapes detection.
+    resolution is only validated (finite, 0 < r <= SCAN_RESOLUTION): the
+    edge is exact.
     """
     if not 0.0 < resolution <= SCAN_RESOLUTION:
         raise ValueError(f"resolution must be finite with 0 < resolution <= {SCAN_RESOLUTION}")
-    ends = [family.member(p) for p in (0.0, 1.0)]
+    ends = [family.pure, family.member(1.0)]
     # each condition f(p) <= 0 is kept as (f(0), f(1)); the witness condition
     # is strict, and at p = 0 every comparison is the one detection makes
     lines = [tuple(witness.value(rho) + DETECTION_TOL for rho in ends)]

@@ -32,7 +32,7 @@ from .optimize import (
     sup_product_unconstrained,
 )
 from .states import DensityMatrix, Example31Config, NoisyStateFamily, build_example31
-from .witness import ConstraintSpec, HalfSpaceSide, UewPair, detect as run_detect
+from .witness import ConstraintSpec, HalfSpaceSide, UewPair, detect as run_detect, halfspace_membership
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -164,6 +164,7 @@ def cmd_detect(args) -> int:
     C = load_operator(args.constraint)
     spec = ConstraintSpec(C=C, c=_parse_real(args.cvalue))
     alpha = None if args.alpha is None else _parse_alpha(args.alpha)
+    halfspace_membership(rho, spec)  # a state on the wrong space fails here, before any solve
     pair = _build_pair(L, spec, alpha, cfg)
     verdict = run_detect(rho, pair)
     print(f"side: {verdict.side_used.value}")

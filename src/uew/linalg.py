@@ -3,11 +3,14 @@
 Everything here is desk scale: dense row-major complex matrices with a
 total dimension cap of 64. Hermiticity and normalization are validated
 once at construction and trusted afterwards, so the hot loops (see-saw
-updates) stay cheap. All objects are immutable values. Eigensystems of
-every size come from LAPACK through ``numpy.linalg.eigh``; the see-saw in
-``optimize`` calls it batched over restarts. The constants block below is
-the package's tolerance table: every rounding decision of ``uew`` has one
-name and one reason there, and the other modules import the names they read.
+updates) stay cheap; an operator stores the exactly Hermitian part
+(M + M^dagger)/2 of the matrix it has validated, so sums, differences and
+real multiples of accepted operators are accepted too. All objects are
+immutable values. Eigensystems of every size come from LAPACK through
+``numpy.linalg.eigh``; the see-saw in ``optimize`` calls it batched over
+restarts. The constants block below is the package's tolerance table:
+every rounding decision of ``uew`` has one name and one reason there, and
+the other modules import the names they read.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ NORM_TOL = 1e-12         # a ket's norm may differ from 1 by this much
 HERM_TOL = 1e-12         # entrywise operator equality: Hermiticity at construction, allclose
 PHASE_TOL = 1e-12        # an amplitude of this modulus or less cannot fix the global phase
 INPUT_TOL = 1e-10        # density matrices and decoded operators carry rounding from construction or decimal text
-IMAG_TOL = 1e-10         # an expectation value's imaginary residue up to this is rounding
 TIE_TOL = 1e-12          # values this close count as tied
 # -- witnesses and scans
 DETECTION_TOL = 1e-10    # a witness fires only when its value lies below -DETECTION_TOL
@@ -39,7 +41,6 @@ FLAT_EMPTY_TOL = 1e-12   # an uncut cap is empty only when its threshold lies be
 DIV_FLOOR = 1e-300       # a norm that divides is floored here, so a zero norm gives no inf or nan
 COMPASS_STOP = 1e-13     # a compass search stops once its step in radians falls below this
 SLERP_PHASE_TOL = 1e-15  # two kets with an overlap this small have no relative phase to align
-SLERP_ZERO_TOL = 1e-12   # an interpolated vector this short falls back to the path's start
 MU_CAP = 1e9             # the multiplier search gives up past this times the value scale
 MU_STOP = 1e-14          # the multiplier bisection stops at this width relative to the multiplier
 ALPHA0_FEAS_TOL = 1e-8   # a rotated bound this far below its supremum still counts as valid
@@ -52,10 +53,8 @@ class DimensionMismatch(ValueError):
 
 def _canonicalize_phase(vec: np.ndarray) -> np.ndarray:
     """Rotate the global phase so the first non-tiny amplitude is real >= 0."""
-    for z in vec:
-        if abs(z) > PHASE_TOL:
-            return vec * (z.conjugate() / abs(z))
-    return vec
+    z = next(z for z in vec if abs(z) > PHASE_TOL)  # Ket passes unit vectors: one is >= 1/sqrt(n)
+    return vec * (z.conjugate() / abs(z))
 
 
 def _lex_key(vec: np.ndarray) -> tuple:
@@ -118,7 +117,10 @@ class HermitianOperator:
     ``dims`` is the tuple of local dimensions: ``(dA, dB)`` for a bipartite
     operator, ``(d,)`` for a single-party one. The product of ``dims`` must
     equal the matrix dimension. Finiteness and Hermiticity are checked
-    entrywise at construction (within HERM_TOL) and then trusted.
+    entrywise at construction (within HERM_TOL) and then trusted. The
+    stored matrix is the exactly Hermitian part (M + M^dagger)/2, bit for
+    bit M when M is exactly Hermitian, so arithmetic on accepted operators
+    stays accepted.
     """
 
     __slots__ = ("mat", "dims")
@@ -135,6 +137,7 @@ class HermitianOperator:
             dev = np.max(np.abs(m - m.conj().T))
         if not dev <= HERM_TOL:
             raise ValueError(f"matrix is not finite and Hermitian within {HERM_TOL}")
+        m = (m + m.conj().T) / 2
         if dims is None:
             dims = (n,)
         dims = tuple(int(d) for d in dims)
@@ -231,8 +234,8 @@ def expectation(M: HermitianOperator, state) -> float:
 
     A bipartite state must carry the operator's party dims when the
     operator is bipartite too; a bare Ket and single-party dims are checked
-    on the total dimension only. The imaginary residue must vanish within
-    IMAG_TOL; it is checked and discarded.
+    on the total dimension only. The operator is exactly Hermitian, so the
+    imaginary part is rounding (growing with ||M||): the real part is returned.
     """
     mat, vec, dims = _state_matrix_or_ket(state)
     if dims is not None and len(dims) == 2 == len(M.dims) and dims != M.dims:
@@ -240,15 +243,13 @@ def expectation(M: HermitianOperator, state) -> float:
     if vec is not None:
         if vec.size != M.dim:
             raise DimensionMismatch(f"state dim {vec.size} vs operator dim {M.dim}")
-        val = complex(np.vdot(vec, M.mat @ vec))
+        val = np.vdot(vec, M.mat @ vec)
     else:
         if mat.shape[0] != M.dim:
             raise DimensionMismatch(
                 f"state dim {mat.shape[0]} vs operator dim {M.dim}"
             )
-        val = complex(np.einsum("ij,ji->", M.mat, mat))
-    if abs(val.imag) > IMAG_TOL:
-        raise ValueError(f"expectation has imaginary residue {val.imag}")
+        val = np.einsum("ij,ji->", M.mat, mat)
     return float(val.real)
 
 

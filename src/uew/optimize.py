@@ -31,6 +31,7 @@ import enum
 import functools
 import itertools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -51,7 +52,6 @@ from .linalg import (
     PHASE_TOL,
     SEESAW_TOL,
     SLERP_PHASE_TOL,
-    SLERP_ZERO_TOL,
     TIE_TOL,
     DimensionMismatch,
     HermitianOperator,
@@ -95,8 +95,10 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError("restarts must be positive")
+        if not (isinstance(self.restarts, numbers.Integral) and self.restarts >= 1):
+            raise ValueError(f"restarts {self.restarts!r} must be a positive integer")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):  # None draws OS entropy
+            raise ValueError(f"seed {self.seed!r} must be a non-negative integer")
 
 
 @dataclass(frozen=True)
@@ -185,17 +187,16 @@ def _canonical_rows(X: np.ndarray) -> np.ndarray:
     it; a plain sum rounds differently), and the modulus is ``hypot``, as
     ``abs`` of one complex scalar (numpy's array ``abs`` can differ in the
     last bit). The phase comes from the first amplitude of modulus above
-    PHASE_TOL.
+    PHASE_TOL, which every normalised row has.
     """
     re, im = X.real, X.imag
     sq = re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]
     Y = X / np.sqrt(sq[:, 0])
     mod = np.hypot(Y.real, Y.imag)
-    big = mod > PHASE_TOL
-    j = big.argmax(axis=1)
+    j = (mod > PHASE_TOL).argmax(axis=1)
     rows = np.arange(len(Y))
     phase = Y[rows, j].conj() / mod[rows, j]
-    return np.where(big.any(axis=1)[:, None], Y * phase[:, None], Y)
+    return Y * phase[:, None]
 
 
 def _best_restart(vals: np.ndarray, A: np.ndarray, B: np.ndarray) -> int:
@@ -641,10 +642,7 @@ def _slerp(u: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
     if abs(ov) > SLERP_PHASE_TOL:
         v = v * (ov.conjugate() / abs(ov))  # align phases first
     w = (1 - t) * u + t * v
-    nw = np.linalg.norm(w)
-    if nw < SLERP_ZERO_TOL:
-        return u
-    return w / nw
+    return w / np.linalg.norm(w)  # |w|^2 >= 1/2 - 1e-15 for unit u, v and t in [0, 1]
 
 
 def _dual_refine(L, spec, sense, base):

@@ -149,10 +149,6 @@ class NoisyStateFamily:
         mixed = (p / d) * np.eye(d) + (1.0 - p) * self.pure.op.mat
         return DensityMatrix(HermitianOperator(mixed, dims=self.pure.dims))
 
-    @property
-    def dim(self) -> int:
-        return self.pure.op.dim
-
 
 def noisy_member(family: NoisyStateFamily, p: float) -> DensityMatrix:
     return family.member(p)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from .linalg import (
     BOUNDARY_TOL,
     DETECTION_TOL,
-    DimensionMismatch,
     HermitianOperator,
     expectation,
 )
@@ -40,9 +39,6 @@ class ConstraintSpec:
     def __post_init__(self):
         if not math.isfinite(self.c):
             raise ValueError(f"constraint value {self.c!r} must be finite")
-
-    def membership(self, rho) -> HalfSpaceSide:
-        return halfspace_membership(rho, self)
 
 
 @dataclass(frozen=True)
@@ -113,8 +109,6 @@ def combine_alpha(spec: ConstraintSpec, L: HermitianOperator, alpha: float) -> H
     """Rotated test operator alpha*C + (1-alpha)*L, defined for finite alpha < 1."""
     if not -math.inf < alpha < 1.0:
         raise ValueError("alpha must be finite and < 1")
-    if spec.C.dims != L.dims:
-        raise DimensionMismatch(f"dims {spec.C.dims} vs {L.dims}")
     return alpha * spec.C + (1.0 - alpha) * L
 
 
@@ -170,8 +164,6 @@ def build_minus_inf(spec: ConstraintSpec, L: HermitianOperator, p_c: float) -> W
     case I too; the witness then fires on a product state. A sound bound is
     the constrained supremum of L - C itself.
     """
-    if spec.C.dims != L.dims:
-        raise DimensionMismatch(f"dims {spec.C.dims} vs {L.dims}")
     return Witness(bound=float(p_c) - spec.c, test=L - spec.C)
 
 

@@ -98,3 +98,22 @@ def test_tolerances_live_in_the_linalg_table():
         ]
     assert bare == []
     assert reasonless == []
+
+
+def test_every_table_tolerance_is_read():
+    # a guard deleted from the package takes its band out of the table too:
+    # every name the table assigns is loaded somewhere in uew
+    root = Path(uew.__file__).parent
+    table = [
+        stmt.targets[0].id
+        for stmt in ast.parse((root / "linalg.py").read_text()).body
+        if isinstance(stmt, ast.Assign) and any(_is_tolerance(n) for n in ast.walk(stmt.value))
+    ]
+    read = {
+        node.id
+        for path in root.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    assert len(table) > 10
+    assert [name for name in table if name not in read] == []

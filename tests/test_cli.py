@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import uew.analysis
 from conftest import GS_EXACT, PC_EXACT
 from uew import (
     DensityMatrix,
@@ -283,6 +284,21 @@ class TestDetect:
         assert "state dims (3, 2) vs operator dims (2, 3)" in proc.stderr
         assert "verdict" not in proc.stdout
 
+    def test_state_checked_before_any_solve(self, tmp_path, monkeypatch, capsys):
+        paths = {name: tmp_path / f"{name}.json" for name in ("L6", "C6", "rho32")}
+        save_operator(HermitianOperator(np.diag([0.2, 0, 0, 0, 0, 1.0]), dims=(2, 3)), paths["L6"])
+        save_operator(HermitianOperator(np.diag([0, 0, 0, 0, 0, 1.0]), dims=(2, 3)), paths["C6"])
+        save_density(DensityMatrix.maximally_mixed((3, 2)), paths["rho32"])
+        calls = []
+        monkeypatch.setattr(uew.analysis, "sup_product_constrained", lambda *a: calls.append(a))
+        code = main([
+            "detect", "--state", str(paths["rho32"]), "--test", str(paths["L6"]),
+            "--constraint", str(paths["C6"]), "--cvalue", "0.1",
+        ])
+        assert code == 1
+        assert "state dims (3, 2) vs operator dims (2, 3)" in capsys.readouterr().err
+        assert calls == []
+
     def test_non_state_input_exits_1(self, files, tmp_path):
         bad = tmp_path / "notpsd.json"
         mat = np.diag([1.5, -0.5, 0.0, 0.0])
@@ -330,6 +346,15 @@ class TestAlpha0:
         assert grab(proc.stdout, "case") == "case-ii"
         a0 = float(grab(proc.stdout, "alpha0"))
         assert -0.5 < a0 < -0.2
+
+    def test_cut_through_the_optimum_reports_degenerate(self, files, capsys):
+        # <C> at the worked test operator's product optimum is 1/4
+        code = main([
+            "alpha0", "--test", str(files["L"]), "--constraint", str(files["C"]),
+            "--cvalue", "1/4", "--seed", "0",
+        ])
+        assert code == 0
+        assert grab(capsys.readouterr().out, "case") == "degenerate"
 
     def test_infinite_bracket_min_exits_1(self, files):
         proc = run_cli(

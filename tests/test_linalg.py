@@ -97,6 +97,22 @@ class TestHermitianOperator:
         assert b.dims == (2, 2)
         assert b.allclose(a)
 
+    def test_stores_exactly_hermitian_part(self):
+        # each operand is within HERM_TOL of Hermitian, their difference twice
+        # as far; the stored Hermitian parts make the difference exact
+        h = rand_herm(np.random.default_rng(3), 4).mat
+        E = np.zeros((4, 4), dtype=complex)
+        E[0, 1] = 0.8e-12
+        diff = HermitianOperator(h + E, dims=(2, 2)) - HermitianOperator(0.5 * h - E, dims=(2, 2))
+        assert np.array_equal(diff.mat, diff.mat.conj().T)  # exact, as -0.0 == 0.0
+        assert diff.allclose(HermitianOperator(0.5 * h, dims=(2, 2)))
+
+    def test_exactly_hermitian_input_kept_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        for n in (2, 3, 4, 6):
+            m = rand_herm(rng, n).mat.copy()
+            assert HermitianOperator(m).mat.tobytes() == m.tobytes()
+
 
 class TestTensorProduct:
     def test_identity(self):
@@ -159,6 +175,22 @@ class TestExpectation:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             expectation(HermitianOperator.identity((2, 2)), Ket([1, 0]))
+
+    def test_real_part_of_large_operators(self):
+        # the imaginary part of a Hermitian expectation is rounding that grows
+        # with the operator's norm; at norm ~1e7 it is no reason to fail
+        rng = np.random.default_rng(1)
+        for _ in range(200):
+            g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+            M = HermitianOperator(1e7 * (g + g.conj().T) / 2)
+            k = Ket.unit(rng.normal(size=3) + 1j * rng.normal(size=3))
+            x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+            rho = DensityMatrix(HermitianOperator(x @ x.conj().T / np.trace(x @ x.conj().T).real))
+            cases = [(k, np.vdot(k.amplitudes, M.mat @ k.amplitudes)), (rho, np.trace(M.mat @ rho.op.mat))]
+            for state, exact in cases:
+                val = expectation(M, state)
+                assert type(val) is float
+                assert val == pytest.approx(exact.real, rel=1e-12, abs=1e-6)
 
     def test_party_dims_mismatch(self):
         # a (3, 2) state against a (2, 3) operator has the right total

@@ -176,6 +176,15 @@ class TestOptimizerConfig:
         with pytest.raises(error):
             OptimizerConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"seed": None}, {"seed": 1.5}, {"seed": -1}, {"seed": "0"}, {"restarts": 2.5}, {"restarts": None}],
+    )
+    def test_rejects_bad_seeds(self, kwargs):
+        # a seed of None would draw OS entropy: equal configs, other results
+        with pytest.raises(ValueError, match="must be a"):
+            OptimizerConfig(**kwargs)
+
 
 class TestSeesawUnconstrained:
     def test_identity(self, cfg):
@@ -823,6 +832,12 @@ class TestClassify:
         spec = ConstraintSpec(C=example["C"], c=0.5)  # optimum sits at <C> = 1/4 < c
         with pytest.raises(AssumptionViolated):
             classify_case(example["L"], spec, cfg_small)
+
+    def test_degenerate_when_the_optimum_sits_on_the_cut(self, example, cfg_small):
+        # c at the constraint value of L's own product optimum (1/4 up to rounding)
+        opt = sup_product_unconstrained(example["L"], cfg_small)
+        spec = ConstraintSpec(C=example["C"], c=expectation(example["C"], opt.argmax))
+        assert classify_case(example["L"], spec, cfg_small) is CaseLabel.DEGENERATE
 
     def test_deterministic_label_for_degenerate_difference(self, example, cfg_small):
         spec = ConstraintSpec(C=example["L"], c=0.3)
