@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import os
 import re
 import sys
@@ -21,7 +20,7 @@ from pathlib import Path
 from . import __version__
 from .analysis import MINUS_INF, alpha_sweep, plane_samples, rotated_witness
 from .fileio import load_density, load_operator
-from .linalg import BOUNDARY_TOL, DimensionMismatch
+from .linalg import BOUNDARY_TOL
 from .optimize import (
     AssumptionViolated,
     EmptyFeasibleSet,
@@ -59,23 +58,6 @@ def _parse_alpha(tok: str) -> float:
     return val
 
 
-def _parse_alphas(text: str):
-    return [_parse_alpha(tok) for tok in text.split(",")]
-
-
-def _resolve_seed(flag_value) -> int:
-    if flag_value is not None:
-        return int(flag_value)
-    env = os.environ.get("UEW_SEED")
-    if env is not None:
-        return int(env)
-    return 0
-
-
-def _config(args) -> OptimizerConfig:
-    return OptimizerConfig(restarts=args.restarts, seed=_resolve_seed(args.seed))
-
-
 def _fmt(x: float) -> str:
     return repr(float(x))
 
@@ -84,39 +66,24 @@ def _amps(ket) -> str:
     return "[" + ", ".join(f"{z.real:.12g}{z.imag:+.12g}j" for z in ket.amplitudes) + "]"
 
 
-def _report_header(args, cfg: OptimizerConfig, stream) -> float:
-    echo = getattr(args, "raw_argv", None) or [args.command]
-    print(f"command: {' '.join(echo)}", file=stream)
-    print(f"config: seed={cfg.seed} restarts={cfg.restarts}", file=stream)
-    print(f"tool: uew {__version__}", file=stream)
-    return time.perf_counter()
-
-
-def _finish(t0: float, stream) -> None:
-    print(f"wall_time_s: {time.perf_counter() - t0:.3f}", file=stream)
-
-
-def cmd_gs(args) -> int:
-    cfg = _config(args)
-    t0 = _report_header(args, cfg, sys.stdout)
+def _operands(args):
+    """The test operator and the constraint spec named by --test, --constraint and --cvalue."""
     L = load_operator(args.test)
-    res = sup_product_unconstrained(L, cfg)
+    return L, ConstraintSpec(C=load_operator(args.constraint), c=_parse_real(args.cvalue))
+
+
+def cmd_gs(args, cfg: OptimizerConfig) -> int:
+    res = sup_product_unconstrained(load_operator(args.test), cfg)
     print(f"g_s: {_fmt(res.value)}")
     print(f"argmax_a: {_amps(res.argmax.a)}")
     print(f"argmax_b: {_amps(res.argmax.b)}")
     print(f"converged: {str(res.converged).lower()}")
-    _finish(t0, sys.stdout)
     return EXIT_OK if res.converged else EXIT_NO_CONVERGENCE
 
 
-def cmd_pc(args) -> int:
-    cfg = _config(args)
-    t0 = _report_header(args, cfg, sys.stdout)
-    L = load_operator(args.test)
-    C = load_operator(args.constraint)
-    spec = ConstraintSpec(C=C, c=_parse_real(args.cvalue))
-    side = HalfSpaceSide.LEQ if args.side == "leq" else HalfSpaceSide.GEQ
-    res = sup_product_constrained(L, spec, side, cfg)
+def cmd_pc(args, cfg: OptimizerConfig) -> int:
+    L, spec = _operands(args)
+    res = sup_product_constrained(L, spec, HalfSpaceSide(args.side), cfg)
     boundary_active = abs(res.constraint_value - spec.c) <= BOUNDARY_TOL
     print(f"p_c: {_fmt(res.value)}")
     print(f"argmax_a: {_amps(res.argmax.a)}")
@@ -124,16 +91,13 @@ def cmd_pc(args) -> int:
     print(f"constraint_value: {_fmt(res.constraint_value)}")
     print(f"boundary_active: {str(boundary_active).lower()}")
     print(f"method: {res.method}")
-    _finish(t0, sys.stdout)
     return EXIT_OK if res.converged else EXIT_NO_CONVERGENCE
 
 
-def cmd_scan(args) -> int:
+def cmd_scan(args, cfg: OptimizerConfig) -> int:
     if not args.example31:
         raise ValueError("scan currently supports only the built-in --example31 instance")
-    cfg = _config(args)
-    t0 = _report_header(args, cfg, sys.stderr)
-    alphas = _parse_alphas(args.alphas)
+    alphas = [_parse_alpha(tok) for tok in args.alphas.split(",")]
     ex = Example31Config(x=_parse_real(args.x), c=_parse_real(args.cvalue))
     C, L, phi = build_example31(ex)
     spec = ConstraintSpec(C=C, c=ex.c)
@@ -145,7 +109,6 @@ def cmd_scan(args) -> int:
         alpha_txt = "-inf" if row.alpha == MINUS_INF else _fmt(row.alpha)
         thr_txt = "" if row.threshold_p is None else _fmt(row.threshold_p)
         writer.writerow([alpha_txt, _fmt(row.bound), thr_txt])
-    _finish(t0, sys.stderr)
     return EXIT_OK
 
 
@@ -156,13 +119,9 @@ def _build_pair(L, spec: ConstraintSpec, alpha, cfg: OptimizerConfig) -> UewPair
     return UewPair(w_c=w_c, w_ctilde=w_ct, constraint=spec)
 
 
-def cmd_detect(args) -> int:
-    cfg = _config(args)
-    t0 = _report_header(args, cfg, sys.stdout)
+def cmd_detect(args, cfg: OptimizerConfig) -> int:
     rho = load_density(args.state)
-    L = load_operator(args.test)
-    C = load_operator(args.constraint)
-    spec = ConstraintSpec(C=C, c=_parse_real(args.cvalue))
+    L, spec = _operands(args)
     alpha = None if args.alpha is None else _parse_alpha(args.alpha)
     halfspace_membership(rho, spec)  # a state on the wrong space fails here, before any solve
     pair = _build_pair(L, spec, alpha, cfg)
@@ -170,23 +129,17 @@ def cmd_detect(args) -> int:
     print(f"side: {verdict.side_used.value}")
     print(f"witness_value: {_fmt(verdict.witness_value)}")
     print(f"verdict: {verdict.label.value}")
-    _finish(t0, sys.stdout)
     return EXIT_OK
 
 
-def cmd_alpha0(args) -> int:
-    cfg = _config(args)
-    t0 = _report_header(args, cfg, sys.stdout)
-    L = load_operator(args.test)
-    C = load_operator(args.constraint)
-    if L.allclose(C):
+def cmd_alpha0(args, cfg: OptimizerConfig) -> int:
+    L, spec = _operands(args)
+    if L.allclose(spec.C):
         raise ValueError("constraint and test operators must differ")
-    spec = ConstraintSpec(C=C, c=_parse_real(args.cvalue))
     label = classify_case(L, spec, cfg)
     print(f"case: {label.value}")
     pc_res = sup_product_constrained(L, spec, HalfSpaceSide.LEQ, cfg)
     if not pc_res.converged:
-        _finish(t0, sys.stdout)
         return EXIT_NO_CONVERGENCE
     alpha0 = compute_alpha0(L, spec, cfg, p_c=pc_res.value)
     if alpha0 is None:
@@ -194,23 +147,18 @@ def cmd_alpha0(args) -> int:
         print("note: the rotated witness stays valid down to its limit witness, which is the optimal member")
     else:
         print(f"alpha0: {alpha0:.6f}")
-    _finish(t0, sys.stdout)
     return EXIT_OK
 
 
-def cmd_plane(args) -> int:
-    cfg = _config(args)
-    t0 = _report_header(args, cfg, sys.stderr)
-    L = load_operator(args.test)
-    C = load_operator(args.constraint)
-    spec = ConstraintSpec(C=C, c=0.0)
+def cmd_plane(args, cfg: OptimizerConfig) -> int:
+    L, spec = _operands(args)
     paths = sorted(Path(args.states).glob("*.json"))
     states = []
     bad = []
     for p in paths:
         try:
             states.append((p.stem, load_density(p)))
-        except (ValueError, OSError, json.JSONDecodeError) as exc:
+        except (ValueError, OSError) as exc:
             bad.append(f"{p.name}: {exc}")
     if bad:
         raise ValueError("unreadable state files: " + "; ".join(bad))
@@ -219,63 +167,66 @@ def cmd_plane(args) -> int:
     writer.writerow(["label", "x", "y"])
     for s in samples:
         writer.writerow([s.label, _fmt(s.x), _fmt(s.y)])
-    _finish(t0, sys.stderr)
     return EXIT_OK
+
+
+def _flag(name: str, **kw):
+    return name, kw
+
+
+_TEST = _flag("--test", required=True, help="test operator JSON file")
+_CONSTRAINT = _flag("--constraint", required=True, help="constraint operator JSON file")
+_CVALUE = _flag("--cvalue", required=True, help="constraint value")
+_COMMON = (
+    _flag("--seed", type=int, default=None, help="rng seed (env UEW_SEED otherwise)"),
+    _flag("--restarts", type=int, default=OptimizerConfig.restarts),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="uew", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=None, help="rng seed (env UEW_SEED otherwise)")
-        p.add_argument("--restarts", type=int, default=64)
+    def command(name, func, help, *flags, report="stdout", **defaults):
+        """A subcommand with its flags in usage order; ``report`` names the
+        sys stream of its report frame, looked up when main runs."""
+        p = sub.add_parser(name, help=help)
+        for flag, kw in (*flags, *_COMMON):
+            p.add_argument(flag, **kw)
+        p.set_defaults(func=func, report=report, **defaults)
 
-    p = sub.add_parser("gs", help="unconstrained product supremum of a test operator")
-    p.add_argument("--test", required=True, help="test operator JSON file")
-    common(p)
-    p.set_defaults(func=cmd_gs)
-
-    p = sub.add_parser("pc", help="constrained product supremum on one half-space")
-    p.add_argument("--test", required=True, help="test operator JSON file")
-    p.add_argument("--constraint", required=True, help="constraint operator JSON file")
-    p.add_argument("--cvalue", required=True, help="constraint value (decimal or rational like 1/100)")
-    p.add_argument("--side", required=True, choices=["leq", "geq"], help="half-space to search")
-    common(p)
-    p.set_defaults(func=cmd_pc)
-
-    p = sub.add_parser("scan", help="alpha sweep with noise thresholds, CSV on stdout")
-    p.add_argument("--example31", action="store_true", help="use the built-in worked instance")
-    p.add_argument("--x", default="2/3", help="instance parameter x in (0,1)")
-    p.add_argument("--cvalue", default="1/100", help="constraint value")
-    p.add_argument("--alphas", required=True, help="comma list of alphas < 1, -inf allowed")
-    common(p)
-    p.set_defaults(func=cmd_scan)
-
-    p = sub.add_parser("detect", help="detection verdict for a state file")
-    p.add_argument("--state", required=True, help="density matrix JSON file")
-    p.add_argument("--test", required=True, help="test operator JSON file")
-    p.add_argument("--constraint", required=True, help="constraint operator JSON file")
-    p.add_argument("--cvalue", required=True, help="constraint value")
-    p.add_argument("--alpha", default=None, help="rotation parameter < 1 or -inf (default: none)")
-    common(p)
-    p.set_defaults(func=cmd_detect)
-
-    p = sub.add_parser("alpha0", help="validity threshold of the rotated witness family")
-    p.add_argument("--test", required=True, help="test operator JSON file")
-    p.add_argument("--constraint", required=True, help="constraint operator JSON file")
-    p.add_argument("--cvalue", required=True, help="constraint value")
-    common(p)
-    p.set_defaults(func=cmd_alpha0)
-
-    p = sub.add_parser("plane", help="constraint/test expectation samples, CSV on stdout")
-    p.add_argument("--states", required=True, help="directory of density matrix JSON files")
-    p.add_argument("--test", required=True, help="test operator JSON file")
-    p.add_argument("--constraint", required=True, help="constraint operator JSON file")
-    common(p)
-    p.set_defaults(func=cmd_plane)
+    command("gs", cmd_gs, "unconstrained product supremum of a test operator", _TEST)
+    command(
+        "pc", cmd_pc, "constrained product supremum on one half-space",
+        _TEST, _CONSTRAINT,
+        _flag("--cvalue", required=True, help="constraint value (decimal or rational like 1/100)"),
+        _flag("--side", required=True, choices=["leq", "geq"], help="half-space to search"),
+    )
+    command(
+        "scan", cmd_scan, "alpha sweep with noise thresholds, CSV on stdout",
+        _flag("--example31", action="store_true", help="use the built-in worked instance"),
+        _flag("--x", default="2/3", help="instance parameter x in (0,1)"),
+        _flag("--cvalue", default="1/100", help="constraint value"),
+        _flag("--alphas", required=True, help="comma list of alphas < 1, -inf allowed"),
+        report="stderr",
+    )
+    command(
+        "detect", cmd_detect, "detection verdict for a state file",
+        _flag("--state", required=True, help="density matrix JSON file"),
+        _TEST, _CONSTRAINT, _CVALUE,
+        _flag("--alpha", default=None, help="rotation parameter < 1 or -inf (default: none)"),
+    )
+    command("alpha0", cmd_alpha0, "validity threshold of the rotated witness family", _TEST, _CONSTRAINT, _CVALUE)
+    command(
+        "plane", cmd_plane, "constraint/test expectation samples, CSV on stdout",
+        _flag("--states", required=True, help="directory of density matrix JSON files"),
+        _TEST, _CONSTRAINT,
+        report="stderr", cvalue="0",
+    )
     return ap
 
+
+_PARSER = _build_parser()
 
 _VALUE_FLAGS = {"--alpha", "--alphas", "--cvalue", "--x", "--seed"}
 _NEGATIVE_VALUE = re.compile(r"^-(inf|\d|\.\d)", re.IGNORECASE)
@@ -285,39 +236,47 @@ def _merge_negative_values(argv):
     """Join value flags with arguments like -inf or -1,-10 that argparse
     would otherwise read as options."""
     out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in _VALUE_FLAGS and i + 1 < len(argv) and _NEGATIVE_VALUE.match(argv[i + 1]):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
+    for tok in argv:
+        # a merged token holds "=", so it never counts as a flag again
+        if out and out[-1] in _VALUE_FLAGS and _NEGATIVE_VALUE.match(tok):
+            out[-1] = f"{out[-1]}={tok}"
         else:
             out.append(tok)
-            i += 1
     return out
 
 
 def main(argv=None) -> int:
-    ap = _build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    argv = list(argv)
+    """Run one subcommand inside its report frame.
+
+    The frame is the command, config and tool lines before the command's
+    own report and the wall_time_s line after it, on the stream the
+    subcommand names: stdout, or stderr for the CSV commands. wall_time_s
+    follows every return (exit 0 or 2); an error (exit 1 or 3) prints an
+    ``error:`` line on stderr instead, and a bad seed or restart count
+    fails before the header.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = ap.parse_args(_merge_negative_values(argv))
+        args = _PARSER.parse_args(_merge_negative_values(argv))
     except SystemExit as exc:
-        return EXIT_INPUT if exc.code not in (0, None) else 0
-    args.raw_argv = argv
+        return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
+    report = getattr(sys, args.report)
     try:
-        return args.func(args)
+        seed = args.seed if args.seed is not None else int(os.environ.get("UEW_SEED", OptimizerConfig.seed))
+        cfg = OptimizerConfig(restarts=args.restarts, seed=seed)
+        print(f"command: {' '.join(argv)}", file=report)
+        print(f"config: seed={cfg.seed} restarts={cfg.restarts}", file=report)
+        print(f"tool: uew {__version__}", file=report)
+        t0 = time.perf_counter()
+        code = args.func(args, cfg)
     except EmptyFeasibleSet as exc:
         print(f"error: infeasible constraint: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except AssumptionViolated as exc:
+    except (AssumptionViolated, ValueError, OSError, KeyError) as exc:  # ValueError covers JSON and dims errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (ValueError, DimensionMismatch, OSError, json.JSONDecodeError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    print(f"wall_time_s: {time.perf_counter() - t0:.3f}", file=report)
+    return code
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ the other modules import the names they read.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,7 @@ MAX_TOTAL_DIM = 64
 # different things keep separate names.
 # -- validation of kets, operators and states
 NORM_TOL = 1e-12         # a ket's norm may differ from 1 by this much
-HERM_TOL = 1e-12         # entrywise operator equality: Hermiticity at construction, allclose
+HERM_TOL = 1e-12         # entrywise operator equality (allclose); Hermiticity at construction, times max(1, largest entry)
 PHASE_TOL = 1e-12        # an amplitude of this modulus or less cannot fix the global phase
 INPUT_TOL = 1e-10        # density matrices and decoded operators carry rounding from construction or decimal text
 TIE_TOL = 1e-12          # values this close count as tied
@@ -117,10 +118,11 @@ class HermitianOperator:
     ``dims`` is the tuple of local dimensions: ``(dA, dB)`` for a bipartite
     operator, ``(d,)`` for a single-party one. The product of ``dims`` must
     equal the matrix dimension. Finiteness and Hermiticity are checked
-    entrywise at construction (within HERM_TOL) and then trusted. The
-    stored matrix is the exactly Hermitian part (M + M^dagger)/2, bit for
-    bit M when M is exactly Hermitian, so arithmetic on accepted operators
-    stays accepted.
+    entrywise at construction, the latter within HERM_TOL times the largest
+    entry modulus (or 1, if that is smaller), and then trusted. The stored
+    matrix is the exactly Hermitian part (M + M^dagger)/2, bit for bit M
+    when M is exactly Hermitian, so arithmetic on accepted operators stays
+    accepted.
     """
 
     __slots__ = ("mat", "dims")
@@ -132,11 +134,13 @@ class HermitianOperator:
         n = m.shape[0]
         if n > MAX_TOTAL_DIM:
             raise ValueError(f"total dimension {n} exceeds cap {MAX_TOTAL_DIM}")
-        # a non-finite entry makes the deviation NaN or inf, which fails too
-        with np.errstate(invalid="ignore"):
-            dev = np.max(np.abs(m - m.conj().T))
-        if not dev <= HERM_TOL:
-            raise ValueError(f"matrix is not finite and Hermitian within {HERM_TOL}")
+        top = np.abs(m).max()  # NaN or inf when any entry is
+        if not math.isfinite(top):
+            raise ValueError("matrix must be finite and Hermitian; it has a non-finite entry")
+        # relative to the largest entry: the rounding asymmetry of a computed
+        # operator such as U M U^dagger grows with its norm
+        if not np.abs(m - m.conj().T).max() <= HERM_TOL * max(1.0, top):
+            raise ValueError(f"matrix is not Hermitian within {HERM_TOL} times max(1, largest |entry|)")
         m = (m + m.conj().T) / 2
         if dims is None:
             dims = (n,)

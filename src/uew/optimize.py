@@ -400,9 +400,8 @@ def _oracle_22(L, spec, side, resolution):
 
 
 def _party_ket_grid(d: int, resolution: int) -> np.ndarray:
-    """All kets of one party on a hyperspherical angle grid."""
-    if d == 2:
-        return _qubit_kets(*_qubit_angles(resolution, 2 * resolution - 1))
+    """All kets of one party on a hyperspherical angle grid (for d = 2, the
+    kets of _qubit_angles(resolution, 2 * resolution - 1), bit for bit)."""
     mag_axes = [np.linspace(0.0, np.pi / 2, resolution)] * (d - 1)
     ph_axes = [np.linspace(0.0, 2.0 * np.pi, 2 * resolution - 1)] * (d - 1)
     grids = np.meshgrid(*mag_axes, *ph_axes, indexing="ij")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import uew.analysis
+import uew.cli
 from conftest import GS_EXACT, PC_EXACT
 from uew import (
     DensityMatrix,
@@ -217,6 +219,13 @@ class TestScan:
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr
 
+    def test_without_example31_exits_1(self):
+        proc = run_cli("scan", "--alphas", "0")
+        assert proc.returncode == 1
+        assert "scan currently supports only the built-in --example31 instance" in proc.stderr
+        assert proc.stdout == ""
+        assert "wall_time_s" not in proc.stderr
+
     def test_byte_identical_reruns(self, files):
         args = ("scan", "--example31", "--alphas", "0,-1,-inf", "--seed", "9")
         out1 = run_cli(*args)
@@ -421,3 +430,45 @@ class TestSeedResolution:
         out2 = run_cli("gs", "--test", str(files["L"]), "--seed", "5").stdout
         strip = lambda s: [ln for ln in s.splitlines() if not ln.startswith("wall_time")]
         assert strip(out1) == strip(out2)
+
+
+class TestNoConvergence:
+    """Exit code 2 keeps the partial report inside the full frame."""
+
+    @staticmethod
+    def unconverged(monkeypatch, name):
+        solve = getattr(uew.cli, name)
+        monkeypatch.setattr(uew.cli, name, lambda *a: dataclasses.replace(solve(*a), converged=False))
+
+    @pytest.mark.parametrize(
+        "command, solver, extra, partial",
+        [
+            ("gs", "sup_product_unconstrained", [], ["g_s", "argmax_a", "argmax_b", "converged"]),
+            (
+                "pc", "sup_product_constrained",
+                ["--constraint", "C", "--cvalue", "1/100", "--side", "leq"],
+                ["p_c", "argmax_a", "argmax_b", "constraint_value", "boundary_active", "method"],
+            ),
+            ("alpha0", "sup_product_constrained", ["--constraint", "C", "--cvalue", "1/100"], ["case"]),
+        ],
+    )
+    def test_exits_2_with_header_partial_report_and_footer(
+        self, files, monkeypatch, capsys, command, solver, extra, partial
+    ):
+        self.unconverged(monkeypatch, solver)
+        extra = [str(files["C"]) if tok == "C" else tok for tok in extra]
+        code = main([command, "--test", str(files["L"]), *extra, "--seed", "0", "--restarts", "8"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        keys = [ln.split(":")[0] for ln in out.splitlines()]
+        assert keys == ["command", "config", "tool", *partial, "wall_time_s"]
+        assert "config: seed=0 restarts=8" in out.splitlines()
+        assert err == ""
+        if command == "gs":
+            assert grab(out, "converged") == "false"
+
+
+def test_main_reuses_the_parser_built_at_import(monkeypatch, capsys):
+    monkeypatch.setattr(uew.cli, "_build_parser", lambda: pytest.fail("main rebuilt the parser"))
+    assert main(["gs", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: uew gs")

@@ -107,6 +107,22 @@ class TestHermitianOperator:
         assert np.array_equal(diff.mat, diff.mat.conj().T)  # exact, as -0.0 == 0.0
         assert diff.allclose(HermitianOperator(0.5 * h, dims=(2, 2)))
 
+    @pytest.mark.parametrize("scale", [1e3, 1e4, 1e5])
+    def test_accepts_large_rotated_operators(self, scale):
+        # q M q^dagger is Hermitian only to rounding that grows with the norm
+        # of M; an absolute band of 1e-12 rejected every draw from 1e4 on
+        rng = np.random.default_rng(1)
+        for _ in range(200):
+            g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+            HermitianOperator(q @ (scale * (g + g.conj().T) / 2) @ q.conj().T, dims=(2, 2))
+
+    def test_relative_band_still_rejects_non_hermitian(self):
+        m = 1e5 * np.eye(2, dtype=complex)
+        m[0, 1] = 1e-6  # 1e-11 of the largest entry, above the band
+        with pytest.raises(ValueError, match="not Hermitian"):
+            HermitianOperator(m)
+
     def test_exactly_hermitian_input_kept_bit_for_bit(self):
         rng = np.random.default_rng(4)
         for n in (2, 3, 4, 6):

@@ -476,6 +476,12 @@ def _qubit_grid(n_theta, n_phi, phi_endpoint=True):
     return _qubit_kets(*angles), _qubit_bloch(*angles)
 
 
+@pytest.mark.parametrize("resolution", [2, 3, 5, 11, 21, 181])
+def test_party_ket_grid_of_a_qubit_is_the_polar_grid(resolution):
+    kets = _party_ket_grid(2, resolution)
+    assert kets.tobytes() == _qubit_grid(resolution, 2 * resolution - 1)[0].tobytes()
+
+
 def _coarse_grid():
     # the outer-party grid of the 2x2 solve
     return _qubit_grid(*_PAIR_GRID, phi_endpoint=False)
@@ -1046,6 +1052,19 @@ class TestAlpha0:
         alpha_lo = lo / (1.0 + lo) if lo > -1.0 else -np.inf
         assert a0 == hi / (1.0 + hi)
         assert a0 - alpha_lo <= 1e-6 or np.nextafter(lo, 0.0) == hi
+
+    def test_tangent_into_a_narrow_bracket_skips_the_aim(self, swapped, cfg_small, monkeypatch):
+        # the tangent from lam = -1 certifies lam < -5e-7 invalid, which leaves
+        # [-5e-7, 0] narrower than the width: no aimed probe, only the valid end
+        probes = []
+
+        def predicate(L, spec, cfg, p_c, lam):
+            probes.append(lam)
+            return (True, None) if lam >= -5e-7 else (False, (-5e-7, -4e-7))
+
+        monkeypatch.setattr(uew.optimize, "_alpha0_probe", predicate)
+        assert compute_alpha0(swapped["L"], swapped["spec"], cfg_small, p_c=0.0) == 0.0
+        assert probes == [-1.0, 0.0]
 
     @pytest.mark.parametrize("instance", ["worked", "rng2024"])
     def test_none_exactly_when_the_limit_witness_is_valid(self, example, cfg_small, instance):
