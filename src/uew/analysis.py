@@ -47,18 +47,20 @@ def threshold_scan(
     -DETECTION_TOL). The witness value and the constraint expectation are
     affine in p, so each condition holds on a half-line and the detected
     set is an interval starting at 0; p* is the first zero of the
-    conditions, found from the family's pure state (p = 0) and the member
-    at p = 1 alone. Returns None when p = 0 itself escapes detection.
-    resolution is only validated (finite, 0 < r <= SCAN_RESOLUTION): the
-    edge is exact.
+    conditions, found from its two ends alone: the family's pure state at
+    p = 0, and at p = 1 the maximally mixed state I/d, where <X> is read as
+    Tr(X)/d. No state is built. Returns None when p = 0 itself escapes
+    detection. resolution is only validated (finite,
+    0 < r <= SCAN_RESOLUTION): the edge is exact.
     """
     if not 0.0 < resolution <= SCAN_RESOLUTION:
         raise ValueError(f"resolution must be finite with 0 < resolution <= {SCAN_RESOLUTION}")
-    ends = [family.pure, family.member(1.0)]
+    pure, d = family.pure, family.pure.op.dim
     # each condition f(p) <= 0 is kept as (f(0), f(1)); the witness condition
     # is strict, and at p = 0 every comparison is the one detection makes
-    lines = [tuple(witness.value(rho) + DETECTION_TOL for rho in ends)]
-    cons = [expectation(spec.C, rho) for rho in ends]
+    mixed_value = witness.bound - witness.test.trace() / d
+    lines = [(witness.value(pure) + DETECTION_TOL, mixed_value + DETECTION_TOL)]
+    cons = [expectation(spec.C, pure), spec.C.trace() / d]
     if side is not HalfSpaceSide.GEQ:
         lines.append(tuple(v - (spec.c + BOUNDARY_TOL) for v in cons))
     if side is not HalfSpaceSide.LEQ:

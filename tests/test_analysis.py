@@ -52,7 +52,7 @@ class TestThresholdScan:
             with pytest.raises(ValueError):
                 threshold_scan(example["family"], w, example["spec"], HalfSpaceSide.LEQ, resolution=bad)
 
-    def test_evaluates_two_members(self, example, pc_result, monkeypatch):
+    def test_builds_no_member(self, example, pc_result, monkeypatch):
         calls = []
         member = NoisyStateFamily.member
 
@@ -65,7 +65,28 @@ class TestThresholdScan:
         for side in HalfSpaceSide:
             calls.clear()
             threshold_scan(example["family"], w, example["spec"], side)
-            assert calls == [1.0]  # p = 0 is the family's pure state, read as it is
+            assert calls == []  # p = 0 is the family's pure state, p = 1 is read as Tr(X)/d
+
+    def test_sweep_builds_no_density_matrix(self, example, cfg_small, monkeypatch):
+        built = []
+        init = DensityMatrix.__init__
+
+        def counting(self, op):
+            built.append(op)
+            init(self, op)
+
+        monkeypatch.setattr(DensityMatrix, "__init__", counting)
+        rows = alpha_sweep(example["L"], example["spec"], [0.0, -1.0, -10.0, -100.0, MINUS_INF],
+                           example["family"], cfg_small)
+        assert [r.threshold_p is not None for r in rows] == [True] * 5
+        assert built == []
+
+    def test_dims_mismatch_raises(self, example, pc_result):
+        family = NoisyStateFamily(pure=DensityMatrix.from_ket(Ket.basis(9, 0), dims=(3, 3)))
+        w = build_v_alpha(example["spec"], example["L"], pc_result.value, -1.0).witness
+        for side in HalfSpaceSide:
+            with pytest.raises(DimensionMismatch):
+                threshold_scan(family, w, example["spec"], side)
 
     def test_never_firing_witness_returns_none(self, example):
         w = Witness(bound=GS_EXACT, test=example["L"])  # valid everywhere
@@ -157,6 +178,88 @@ class TestThresholdClosedForm:
                 assert detected, (p, edge)
             elif p > edge + 1e-9:
                 assert not detected, (p, edge)
+
+
+def _scan_via_member(family, witness, spec, side):
+    """threshold_scan's edge with the p = 1 end evaluated on family.member(1.0)."""
+    ends = [family.pure, family.member(1.0)]
+    lines = [tuple(witness.value(rho) + DETECTION_TOL for rho in ends)]
+    cons = [expectation(spec.C, rho) for rho in ends]
+    if side is not HalfSpaceSide.GEQ:
+        lines.append(tuple(v - (spec.c + BOUNDARY_TOL) for v in cons))
+    if side is not HalfSpaceSide.LEQ:
+        lines.append(tuple((spec.c - BOUNDARY_TOL) - v for v in cons))
+    if not lines[0][0] < 0.0 or any(at0 > 0.0 for at0, _ in lines):
+        return None
+    edge = 1.0
+    for at0, at1 in lines:
+        if at1 > at0:
+            edge = min(edge, abs(at0) / (at1 - at0))
+    return edge
+
+
+def _local_phases(rng, dims):
+    phases = [np.exp(2j * np.pi * rng.random(d)) for d in dims]
+    return np.diag(np.kron(phases[0], phases[1]))
+
+
+def _dress(U, op):
+    return HermitianOperator(U @ op.mat @ U.conj().T, dims=op.dims)
+
+
+def _scan_cases(seed):
+    """(label, family, witness, spec) for one seed: the worked instance's
+    rotated witnesses and the finest witnesses of the maximally entangled
+    2x2 and 3x3 families, under seeded local phases, and the finest witness
+    of a random 2x2, 2x3 and 3x3 pure state, with and without a constraint."""
+    rng = np.random.default_rng([seed, 4])
+    ex = Example31Config()
+    C, L, phi = build_example31(ex)
+    U = _local_phases(rng, (2, 2))
+    spec = ConstraintSpec(C=_dress(U, C), c=ex.c)
+    L = _dress(U, L)
+    family = NoisyStateFamily(pure=DensityMatrix.from_ket(Ket(U @ phi.amplitudes), dims=(2, 2)))
+    cases = []
+    for a in [0.0, -1.0, -10.0, -100.0, MINUS_INF]:
+        w = build_minus_inf(spec, L, PC_EXACT) if a == MINUS_INF else build_v_alpha(spec, L, PC_EXACT, a).witness
+        cases.append((f"worked alpha={a}", family, w, spec))
+    kets = []
+    for d in (2, 3):
+        vec = np.zeros(d * d, dtype=complex)
+        vec[[k * d + k for k in range(d)]] = 1 / math.sqrt(d)
+        kets.append(((d, d), Ket(_local_phases(rng, (d, d)) @ vec)))
+    for dims in [(2, 2), (2, 3), (3, 3)]:
+        n = dims[0] * dims[1]
+        kets.append((dims, Ket.unit(rng.normal(size=n) + 1j * rng.normal(size=n))))
+    for dims, ket in kets:
+        family = NoisyStateFamily(pure=DensityMatrix.from_ket(ket, dims=dims))
+        # the finest witness: the product supremum of |psi><psi| is its
+        # largest squared Schmidt coefficient
+        top = np.linalg.svd(ket.amplitudes.reshape(dims), compute_uv=False)[0] ** 2
+        w = Witness(bound=float(top), test=ket.projector(dims=dims))
+        cases.append((f"{dims} trivial", family, w, ConstraintSpec(C=HermitianOperator.identity(dims), c=1.0)))
+        n = ket.dim
+        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        C = HermitianOperator((g + g.conj().T) / 2, dims=dims)
+        at_pure = expectation(C, family.pure)
+        for shift in (0.25, 0.0, -0.25):
+            cases.append((f"{dims} c shift {shift}", family, w, ConstraintSpec(C=C, c=at_pure + shift)))
+    return cases
+
+
+class TestClosedFormMixedEnd:
+    @pytest.mark.parametrize("side", list(HalfSpaceSide))
+    def test_matches_member_evaluation(self, side):
+        edges = 0
+        for seed in range(5):
+            for label, family, w, spec in _scan_cases(seed):
+                got = threshold_scan(family, w, spec, side)
+                want = _scan_via_member(family, w, spec, side)
+                assert (got is None) == (want is None), (seed, label)
+                if got is not None:
+                    edges += got < 1.0
+                    assert abs(got - want) <= 4.5e-16, (seed, label, got, want)
+        assert edges >= 20  # interior edges, where the p = 1 end decides the value
 
 
 class TestAlphaSweep:

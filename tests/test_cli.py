@@ -102,6 +102,25 @@ class TestRoundTrip:
         with pytest.raises(ValueError):
             operator_from_dict(doc)
 
+    @pytest.mark.parametrize("scale", [1e5, 1e6, 1e7])
+    def test_loads_large_rotated_operators(self, scale):
+        # q M q^dagger written entry by entry keeps its rounding asymmetry,
+        # which grows with the norm of M; an absolute band of 1e-10 rejected
+        # every draw from 1e6 on
+        rng = np.random.default_rng(1)
+        for _ in range(200):
+            g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+            mat = q @ (scale * (g + g.conj().T) / 2) @ q.conj().T
+            doc = {"dims": [2, 2], "matrix": [[[z.real, z.imag] for z in row] for row in mat.tolist()]}
+            back = operator_from_dict(json.loads(json.dumps(doc)))
+            assert np.array_equal(back.mat, (mat + mat.conj().T) / 2)
+
+    def test_relative_band_still_rejects_non_hermitian_document(self):
+        doc = {"dims": [2, 1], "matrix": [[[1e5, 0], [1e-4, 0]], [[0, 0], [1e5, 0]]]}  # 1e-9 of the largest entry
+        with pytest.raises(ValueError, match="Hermitian"):
+            operator_from_dict(doc)
+
 
 class TestGs:
     def test_identity(self, files):
