@@ -20,7 +20,6 @@ from pathlib import Path
 from . import __version__
 from .analysis import MINUS_INF, alpha_sweep, plane_samples, rotated_witness
 from .fileio import load_density, load_operator
-from .linalg import BOUNDARY_TOL
 from .optimize import (
     AssumptionViolated,
     EmptyFeasibleSet,
@@ -84,7 +83,7 @@ def cmd_gs(args, cfg: OptimizerConfig) -> int:
 def cmd_pc(args, cfg: OptimizerConfig) -> int:
     L, spec = _operands(args)
     res = sup_product_constrained(L, spec, HalfSpaceSide(args.side), cfg)
-    boundary_active = abs(res.constraint_value - spec.c) <= BOUNDARY_TOL
+    boundary_active = halfspace_membership(res.argmax, spec) is HalfSpaceSide.BOUNDARY
     print(f"p_c: {_fmt(res.value)}")
     print(f"argmax_a: {_amps(res.argmax.a)}")
     print(f"argmax_b: {_amps(res.argmax.b)}")

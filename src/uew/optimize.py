@@ -59,7 +59,7 @@ from .linalg import (
     expectation,
 )
 from .states import ProductKet, product_expectations, random_product_batch
-from .witness import ConstraintSpec, HalfSpaceSide, normalised_rotation
+from .witness import ConstraintSpec, HalfSpaceSide, halfspace_membership, normalised_rotation
 
 _ALPHA0_AIM = 0.8              # share of the way from the tangent to the square-root Newton crossing
 _ALPHA0_MAX_TANGENTS = 64      # tangent steps per alpha0 search, at least its lam bisection's depth
@@ -67,7 +67,7 @@ ORACLE_MAX_TOTAL_DIM = 9
 _SEESAW_MAX_ITER = 500         # sweeps per see-saw row
 _PAIR_GRID = (45, 90)          # outer-party polar x azimuth grid of the qubit-pair solve
 _COMPASS_MAX_STEPS = 400       # stencils per qubit-pair compass search; a smooth f needs ~100
-_GENERIC_PAIR_CAP = 1 << 24    # max pair evaluations in the generic grid oracle
+_GENERIC_PAIR_CAP = 1 << 24    # max grid oracle rows: ket pairs, or one party's kets for a qubit pair
 _CONSTRAINED_STARTS = 16       # best feasible sample points the d >= 3 constrained see-saw starts from
 _MU_DOUBLINGS = 64             # multiplier doublings before a party's cut counts as empty
 _MU_BISECTIONS = 30            # multiplier halvings of a constrained half step
@@ -95,9 +95,12 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (isinstance(self.restarts, numbers.Integral) and self.restarts >= 1):
+        def whole(x):  # bool is an Integral; a seed of None would draw OS entropy
+            return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+        if not (whole(self.restarts) and self.restarts >= 1):
             raise ValueError(f"restarts {self.restarts!r} must be a positive integer")
-        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):  # None draws OS entropy
+        if not (whole(self.seed) and self.seed >= 0):
             raise ValueError(f"seed {self.seed!r} must be a non-negative integer")
 
 
@@ -307,22 +310,20 @@ def _qubit_angles(n_theta: int, n_phi: int, phi_endpoint: bool = True):
     return th, ph
 
 
-def _cap_cut(v, g0, u, c, sense):
-    """Row-wise geometry of the cap {unit n : sense*(g0 + u.n - c) <= 0} against v.
+def _cap_cut(v, g0, u):
+    """Row-wise geometry of the cap {unit n : g0 + u.n <= 0} against v.
 
-    Returns (nv, us, t, nu, nu2, uv, ratio, rise, free, empty): |v|, the
-    signed normal us = sense*u, the threshold t = sense*(c - g0), |us| and
-    its floor at DIV_FLOOR, us.v, the cut circle's height t/|us| and radius
-    (both clipped to the sphere), whether v/|v| satisfies the cut, and
-    whether the cap is empty. A row with |u| < FLAT_NORMAL_TOL counts as
-    uncut when its threshold is at least -FLAT_EMPTY_TOL, and a cut is
-    empty only CUT_TOL past the tangent plane.
+    Returns (nv, t, nu, nu2, uv, ratio, rise, free, empty): |v|, the
+    threshold t = -g0, |u| and its floor at DIV_FLOOR, u.v, the cut
+    circle's height t/|u| and radius (both clipped to the sphere), whether
+    v/|v| satisfies the cut, and whether the cap is empty. A row with
+    |u| < FLAT_NORMAL_TOL counts as uncut when its threshold is at least
+    -FLAT_EMPTY_TOL, and a cut is empty only CUT_TOL past the tangent plane.
     """
     nv = np.linalg.norm(v, axis=1)
-    us = sense * u
-    t = sense * (c - g0)
-    nu = np.linalg.norm(us, axis=1)
-    uv = np.einsum("ij,ij->i", us, v)
+    t = -g0
+    nu = np.linalg.norm(u, axis=1)
+    uv = np.einsum("ij,ij->i", u, v)
     tiny = nu < FLAT_NORMAL_TOL
     free = (uv / np.maximum(nv, DIV_FLOOR) <= t) | tiny
     empty = np.where(tiny, t < -FLAT_EMPTY_TOL, t < -nu - CUT_TOL)
@@ -330,38 +331,38 @@ def _cap_cut(v, g0, u, c, sense):
         nu2 = np.maximum(nu, DIV_FLOOR)
         ratio = np.clip(t / nu2, -1.0, 1.0)
         rise = np.sqrt(np.maximum(1.0 - ratio**2, 0.0))
-    return nv, us, t, nu, nu2, uv, ratio, rise, free, empty
+    return nv, t, nu, nu2, uv, ratio, rise, free, empty
 
 
-def _cap_max_values(w0, v, g0, u, c, sense):
-    """Row-wise max of w0 + v.n over unit n with sense*(g0 + u.n - c) <= 0.
+def _cap_max_values(w0, v, g0, u):
+    """Row-wise max of w0 + v.n over unit n with g0 + u.n <= 0.
 
     Closed form: w0 + |v| where the free maximiser v/|v| satisfies the cut,
     otherwise the best point of the circle where the cut meets the sphere;
     an empty cap has value -inf (edge rules in _cap_cut).
     """
-    nv, us, t, _, nu2, uv, _, rise, free, empty = _cap_cut(v, g0, u, c, sense)
+    nv, t, _, nu2, uv, _, rise, free, empty = _cap_cut(v, g0, u)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         along = uv / nu2**2
         # |v| sin(angle to u), from the difference vector: nv**2 - (uv/nu)**2
         # cancels to ~sqrt(eps)*|v| when v is nearly parallel to u.
-        vperp = np.linalg.norm(v - along[:, None] * us, axis=1)
+        vperp = np.linalg.norm(v - along[:, None] * u, axis=1)
         val = np.where(free, w0 + nv, w0 + along * t + vperp * rise)
     return np.where(empty, -np.inf, val)
 
 
-def _cap_argmax(w0, v, g0, u, c, sense):
+def _cap_argmax(w0, v, g0, u):
     """(N, 2) unit qubit kets whose Bloch vectors maximise _cap_max_values.
 
     An empty cap has a nan row.
     """
-    nv, us, _, nu, nu2, _, ratio, rise, free, empty = _cap_cut(v, g0, u, c, sense)
+    nv, _, nu, nu2, _, ratio, rise, free, empty = _cap_cut(v, g0, u)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         n_free = v / nv[:, None]
         # the circle point towards v, in a frame (u/|u|, e1, e2) built from u
         # alone (Duff et al., JCGT 6, 2017): where v is (nearly) parallel to u,
         # v's perpendicular part is noise, and any circle point is a maximiser
-        ux, uy, uz = np.where(nu > 0, us.T / nu2, [[0.0], [0.0], [1.0]])
+        ux, uy, uz = np.where(nu > 0, u.T / nu2, [[0.0], [0.0], [1.0]])
         sz = np.copysign(1.0, uz)
         a = -1.0 / (sz + uz)
         b = ux * uy * a
@@ -378,24 +379,21 @@ def _cap_argmax(w0, v, g0, u, c, sense):
     return _qubit_kets(np.arctan2(np.hypot(n[:, 0], n[:, 1]), n[:, 2]), np.arctan2(n[:, 1], n[:, 0]))
 
 
-def _oracle_22(L, spec, side, resolution):
+def _oracle_22(L, N, resolution):
     TL = _pauli_tensor_coeffs(L)
     U = _qubit_bloch(*_qubit_angles(resolution, 2 * resolution - 1))
-    if spec is not None:
-        TC = _pauli_tensor_coeffs(spec.C)
-        sense = 1 if side is HalfSpaceSide.LEQ else -1
+    if N is not None:
+        TN = _pauli_tensor_coeffs(N)
     best = -np.inf
     for flip, lo in itertools.product((False, True), range(0, len(U), 1 << 16)):
         # row blocks keep the temporaries small
         w = U[lo : lo + (1 << 16)] @ (TL.T if flip else TL)
-        if spec is None:
+        if N is None:
             vals = w[:, 0] + np.linalg.norm(w[:, 1:], axis=1)
         else:
-            g = U[lo : lo + (1 << 16)] @ (TC.T if flip else TC)
-            vals = _cap_max_values(w[:, 0], w[:, 1:], g[:, 0], g[:, 1:], spec.c, sense)
+            g = U[lo : lo + (1 << 16)] @ (TN.T if flip else TN)
+            vals = _cap_max_values(w[:, 0], w[:, 1:], g[:, 0], g[:, 1:])
         best = max(best, float(vals.max()))
-    if best == -np.inf:
-        raise EmptyFeasibleSet("no feasible product state on the oracle grid")
     return best
 
 
@@ -418,21 +416,20 @@ def _party_ket_grid(d: int, resolution: int) -> np.ndarray:
     return kets
 
 
-def _pair_grid_max(L, spec, sense, kets_a, kets_b):
-    """Exhaustive feasibility-filtered max over the product of two ket grids."""
+def _pair_grid_max(L, N, kets_a, kets_b):
+    """Exhaustive max over the product of two ket grids, where <N> <= CUT_TOL unless N is None."""
     dA, dB = L.dims
     XA = np.einsum("ni,nj->nij", kets_a.conj(), kets_a).reshape(len(kets_a), dA * dA)
     XB = np.einsum("nk,nl->nkl", kets_b.conj(), kets_b).reshape(len(kets_b), dB * dB)
     L2 = L.mat.reshape(dA, dB, dA, dB).transpose(0, 2, 1, 3).reshape(dA * dA, dB * dB)
-    if spec is not None:
-        C2 = spec.C.mat.reshape(dA, dB, dA, dB).transpose(0, 2, 1, 3).reshape(dA * dA, dB * dB)
+    if N is not None:
+        N2 = N.mat.reshape(dA, dB, dA, dB).transpose(0, 2, 1, 3).reshape(dA * dA, dB * dB)
     best = -np.inf
     for lo in range(0, len(kets_a), 4096):
         xa = XA[lo : lo + 4096]
         vals = (xa @ L2 @ XB.T).real
-        if spec is not None:
-            feas = sense * ((xa @ C2 @ XB.T).real - spec.c) <= CUT_TOL
-            vals = np.where(feas, vals, -np.inf)
+        if N is not None:
+            vals = np.where((xa @ N2 @ XB.T).real <= CUT_TOL, vals, -np.inf)
         best = max(best, float(vals.max()))
     return best
 
@@ -451,7 +448,8 @@ def grid_oracle_sup(
     Bloch sphere; both orientations are scanned and the larger max wins.
     Higher local dimensions fall back to a full pair grid with
     hyperspherical angles and relative phases. The value is monotone
-    non-decreasing under grid refinement with nested resolutions.
+    non-decreasing under grid refinement with nested resolutions. A grid of
+    more than _GENERIC_PAIR_CAP rows is refused before it is built.
     """
     if len(L.dims) != 2:
         raise DimensionMismatch("bipartite operator required")
@@ -463,15 +461,15 @@ def grid_oracle_sup(
         raise ValueError("constrained oracle needs side leq or geq")
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
+    # a qubit pair scans one party's kets (the other is closed form), other dims ket pairs
+    power = 1 if L.dims == (2, 2) else L.dims[0] + L.dims[1] - 2
+    if (resolution * (2 * resolution - 1)) ** power > _GENERIC_PAIR_CAP:
+        raise ValueError("resolution too fine for the grid oracle; lower it")
+    N = None if spec is None else _cut_operator(spec, side)
     if L.dims == (2, 2):
-        return _oracle_22(L, spec, side, resolution)
-    dA, dB = L.dims
-    ka = _party_ket_grid(dA, resolution)
-    kb = _party_ket_grid(dB, resolution)
-    if len(ka) * len(kb) > _GENERIC_PAIR_CAP:
-        raise ValueError("resolution too fine for the generic pair grid; lower it")
-    sense = 1 if (spec is None or side is HalfSpaceSide.LEQ) else -1
-    best = _pair_grid_max(L, spec, sense, ka, kb)
+        best = _oracle_22(L, N, resolution)
+    else:
+        best = _pair_grid_max(L, N, *(_party_ket_grid(d, resolution) for d in L.dims))
     if best == -np.inf:
         raise EmptyFeasibleSet("no feasible product state on the oracle grid")
     return best
@@ -482,11 +480,17 @@ def grid_oracle_sup(
 # ---------------------------------------------------------------------------
 
 
-def _qubit_pair_constrained(L, spec, sense):
+def _cut_operator(spec: ConstraintSpec, side: HalfSpaceSide) -> HermitianOperator:
+    """The cut N = s(C - cI) of one side, s = 1 for LEQ and -1 for GEQ: the side is <N> <= 0."""
+    sense = 1.0 if side is HalfSpaceSide.LEQ else -1.0
+    return sense * (spec.C - spec.c * HermitianOperator.identity(spec.C.dims))
+
+
+def _qubit_pair_constrained(L, N):
     """Constrained supremum over qubit product states by one exact reduction.
 
     For the outer party's Bloch vector n, f(n) is the inner party's
-    closed-form maximum over its Bloch sphere cut by the constraint. f is
+    closed-form maximum over its Bloch sphere cut by <N> <= 0. f is
     scanned on the outer party's _PAIR_GRID (polar angles with both poles,
     azimuths without the 2 pi endpoint) with either party outer: where the
     optimum shrinks the inner cut to a point, f has a curved ridge in that
@@ -499,12 +503,12 @@ def _qubit_pair_constrained(L, spec, sense):
     point is feasible.
     """
     TL = _pauli_tensor_coeffs(L)
-    TC = _pauli_tensor_coeffs(spec.C)
+    TN = _pauli_tensor_coeffs(N)
 
     def best_inner(n, flip, kernel=_cap_max_values):
         w = np.where(flip[:, None], n @ TL.T, n @ TL)
-        g = np.where(flip[:, None], n @ TC.T, n @ TC)
-        return kernel(w[:, 0], w[:, 1:], g[:, 0], g[:, 1:], spec.c, sense)
+        g = np.where(flip[:, None], n @ TN.T, n @ TN)
+        return kernel(w[:, 0], w[:, 1:], g[:, 0], g[:, 1:])
 
     tn, pn = _PAIR_GRID
     grid = _qubit_bloch(*_qubit_angles(tn, pn, phi_endpoint=False))
@@ -562,7 +566,7 @@ def _cut_top(M: np.ndarray, N: np.ndarray) -> np.ndarray:
     duality gap (Beck & Eldar, SIAM J. Optim. 17, 2006), so the maximiser
     lies in the span of the bracket's two eigenvectors, also where the top
     eigenvalue is degenerate at the multiplier; that span is a qubit, solved
-    exactly by _cap_argmax with the cut at 0. Rows where doubling finds no
+    exactly by _cap_argmax. Rows where doubling finds no
     feasible eigenvector are nan.
     """
     _, x = _hermitian_top(M)
@@ -594,32 +598,31 @@ def _cut_top(M: np.ndarray, N: np.ndarray) -> np.ndarray:
         lo[~down], x_lo[~down] = mid[~down], y[~down]
     Q = np.linalg.qr(np.stack([x_hi, x_lo], axis=2))[0]  # first column spans x_hi
     QH = Q.conj().transpose(0, 2, 1)
-    y = _cap_argmax(*_bloch_coeffs(QH @ M @ Q), *_bloch_coeffs(QH @ N @ Q), 0.0, 1)
+    y = _cap_argmax(*_bloch_coeffs(QH @ M @ Q), *_bloch_coeffs(QH @ N @ Q))
     x[cut] = np.einsum("rij,rj->ri", Q, y)
     x[cut[g_hi > 0]] = np.nan
     return x
 
 
-def _constrained_seesaw(L, spec, sense, A0, B0):
+def _constrained_seesaw(L, N, A0, B0):
     """Alternating exact constrained ascent from R starting product kets at once.
 
     As in _seesaw_batch, but each half step maximises the conditioned form
-    of L under the conditioned cut sense*(C - c) <= 0 (_cut_top). A move is
+    of L under the conditioned cut <N> <= 0 (_cut_top). A move is
     taken only when it is feasible and does not lower the row's value; an
     infeasible start counts as -inf, so its first feasible move is taken. A
     row retires once a sweep gains no more than SEESAW_TOL, with at most
     _SEESAW_MAX_ITER sweeps. Returns per-row arrays (values, A, B).
     """
     dA, dB = L.dims
-    N = sense * (spec.C.mat - spec.c * np.eye(L.dim))
-    M4, N4 = (T.reshape(dA, dB, dA, dB) for T in (L.mat, N))
+    M4, N4 = (T.mat.reshape(dA, dB, dA, dB) for T in (L, N))
     A = np.array(A0, dtype=complex)
     B = np.array(B0, dtype=complex)
     prod = np.einsum("ri,rk->rik", A, B).reshape(len(A), L.dim)
     vals = _quad(prod, L.mat)
     # a point on the cut lands within rounding of it, on either side
-    slack = L.dim * np.finfo(float).eps * np.linalg.norm(N)
-    vals[_quad(prod, N) > slack] = -np.inf
+    slack = L.dim * np.finfo(float).eps * np.linalg.norm(N.mat)
+    vals[_quad(prod, N.mat) > slack] = -np.inf
     live = np.arange(len(A))
     for _ in range(_SEESAW_MAX_ITER):
         before = vals[live]
@@ -644,11 +647,11 @@ def _slerp(u: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
     return w / np.linalg.norm(w)  # |w|^2 >= 1/2 - 1e-15 for unit u, v and t in [0, 1]
 
 
-def _dual_refine(L, spec, sense, base):
+def _dual_refine(L, N, base):
     """Cut point (a, b) via a multiplier root-find on the penalized see-saw.
 
-    For mu >= 0 the see-saw maximum v(mu) of L - sense*mu*C gives the dual
-    bound v(mu) + sense*mu*c on the side sense*(<C> - c) <= 0. The bracket
+    For mu >= 0 the see-saw maximum v(mu) of L - mu*N gives the dual
+    bound v(mu) on the side <N> <= 0. The bracket
     starts at mu = 0 from base, the unconstrained optimum, which lies past
     the cut; each penalized see-saw continues from the party-A kets of the
     bracket ends, with no random starts. A sign-change bisection narrows
@@ -658,14 +661,13 @@ def _dual_refine(L, spec, sense, base):
     when no multiplier reaches the feasible side.
     """
     dA, dB = L.dims
-    CM, c = spec.C.mat, spec.c
 
     def gamma(a, b):
         prod = np.kron(a, b)
-        return float(np.vdot(prod, CM @ prod).real)
+        return float(np.vdot(prod, N.mat @ prod).real)
 
     def solve(mu, A0):
-        M4 = (L.mat - sense * mu * CM).reshape(dA, dB, dA, dB)
+        M4 = (L.mat - mu * N.mat).reshape(dA, dB, dA, dB)
         vals, A, B, _, _ = _seesaw_batch(M4, A0)
         r = int(np.argmax(vals))
         return gamma(A[r], B[r]), (A[r], B[r])
@@ -675,7 +677,7 @@ def _dual_refine(L, spec, sense, base):
     scale = max(1.0, abs(base.value))
     for _ in range(80):
         hi_gam, hi_pt = solve(hi_mu, [lo_pt[0]])
-        if sense * (hi_gam - c) <= 0.0:
+        if hi_gam <= 0.0:
             break
         lo_mu, lo_pt = hi_mu, hi_pt
         hi_mu *= 2.0
@@ -686,7 +688,7 @@ def _dual_refine(L, spec, sense, base):
     for _ in range(90):
         mid = 0.5 * (lo_mu + hi_mu)
         gam, pt = solve(mid, [lo_pt[0], hi_pt[0]])
-        if sense * (gam - c) <= 0.0:
+        if gam <= 0.0:
             hi_mu, hi_pt = mid, pt
         else:
             lo_mu, lo_pt = mid, pt
@@ -697,14 +699,14 @@ def _dual_refine(L, spec, sense, base):
     tlo, thi = 0.0, 1.0  # t=0 feasible side, t=1 infeasible side
     for _ in range(200):
         tm = 0.5 * (tlo + thi)
-        if sense * (gamma(_slerp(af, ai, tm), _slerp(bf, bi, tm)) - c) <= 0.0:
+        if gamma(_slerp(af, ai, tm), _slerp(bf, bi, tm)) <= 0.0:
             tlo = tm
         else:
             thi = tm
     return _slerp(af, ai, tlo), _slerp(bf, bi, tlo)
 
 
-def _generic_constrained(L, spec, sense, cfg, base):
+def _generic_constrained(L, N, cfg, base):
     """_constrained_seesaw from the best feasible points of 200k seeded
     random product states and from the cut point of the multiplier
     root-find, which starts at base, the infeasible unconstrained optimum,
@@ -712,16 +714,16 @@ def _generic_constrained(L, spec, sense, cfg, base):
     of the first best start, or None when no sample point is feasible."""
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x5EED)))
     A, B = random_product_batch(L.dims, 200_000, rng)
-    vals, cons = (product_expectations(T, A, B) for T in (L, spec.C))
-    feas = np.flatnonzero(sense * (cons - spec.c) <= BOUNDARY_TOL)
+    vals = product_expectations(L, A, B)
+    feas = np.flatnonzero(product_expectations(N, A, B) <= BOUNDARY_TOL)
     if feas.size == 0:
         return None
     top = feas[np.argsort(-vals[feas], kind="stable")[:_CONSTRAINED_STARTS]]
     A0, B0 = A[top], B[top]
-    refined = _dual_refine(L, spec, sense, base)
+    refined = _dual_refine(L, N, base)
     if refined is not None:
         A0, B0 = np.vstack([A0, refined[0]]), np.vstack([B0, refined[1]])
-    vals, A, B = _constrained_seesaw(L, spec, sense, A0, B0)
+    vals, A, B = _constrained_seesaw(L, N, A0, B0)
     r = int(np.argmax(vals))
     pk = ProductKet(a=Ket.unit(A[r]), b=Ket.unit(B[r]))
     return expectation(L, pk), pk, refined is not None
@@ -735,10 +737,11 @@ def sup_product_constrained(
 ) -> OptimizationResult:
     """Supremum of <a,b|L|a,b> over product kets on one constraint side.
 
-    Stage 1 returns the unconstrained optimum whenever it satisfies the side
-    to within the boundary band BOUNDARY_TOL. Otherwise, for qubit
+    Stage 1 returns the unconstrained optimum whenever halfspace_membership
+    puts it on the side or in the boundary band. Otherwise the side becomes
+    <N> <= 0 with one cut operator N (_cut_operator), and for qubit
     pairs, one party is maximised in closed form over its Bloch sphere cut
-    by the constraint and the other by the fixed _PAIR_GRID refined by
+    by it and the other by the fixed _PAIR_GRID refined by
     compass search, with either party outer (_qubit_pair_constrained); the
     result is converged whenever a grid point is feasible. Beyond qubit
     pairs, a constrained see-saw runs from the 16 best feasible points of a
@@ -756,16 +759,15 @@ def sup_product_constrained(
         raise ValueError("side must be leq or geq")
     if spec.C.dims != L.dims:
         raise DimensionMismatch("constraint operator lives on a different space")
-    sense = 1 if side is HalfSpaceSide.LEQ else -1
     base = sup_product_unconstrained(L, cfg)
-    cval = expectation(spec.C, base.argmax)
-    if sense * (cval - spec.c) <= BOUNDARY_TOL:
-        return replace(base, constraint_value=cval)
+    if halfspace_membership(base.argmax, spec) in (side, HalfSpaceSide.BOUNDARY):
+        return replace(base, constraint_value=expectation(spec.C, base.argmax))
 
+    N = _cut_operator(spec, side)
     if L.dims == (2, 2):
-        found = _qubit_pair_constrained(L, spec, sense)
+        found = _qubit_pair_constrained(L, N)
     else:
-        found = _generic_constrained(L, spec, sense, cfg, base)
+        found = _generic_constrained(L, N, cfg, base)
     if found is None:
         where = "qubit-pair grid" if L.dims == (2, 2) else "random product sample"
         raise EmptyFeasibleSet(f"no product state on the {where} satisfies the constraint side")
@@ -792,20 +794,17 @@ def classify_case(L: HermitianOperator, spec: ConstraintSpec, cfg: OptimizerConf
     standing sign convention; callers should swap the sides if it does).
     """
     opt_l = sup_product_unconstrained(L, cfg)
-    c_at_l = expectation(spec.C, opt_l.argmax)
-    if c_at_l < spec.c - BOUNDARY_TOL:
+    side_l = halfspace_membership(opt_l.argmax, spec)
+    if side_l is HalfSpaceSide.LEQ:
+        c_at_l = expectation(spec.C, opt_l.argmax)
         raise AssumptionViolated(
             f"optimum of the test operator has constraint value {c_at_l!r} < c; "
             "relabel the half-spaces"
         )
-    opt_d = sup_product_unconstrained(L - spec.C, cfg)
-    c_at_d = expectation(spec.C, opt_d.argmax)
-    if (
-        abs(c_at_l - spec.c) <= BOUNDARY_TOL
-        or abs(c_at_d - spec.c) <= BOUNDARY_TOL
-    ):
+    side_d = halfspace_membership(sup_product_unconstrained(L - spec.C, cfg).argmax, spec)
+    if HalfSpaceSide.BOUNDARY in (side_l, side_d):
         return CaseLabel.DEGENERATE
-    return CaseLabel.CASE_I if c_at_d > spec.c else CaseLabel.CASE_II
+    return CaseLabel.CASE_I if side_d is HalfSpaceSide.GEQ else CaseLabel.CASE_II
 
 
 def _alpha_feasible(L, spec, cfg, p_c, alpha):
@@ -930,7 +929,7 @@ def rotated_bound_residual(
     # nbar is a positive multiple of the rotated operator: same argmax
     res = sup_product_constrained(nbar, spec, HalfSpaceSide.LEQ, cfg)
     for name, r in (("test", pc_res), ("rotated test", res)):
-        if r.method == "seesaw" and r.constraint_value < spec.c - BOUNDARY_TOL:
+        if r.method == "seesaw" and halfspace_membership(r.argmax, spec) is HalfSpaceSide.LEQ:
             warnings.warn(
                 f"optimum of the {name} operator crosses to the <= side; "
                 "the affine identity is not guaranteed",

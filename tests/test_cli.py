@@ -1,8 +1,10 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -491,3 +493,11 @@ def test_main_reuses_the_parser_built_at_import(monkeypatch, capsys):
     monkeypatch.setattr(uew.cli, "_build_parser", lambda: pytest.fail("main rebuilt the parser"))
     assert main(["gs", "--help"]) == 0
     assert capsys.readouterr().out.startswith("usage: uew gs")
+
+
+def test_readme_scan_block(capsys):
+    # the README's worked scan, run through main, prints that block's CSV byte for byte
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"```sh\n\$ uew (scan --example31 --x 4/5 [^\n]*)\n(.*?)```", readme, re.S)
+    assert main(block.group(1).split()) == 0
+    assert capsys.readouterr().out == block.group(2)

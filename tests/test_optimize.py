@@ -35,6 +35,7 @@ from uew.optimize import (
     _canonical_rows,
     _cap_argmax,
     _cap_max_values,
+    _cut_operator,
     _pair_grid_max,
     _party_ket_grid,
     _pauli_tensor_coeffs,
@@ -178,10 +179,14 @@ class TestOptimizerConfig:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"seed": None}, {"seed": 1.5}, {"seed": -1}, {"seed": "0"}, {"restarts": 2.5}, {"restarts": None}],
+        [
+            {"seed": None}, {"seed": 1.5}, {"seed": -1}, {"seed": "0"}, {"seed": True},
+            {"restarts": 2.5}, {"restarts": None}, {"restarts": True},
+        ],
     )
     def test_rejects_bad_seeds(self, kwargs):
-        # a seed of None would draw OS entropy: equal configs, other results
+        # a seed of None would draw OS entropy: equal configs, other results;
+        # a bool is an Integral but no count
         with pytest.raises(ValueError, match="must be a"):
             OptimizerConfig(**kwargs)
 
@@ -441,11 +446,12 @@ class TestCapValues:
         rows += [(rng.normal(size=3), c + rng.normal(), rng.normal(size=3)) for _ in range(50)]
         v, g0, u = (np.array(x) for x in zip(*rows))
         w0 = rng.normal(size=len(rows))
-        got = _cap_max_values(w0, v, g0, u, c, sense)
+        # the kernels take the cut at 0: g0 + u.n <= 0
+        got = _cap_max_values(w0, v, sense * (g0 - c), sense * u)
         assert got.tobytes() == _parent_cap_values(w0, v, g0, u, c, sense).tobytes()
         assert np.isneginf(got).sum() >= 2
         # the argmax kernel's kets lie in the cap and attain its value; empty caps are nan
-        kets = _cap_argmax(w0, v, g0, u, c, sense)
+        kets = _cap_argmax(w0, v, sense * (g0 - c), sense * u)
         empty = np.isneginf(got)
         assert np.array_equal(np.isnan(kets).all(axis=1), empty) and not np.isnan(kets[~empty]).any()
         n = np.einsum("ri,kij,rj->rk", kets.conj(), np.array(_PAULI[1:]), kets).real
@@ -491,9 +497,9 @@ def _assert_reaches_pair_grid(L, spec, sense, cfg, kets=None):
     """The 2x2 solve is at least the exhaustive pair-grid max over kets x kets
     (the coarse grid by default), attained and feasible."""
     kets = _coarse_grid()[0] if kets is None else kets
-    grid_val = _pair_grid_max(L, spec, sense, kets, kets)
-    assert grid_val > -np.inf
     side = HalfSpaceSide.LEQ if sense == 1 else HalfSpaceSide.GEQ
+    grid_val = _pair_grid_max(L, _cut_operator(spec, side), kets, kets)
+    assert grid_val > -np.inf
     res = sup_product_constrained(L, spec, side, cfg)
     if res.method == "hybrid":
         v_tol, c_tol = 1e-12, 1e-12
@@ -652,6 +658,56 @@ class TestGridOracle:
         spec = ConstraintSpec(C=example["C"], c=-0.5)
         with pytest.raises(EmptyFeasibleSet):
             grid_oracle_sup(example["L"], spec, HalfSpaceSide.LEQ, resolution=121)
+
+    @pytest.mark.parametrize("constrained", [False, True])
+    def test_qubit_pair_resolution_cap(self, example, monkeypatch, constrained):
+        # 2896 * 5791 grid rows fit under the cap, 2897 * 5793 do not; the
+        # refusal comes before any grid is built
+        monkeypatch.setattr(uew.optimize, "_qubit_angles", lambda *a: pytest.fail("grid built"))
+        args = (example["spec"], HalfSpaceSide.LEQ) if constrained else ()
+        with pytest.raises(ValueError, match="too fine"):
+            grid_oracle_sup(example["L"], *args, resolution=2897)
+
+
+def _mirrored(spec):
+    """The same cut with the sides exchanged: GEQ of the mirror is LEQ of spec."""
+    return ConstraintSpec(C=-1.0 * spec.C, c=-spec.c)
+
+
+class TestSideSymmetry:
+    """LEQ on (C, c) and GEQ on (-C, -c) are one side with one cut operator
+    N = s(C - cI), bit for bit, so they give the same bytes."""
+
+    @staticmethod
+    def _assert_same(L, spec, cfg, method):
+        res = sup_product_constrained(L, spec, HalfSpaceSide.LEQ, cfg)
+        mir = sup_product_constrained(L, _mirrored(spec), HalfSpaceSide.GEQ, cfg)
+        assert res.method == mir.method == method
+        assert res.value == mir.value
+        assert res.argmax.a.amplitudes.tobytes() == mir.argmax.a.amplitudes.tobytes()
+        assert res.argmax.b.amplitudes.tobytes() == mir.argmax.b.amplitudes.tobytes()
+
+    def test_qubit_pair_hybrid(self, example, cfg):
+        self._assert_same(example["L"], example["spec"], cfg, "hybrid")
+
+    def test_generic_hybrid(self):
+        L, spec, cfg = recipe_instance(55, 1, 0.5, 0, HalfSpaceSide.LEQ)
+        assert L.dims == (2, 3)
+        self._assert_same(L, spec, cfg, "hybrid")
+
+    def test_short_circuit(self, example, cfg):
+        # LEQ of the mirror is GEQ of the worked cut, where the optimum lies
+        self._assert_same(example["L"], _mirrored(example["spec"]), cfg, "seesaw")
+
+    @pytest.mark.parametrize("dims, resolution", [((2, 2), 181), ((2, 3), 9)])
+    def test_grid_oracle(self, dims, resolution):
+        rng = np.random.default_rng(17)
+        L, C = rand_herm(rng, dims), rand_herm(rng, dims)
+        spec = ConstraintSpec(C=C, c=float(np.diag(C.mat).real.mean()))
+        for side in (HalfSpaceSide.LEQ, HalfSpaceSide.GEQ):
+            other = HalfSpaceSide.GEQ if side is HalfSpaceSide.LEQ else HalfSpaceSide.LEQ
+            val = grid_oracle_sup(L, spec, side, resolution=resolution)
+            assert val == grid_oracle_sup(L, _mirrored(spec), other, resolution=resolution)
 
 
 class TestConstrained:
@@ -815,7 +871,7 @@ class TestConstrained:
         at_opt = expectation(spec.C, sup_product_unconstrained(L, cfg).argmax)
         sense = 1 if at_opt > spec.c else -1
         side = HalfSpaceSide.LEQ if sense == 1 else HalfSpaceSide.GEQ
-        grid_val = _pair_grid_max(L, spec, sense, _party_ket_grid(2, 5), _party_ket_grid(3, 5))
+        grid_val = _pair_grid_max(L, _cut_operator(spec, side), _party_ket_grid(2, 5), _party_ket_grid(3, 5))
         res = sup_product_constrained(L, spec, side, cfg)
         assert res.method == "hybrid"
         assert res.value >= grid_val - 1e-9
