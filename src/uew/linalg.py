@@ -36,9 +36,7 @@ BOUNDARY_TOL = 1e-9      # the boundary band; also the optimizers' slack for "on
 SCAN_RESOLUTION = 1e-3   # the coarsest threshold_scan resolution, and its default
 # -- optimizers
 SEESAW_TOL = 1e-11       # a see-saw row retires once a sweep gains less than this
-CUT_TOL = 1e-15          # a point this far past the cut still counts as on it
-FLAT_NORMAL_TOL = 1e-14  # a constraint normal shorter than this does not cut the Bloch sphere
-FLAT_EMPTY_TOL = 1e-12   # an uncut cap is empty only when its threshold lies below -FLAT_EMPTY_TOL
+CUT_TOL = 1e-15          # a point this far past the cut still counts as on it; a qubit cap's only band
 DIV_FLOOR = 1e-300       # a norm that divides is floored here, so a zero norm gives no inf or nan
 COMPASS_STOP = 1e-13     # a compass search stops once its step in radians falls below this
 SLERP_PHASE_TOL = 1e-15  # two kets with an overlap this small have no relative phase to align
@@ -278,8 +276,7 @@ def conditional_operator(M: HermitianOperator, k: Ket, party: str) -> HermitianO
         red = np.einsum("k,ikjl,l->ij", v.conj(), four, v)
     else:
         raise ValueError("party must be 'A' or 'B'")
-    red = (red + red.conj().T) / 2  # kill float asymmetry
-    return HermitianOperator(red)
+    return HermitianOperator(red)  # which stores the exactly Hermitian part
 
 
 def eig_hermitian(M: HermitianOperator):

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import itertools
 import math
 import numbers
 import warnings
@@ -45,8 +44,6 @@ from .linalg import (
     COMPASS_STOP,
     CUT_TOL,
     DIV_FLOOR,
-    FLAT_EMPTY_TOL,
-    FLAT_NORMAL_TOL,
     MU_CAP,
     MU_STOP,
     PHASE_TOL,
@@ -316,17 +313,17 @@ def _cap_cut(v, g0, u):
     Returns (nv, t, nu, nu2, uv, ratio, rise, free, empty): |v|, the
     threshold t = -g0, |u| and its floor at DIV_FLOOR, u.v, the cut
     circle's height t/|u| and radius (both clipped to the sphere), whether
-    v/|v| satisfies the cut, and whether the cap is empty. A row with
-    |u| < FLAT_NORMAL_TOL counts as uncut when its threshold is at least
-    -FLAT_EMPTY_TOL, and a cut is empty only CUT_TOL past the tangent plane.
+    v/|v| satisfies the cut, and whether the cap is empty. CUT_TOL is the
+    one band: v/|v| is free up to CUT_TOL past the cut, and a cap is empty
+    only once the whole sphere lies more than CUT_TOL past it. A zero u
+    (the zero cut) leaves every row free at a threshold of 0.
     """
     nv = np.linalg.norm(v, axis=1)
     t = -g0
     nu = np.linalg.norm(u, axis=1)
     uv = np.einsum("ij,ij->i", u, v)
-    tiny = nu < FLAT_NORMAL_TOL
-    free = (uv / np.maximum(nv, DIV_FLOOR) <= t) | tiny
-    empty = np.where(tiny, t < -FLAT_EMPTY_TOL, t < -nu - CUT_TOL)
+    free = uv / np.maximum(nv, DIV_FLOOR) <= t + CUT_TOL
+    empty = t < -nu - CUT_TOL
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         nu2 = np.maximum(nu, DIV_FLOOR)
         ratio = np.clip(t / nu2, -1.0, 1.0)
@@ -379,20 +376,21 @@ def _cap_argmax(w0, v, g0, u):
     return _qubit_kets(np.arctan2(np.hypot(n[:, 0], n[:, 1]), n[:, 2]), np.arctan2(n[:, 1], n[:, 0]))
 
 
+def _inner_caps(TL, TN, n, flip, kernel=_cap_max_values):
+    """kernel on the inner party's cap at outer Bloch 4-vectors n; B is outer where flip."""
+    w = np.where(flip[:, None], n @ TL.T, n @ TL)
+    g = np.where(flip[:, None], n @ TN.T, n @ TN)
+    return kernel(w[:, 0], w[:, 1:], g[:, 0], g[:, 1:])
+
+
 def _oracle_22(L, N, resolution):
-    TL = _pauli_tensor_coeffs(L)
+    TL, TN = _pauli_tensor_coeffs(L), _pauli_tensor_coeffs(N)
     U = _qubit_bloch(*_qubit_angles(resolution, 2 * resolution - 1))
-    if N is not None:
-        TN = _pauli_tensor_coeffs(N)
     best = -np.inf
-    for flip, lo in itertools.product((False, True), range(0, len(U), 1 << 16)):
-        # row blocks keep the temporaries small
-        w = U[lo : lo + (1 << 16)] @ (TL.T if flip else TL)
-        if N is None:
-            vals = w[:, 0] + np.linalg.norm(w[:, 1:], axis=1)
-        else:
-            g = U[lo : lo + (1 << 16)] @ (TN.T if flip else TN)
-            vals = _cap_max_values(w[:, 0], w[:, 1:], g[:, 0], g[:, 1:])
+    for lo in range(0, len(U), 1 << 15):
+        # blocks of 1 << 15 outer kets, each in both orientations, keep the temporaries small
+        n = U[lo : lo + (1 << 15)]
+        vals = _inner_caps(TL, TN, np.vstack([n, n]), np.repeat([False, True], len(n)))
         best = max(best, float(vals.max()))
     return best
 
@@ -417,19 +415,15 @@ def _party_ket_grid(d: int, resolution: int) -> np.ndarray:
 
 
 def _pair_grid_max(L, N, kets_a, kets_b):
-    """Exhaustive max over the product of two ket grids, where <N> <= CUT_TOL unless N is None."""
+    """Exhaustive max over the product of two ket grids, where <N> <= CUT_TOL."""
     dA, dB = L.dims
     XA = np.einsum("ni,nj->nij", kets_a.conj(), kets_a).reshape(len(kets_a), dA * dA)
     XB = np.einsum("nk,nl->nkl", kets_b.conj(), kets_b).reshape(len(kets_b), dB * dB)
-    L2 = L.mat.reshape(dA, dB, dA, dB).transpose(0, 2, 1, 3).reshape(dA * dA, dB * dB)
-    if N is not None:
-        N2 = N.mat.reshape(dA, dB, dA, dB).transpose(0, 2, 1, 3).reshape(dA * dA, dB * dB)
+    L2, N2 = (T.mat.reshape(dA, dB, dA, dB).transpose(0, 2, 1, 3).reshape(dA * dA, dB * dB) for T in (L, N))
     best = -np.inf
     for lo in range(0, len(kets_a), 4096):
         xa = XA[lo : lo + 4096]
-        vals = (xa @ L2 @ XB.T).real
-        if N is not None:
-            vals = np.where((xa @ N2 @ XB.T).real <= CUT_TOL, vals, -np.inf)
+        vals = np.where((xa @ N2 @ XB.T).real <= CUT_TOL, (xa @ L2 @ XB.T).real, -np.inf)
         best = max(best, float(vals.max()))
     return best
 
@@ -442,14 +436,16 @@ def grid_oracle_sup(
 ) -> float:
     """Brute-force product-state supremum on per-party angle grids.
 
-    Independent of the see-saw path: no iteration, no restarts. For qubit
-    pairs the polar/azimuth grid of one party is scanned exhaustively while
-    the other party is maximized in closed form over its (feasibility-cut)
-    Bloch sphere; both orientations are scanned and the larger max wins.
-    Higher local dimensions fall back to a full pair grid with
-    hyperspherical angles and relative phases. The value is monotone
-    non-decreasing under grid refinement with nested resolutions. A grid of
-    more than _GENERIC_PAIR_CAP rows is refused before it is built.
+    Independent of the see-saw path: no iteration, no restarts. The scan
+    keeps the side <N> <= 0 of the cut N (_cut_operator); without spec N is
+    0, which every point satisfies. For qubit pairs the polar/azimuth grid
+    of one party is scanned exhaustively while the other party is maximized
+    in closed form over its Bloch sphere cut by N; both orientations are
+    scanned and the larger max wins. Higher local dimensions fall back to a
+    full pair grid with hyperspherical angles and relative phases. The value
+    is monotone non-decreasing under grid refinement with nested
+    resolutions. A grid of more than _GENERIC_PAIR_CAP rows is refused
+    before it is built.
     """
     if len(L.dims) != 2:
         raise DimensionMismatch("bipartite operator required")
@@ -465,7 +461,8 @@ def grid_oracle_sup(
     power = 1 if L.dims == (2, 2) else L.dims[0] + L.dims[1] - 2
     if (resolution * (2 * resolution - 1)) ** power > _GENERIC_PAIR_CAP:
         raise ValueError("resolution too fine for the grid oracle; lower it")
-    N = None if spec is None else _cut_operator(spec, side)
+    # unconstrained is the zero cut: <0> <= 0 everywhere, so every row is free
+    N = 0.0 * L if spec is None else _cut_operator(spec, side)
     if L.dims == (2, 2):
         best = _oracle_22(L, N, resolution)
     else:
@@ -499,23 +496,15 @@ def _qubit_pair_constrained(L, N):
     (theta, phi): move to the best improving point of the 3x3 stencil, else
     halve the step, until it is below COMPASS_STOP (Kolda, Lewis & Torczon,
     SIAM Rev. 45, 2003) or _COMPASS_MAX_STEPS stencils have run. Returns
-    (value, argmax, True) at the best end point, or None when no grid
-    point is feasible.
+    (value, argmax, True, stencil rounds run) at the best end point; raises
+    EmptyFeasibleSet when no grid point is feasible.
     """
-    TL = _pauli_tensor_coeffs(L)
-    TN = _pauli_tensor_coeffs(N)
-
-    def best_inner(n, flip, kernel=_cap_max_values):
-        w = np.where(flip[:, None], n @ TL.T, n @ TL)
-        g = np.where(flip[:, None], n @ TN.T, n @ TN)
-        return kernel(w[:, 0], w[:, 1:], g[:, 0], g[:, 1:])
-
+    TL, TN = _pauli_tensor_coeffs(L), _pauli_tensor_coeffs(N)
     tn, pn = _PAIR_GRID
     grid = _qubit_bloch(*_qubit_angles(tn, pn, phi_endpoint=False))
-    flip = np.repeat([False, True], len(grid))
-    vals = best_inner(np.vstack([grid, grid]), flip)
+    vals = _inner_caps(TL, TN, np.vstack([grid, grid]), np.repeat([False, True], len(grid)))
     if vals.max() == -np.inf:
-        return None
+        raise EmptyFeasibleSet("no product state on the qubit-pair grid satisfies the constraint side")
     # 4 starts per orientation, searched in lockstep
     ks = np.concatenate([np.argsort(-half, kind="stable")[:4] for half in np.split(vals, 2)])
     flip = np.repeat([False, True], 4)
@@ -525,13 +514,15 @@ def _qubit_pair_constrained(L, N):
     x = step * np.stack(divmod(ks, pn), axis=1)
     h = np.ones(len(ks))
     rows = np.arange(len(ks))
+    rounds = 0
     for _ in range(_COMPASS_MAX_STEPS):
         live = h * step.max() >= COMPASS_STOP
         if not live.any():
             break
+        rounds += 1
         cand = x[:, None] + h[:, None, None] * stencil
         nc = _qubit_bloch(cand[..., 0].ravel(), cand[..., 1].ravel())
-        fv = best_inner(nc, np.repeat(flip, len(stencil))).reshape(len(ks), -1)
+        fv = _inner_caps(TL, TN, nc, np.repeat(flip, len(stencil))).reshape(len(ks), -1)
         j = fv.argmax(axis=1)
         up = live & (fv[rows, j] > fx)
         x[up], fx[up] = cand[rows, j][up], fv[rows, j][up]
@@ -540,9 +531,9 @@ def _qubit_pair_constrained(L, N):
     kets, n = _qubit_kets(x[s, :1], x[s, 1:]), _qubit_bloch(x[s, :1], x[s, 1:])
     # only the winning row builds its maximiser
     outer = Ket.unit(kets[0])
-    inner = Ket.unit(best_inner(n, flip[s : s + 1], _cap_argmax)[0])
+    inner = Ket.unit(_inner_caps(TL, TN, n, flip[s : s + 1], _cap_argmax)[0])
     pk = ProductKet(a=inner, b=outer) if flip[s] else ProductKet(a=outer, b=inner)
-    return expectation(L, pk), pk, True
+    return expectation(L, pk), pk, True, rounds
 
 
 def _quad(x, M):
@@ -612,7 +603,7 @@ def _constrained_seesaw(L, N, A0, B0):
     taken only when it is feasible and does not lower the row's value; an
     infeasible start counts as -inf, so its first feasible move is taken. A
     row retires once a sweep gains no more than SEESAW_TOL, with at most
-    _SEESAW_MAX_ITER sweeps. Returns per-row arrays (values, A, B).
+    _SEESAW_MAX_ITER sweeps. Returns per-row arrays (values, A, B, sweeps).
     """
     dA, dB = L.dims
     M4, N4 = (T.mat.reshape(dA, dB, dA, dB) for T in (L, N))
@@ -623,8 +614,10 @@ def _constrained_seesaw(L, N, A0, B0):
     # a point on the cut lands within rounding of it, on either side
     slack = L.dim * np.finfo(float).eps * np.linalg.norm(N.mat)
     vals[_quad(prod, N.mat) > slack] = -np.inf
+    its = np.zeros(len(A), dtype=int)
     live = np.arange(len(A))
-    for _ in range(_SEESAW_MAX_ITER):
+    for it in range(1, _SEESAW_MAX_ITER + 1):
+        its[live] = it
         before = vals[live]
         for X, Y, cond in ((B, A, "ri,ikjl,rj->rkl"), (A, B, "rk,ikjl,rl->rij")):
             y = Y[live]
@@ -636,7 +629,7 @@ def _constrained_seesaw(L, N, A0, B0):
         live = live[vals[live] > before + SEESAW_TOL]
         if live.size == 0:
             break
-    return vals, A, B
+    return vals, A, B, its
 
 
 def _slerp(u: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
@@ -710,23 +703,24 @@ def _generic_constrained(L, N, cfg, base):
     """_constrained_seesaw from the best feasible points of 200k seeded
     random product states and from the cut point of the multiplier
     root-find, which starts at base, the infeasible unconstrained optimum,
-    and draws no further random starts; returns (value, argmax, converged)
-    of the first best start, or None when no sample point is feasible."""
+    and draws no further random starts; returns (value, argmax, converged,
+    sweeps) of the first best start, and raises EmptyFeasibleSet when no
+    sample point is feasible."""
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x5EED)))
     A, B = random_product_batch(L.dims, 200_000, rng)
     vals = product_expectations(L, A, B)
     feas = np.flatnonzero(product_expectations(N, A, B) <= BOUNDARY_TOL)
     if feas.size == 0:
-        return None
+        raise EmptyFeasibleSet("no product state on the random product sample satisfies the constraint side")
     top = feas[np.argsort(-vals[feas], kind="stable")[:_CONSTRAINED_STARTS]]
     A0, B0 = A[top], B[top]
     refined = _dual_refine(L, N, base)
     if refined is not None:
         A0, B0 = np.vstack([A0, refined[0]]), np.vstack([B0, refined[1]])
-    vals, A, B = _constrained_seesaw(L, N, A0, B0)
+    vals, A, B, its = _constrained_seesaw(L, N, A0, B0)
     r = int(np.argmax(vals))
     pk = ProductKet(a=Ket.unit(A[r]), b=Ket.unit(B[r]))
-    return expectation(L, pk), pk, refined is not None
+    return expectation(L, pk), pk, refined is not None, int(its[r])
 
 
 def sup_product_constrained(
@@ -750,10 +744,11 @@ def sup_product_constrained(
     draws no random starts and always bridges its two ends onto the cut;
     each half step maximises one party exactly under the conditioned
     constraint (_cut_top), and the result is converged when the root-find
-    returned (_generic_constrained). Only cfg.restarts and cfg.seed are
-    read; the see-saw stopping rule is SEESAW_TOL and _SEESAW_MAX_ITER.
-    Raises EmptyFeasibleSet when the qubit-pair grid or the random sample
-    holds no feasible point.
+    returned (_generic_constrained). A hybrid result counts the compass
+    rounds or the winning row's constrained sweeps as its iterations. Only
+    cfg.restarts and cfg.seed are read; the see-saw stopping rule is
+    SEESAW_TOL and _SEESAW_MAX_ITER. Raises EmptyFeasibleSet when the
+    qubit-pair grid or the random sample holds no feasible point.
     """
     if side not in (HalfSpaceSide.LEQ, HalfSpaceSide.GEQ):
         raise ValueError("side must be leq or geq")
@@ -765,19 +760,15 @@ def sup_product_constrained(
 
     N = _cut_operator(spec, side)
     if L.dims == (2, 2):
-        found = _qubit_pair_constrained(L, N)
+        value, pk, converged, iterations = _qubit_pair_constrained(L, N)
     else:
-        found = _generic_constrained(L, N, cfg, base)
-    if found is None:
-        where = "qubit-pair grid" if L.dims == (2, 2) else "random product sample"
-        raise EmptyFeasibleSet(f"no product state on the {where} satisfies the constraint side")
-    value, pk, converged = found
+        value, pk, converged, iterations = _generic_constrained(L, N, cfg, base)
     return OptimizationResult(
         value=float(value),
         argmax=pk,
         constraint_value=float(expectation(spec.C, pk)),
         converged=converged,
-        iterations=base.iterations,
+        iterations=iterations,
         method="hybrid",
     )
 

@@ -117,3 +117,23 @@ def test_every_table_tolerance_is_read():
     }
     assert len(table) > 10
     assert [name for name in table if name not in read] == []
+
+
+def test_every_import_is_read():
+    # a mechanism deleted from a module takes its imports along: every name
+    # a module imports is loaded in it (__init__ re-exports, __future__ sets
+    # compiler flags)
+    unread = []
+    for path in sorted(Path(uew.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        bound = [
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.module != "__future__")
+            for alias in node.names
+        ]
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread += [f"{path.name}: {name}" for name in bound if name not in read]
+    assert unread == []

@@ -269,6 +269,22 @@ class TestConditionalOperator:
         with pytest.raises(DimensionMismatch):
             conditional_operator(m, Ket([1, 0, 0]), "A")
 
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+    def test_stores_the_hermitian_part_of_the_contraction(self, dims):
+        # the operator itself stores (red + red^H)/2 of the raw contraction
+        rng = np.random.default_rng(sum(dims))
+        dA, dB = dims
+        n = dA * dB
+        for _ in range(10):
+            g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            m = HermitianOperator((g + g.conj().T) / 2, dims=dims)
+            four = m.mat.reshape(dA, dB, dA, dB)
+            for party, d, cond in (("A", dA, "i,ikjl,j->kl"), ("B", dB, "k,ikjl,l->ij")):
+                k = Ket.unit(rng.normal(size=d) + 1j * rng.normal(size=d))
+                red = np.einsum(cond, k.amplitudes.conj(), four, k.amplitudes)
+                out = conditional_operator(m, k, party)
+                assert out.mat.tobytes() == ((red + red.conj().T) / 2).tobytes()
+
 
 class TestMaxEigenpair:
     def test_diagonal(self):

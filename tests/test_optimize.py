@@ -401,16 +401,16 @@ class TestTieBreak:
         assert _canonical_rows(X).tobytes() == ref.tobytes()
 
 
-def _parent_cap_values(w0, v, g0, u, c, sense):
-    """The value formula as it stood inside the value-and-maximiser kernel."""
+def _one_band_cap_values(w0, v, g0, u, c, sense):
+    """The value formula of the value-and-maximiser kernel, on the side
+    sense * (g0 + u.n - c) <= 0, with the one band 1e-15 of the cut."""
     nv = np.linalg.norm(v, axis=1)
     us = sense * u
     t = sense * (c - g0)
     nu = np.linalg.norm(us, axis=1)
     uv = np.einsum("ij,ij->i", us, v)
-    tiny = nu < 1e-14
-    free = (uv / np.maximum(nv, 1e-300) <= t) | tiny
-    empty = np.where(tiny, t < -1e-12, t < -nu - 1e-15)
+    free = uv / np.maximum(nv, 1e-300) <= t + 1e-15
+    empty = t < -nu - 1e-15
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         nu2 = np.maximum(nu, 1e-300)
         ratio = np.clip(t / nu2, -1.0, 1.0)
@@ -428,7 +428,9 @@ class TestCapValues:
         c = 0.25
         u_unit = np.array([0.6, 0.0, 0.8])
         rows = [
-            # (v, g0, u): |u| < 1e-14 with threshold >= -1e-12, then < -1e-12
+            # (v, g0, u): |u| = 1e-15 with the threshold 5e-13 past the cut, a
+            # cap that misses the sphere by more than 1e-15 and so is empty;
+            # then u = 0 on the cut (free), and |u| = 1e-15, 2e-12 past (empty)
             (rng.normal(size=3), c + sense * 5e-13, 1e-15 * u_unit),
             (rng.normal(size=3), c, np.zeros(3)),
             (rng.normal(size=3), c + sense * 2e-12, 1e-15 * u_unit),
@@ -448,8 +450,8 @@ class TestCapValues:
         w0 = rng.normal(size=len(rows))
         # the kernels take the cut at 0: g0 + u.n <= 0
         got = _cap_max_values(w0, v, sense * (g0 - c), sense * u)
-        assert got.tobytes() == _parent_cap_values(w0, v, g0, u, c, sense).tobytes()
-        assert np.isneginf(got).sum() >= 2
+        assert got.tobytes() == _one_band_cap_values(w0, v, g0, u, c, sense).tobytes()
+        assert np.isneginf(got[[0, 2]]).all() and np.isfinite(got[1])
         # the argmax kernel's kets lie in the cap and attain its value; empty caps are nan
         kets = _cap_argmax(w0, v, sense * (g0 - c), sense * u)
         empty = np.isneginf(got)
@@ -659,6 +661,25 @@ class TestGridOracle:
         with pytest.raises(EmptyFeasibleSet):
             grid_oracle_sup(example["L"], spec, HalfSpaceSide.LEQ, resolution=121)
 
+    @pytest.mark.parametrize("dims, resolution", [((2, 2), 181), ((2, 3), 7)])
+    def test_unconstrained_is_the_zero_cut(self, dims, resolution):
+        # C = I, c = 1 makes N = s(I - I) = 0 exactly on either side, and the
+        # unconstrained scan is that zero cut, bit for bit
+        L = rand_herm(np.random.default_rng(23), dims)
+        free = grid_oracle_sup(L, resolution=resolution)
+        spec = ConstraintSpec(C=HermitianOperator.identity(dims), c=1.0)
+        for side in (HalfSpaceSide.LEQ, HalfSpaceSide.GEQ):
+            assert grid_oracle_sup(L, spec, side, resolution=resolution) == free
+
+    def test_constrained_value_scales_with_the_operators(self, example):
+        # L, C and c scaled by 1e-12 scale the value by 1e-12: no cap of the
+        # scaled instance is read as uncut
+        s = 1e-12
+        spec = ConstraintSpec(C=s * example["C"], c=s * example["spec"].c)
+        scaled = grid_oracle_sup(s * example["L"], spec, HalfSpaceSide.LEQ, resolution=181)
+        plain = grid_oracle_sup(example["L"], example["spec"], HalfSpaceSide.LEQ, resolution=181)
+        assert abs(scaled / s - plain) <= 1e-9
+
     @pytest.mark.parametrize("constrained", [False, True])
     def test_qubit_pair_resolution_cap(self, example, monkeypatch, constrained):
         # 2896 * 5791 grid rows fit under the cap, 2897 * 5793 do not; the
@@ -752,6 +773,35 @@ class TestConstrained:
         spec = ConstraintSpec(C=HermitianOperator.identity((2, 3)), c=0.5)
         with pytest.raises(EmptyFeasibleSet, match="random product sample"):
             sup_product_constrained(L, spec, HalfSpaceSide.LEQ, cfg_small)
+
+    def test_qubit_pair_iterations_count_compass_rounds(self, example, cfg, monkeypatch):
+        # one cap kernel call scans the grid, one per compass round, and one
+        # builds the winning maximiser
+        calls = []
+        real = uew.optimize._cap_cut
+        monkeypatch.setattr(uew.optimize, "_cap_cut", lambda *a: calls.append(1) or real(*a))
+        res = sup_product_constrained(example["L"], example["spec"], HalfSpaceSide.LEQ, cfg)
+        assert res.method == "hybrid"
+        assert res.iterations == len(calls) - 2 > 0
+
+    def test_generic_iterations_count_the_winning_rows_sweeps(self, monkeypatch):
+        # every sweep calls _cut_top twice on the rows still live, so the
+        # per-row sweep counts reproduce the size of every call; the result
+        # reports the winning row's count
+        L, spec, cfg = recipe_instance(55, 1, 0.5, 4, HalfSpaceSide.LEQ)
+        sizes, runs = [], []
+        real_top, real_seesaw = uew.optimize._cut_top, uew.optimize._constrained_seesaw
+        monkeypatch.setattr(uew.optimize, "_cut_top", lambda M, N: sizes.append(len(M)) or real_top(M, N))
+        monkeypatch.setattr(
+            uew.optimize, "_constrained_seesaw", lambda *a: runs.append(real_seesaw(*a)) or runs[-1]
+        )
+        res = sup_product_constrained(L, spec, HalfSpaceSide.LEQ, cfg)
+        (vals, _, _, its), = runs
+        assert res.method == "hybrid"
+        assert sizes == [int((its >= j).sum()) for j in range(1, its.max() + 1) for _ in range(2)]
+        assert res.iterations == its[np.argmax(vals)]
+        # the winning row retires before the last one does
+        assert res.iterations < its.max()
 
     def test_constrained_below_unconstrained(self, example, cfg, pc_result):
         gs = sup_product_unconstrained(example["L"], cfg).value
