@@ -14,12 +14,17 @@ Three cooperating search mechanisms live here:
 * constrained suprema behind a feasibility short-circuit: for qubit pairs
   one exact reduction (one party in closed form over its Bloch sphere cut
   by the constraint, the other by a coarse angle grid and compass search,
-  with either party outer); beyond qubit pairs a constrained see-saw whose
-  half steps are exact single-party maximisations under the conditioned
-  constraint, started from the best feasible points of a random sample and
-  from the cut point of a Lagrange-multiplier root-find, which starts at the
-  unconstrained optimum, continues from its bracket ends with no random
-  starts and always bridges its two ends onto the cut.
+  with either party outer). The closed form takes one matmul per
+  orientation and runs in blocks of at most _CAP_BLOCK outer kets; each
+  compass round evaluates _COMPASS_LEVELS halvings of a row's step at
+  once and replays them as a one-stencil-per-step search would, so values,
+  argmaxes and step counts are those of that search. Beyond qubit pairs a
+  constrained see-saw whose half steps are exact single-party
+  maximisations under the conditioned constraint, started from the best
+  feasible points of a random sample and from the cut point of a
+  Lagrange-multiplier root-find, which starts at the unconstrained
+  optimum, continues from its bracket ends with no random starts and
+  always bridges its two ends onto the cut.
 
 All randomness flows from explicit seeds; identical configs give
 bit-identical results.
@@ -64,6 +69,8 @@ ORACLE_MAX_TOTAL_DIM = 9
 _SEESAW_MAX_ITER = 500         # sweeps per see-saw row
 _PAIR_GRID = (45, 90)          # outer-party polar x azimuth grid of the qubit-pair solve
 _COMPASS_MAX_STEPS = 400       # stencils per qubit-pair compass search; a smooth f needs ~100
+_COMPASS_LEVELS = 8            # step halvings one compass round evaluates per row
+_CAP_BLOCK = 1024              # outer kets per cap kernel call; keeps its temporaries below ~128 KB
 _GENERIC_PAIR_CAP = 1 << 24    # max grid oracle rows: ket pairs, or one party's kets for a qubit pair
 _CONSTRAINED_STARTS = 16       # best feasible sample points the d >= 3 constrained see-saw starts from
 _MU_DOUBLINGS = 64             # multiplier doublings before a party's cut counts as empty
@@ -278,7 +285,10 @@ def _pauli_tensor_coeffs(M: HermitianOperator) -> np.ndarray:
 def _columns(cols, theta, phi):
     """The columns broadcast over theta and phi, flattened in C order, as (N, k)."""
     shape = np.broadcast_shapes(np.shape(theta), np.shape(phi))
-    return np.stack([np.broadcast_to(x, shape).ravel() for x in cols], axis=-1)
+    out = np.empty(shape + (len(cols),), dtype=np.result_type(*cols))
+    for k, x in enumerate(cols):
+        out[..., k] = x
+    return out.reshape(-1, len(cols))
 
 
 def _qubit_kets(theta, phi):
@@ -307,20 +317,34 @@ def _qubit_angles(n_theta: int, n_phi: int, phi_endpoint: bool = True):
     return th, ph
 
 
+# outer-party Bloch 4-vectors of the qubit-pair solve's _PAIR_GRID, shared read-only
+_PAIR_BLOCH = _qubit_bloch(*_qubit_angles(*_PAIR_GRID, phi_endpoint=False))
+_PAIR_BLOCH.setflags(write=False)
+
+
+def _norm3(x):
+    """Row norms of an (N, 3) array, bit for bit numpy.linalg.norm(x, axis=1),
+    whose add.reduce sums (x0^2 + x1^2) + x2^2."""
+    x0, x1, x2 = x.T
+    return np.sqrt((x0 * x0 + x1 * x1) + x2 * x2)
+
+
 def _cap_cut(v, g0, u):
     """Row-wise geometry of the cap {unit n : g0 + u.n <= 0} against v.
 
+    v and u are (N, 3); views of wider rows serve (see _coeff_columns).
     Returns (nv, t, nu, nu2, uv, ratio, rise, free, empty): |v|, the
     threshold t = -g0, |u| and its floor at DIV_FLOOR, u.v, the cut
     circle's height t/|u| and radius (both clipped to the sphere), whether
     v/|v| satisfies the cut, and whether the cap is empty. CUT_TOL is the
     one band: v/|v| is free up to CUT_TOL past the cut, and a cap is empty
     only once the whole sphere lies more than CUT_TOL past it. A zero u
-    (the zero cut) leaves every row free at a threshold of 0.
+    (the zero cut) leaves every row free at a threshold of 0. The norms
+    are _norm3's; u.v stays an einsum, whose 3-term summation order is
+    numpy's SIMD one, so a hand-written sum would change its last bits.
     """
-    nv = np.linalg.norm(v, axis=1)
+    nv, nu = _norm3(v), _norm3(u)
     t = -g0
-    nu = np.linalg.norm(u, axis=1)
     uv = np.einsum("ij,ij->i", u, v)
     free = uv / np.maximum(nv, DIV_FLOOR) <= t + CUT_TOL
     empty = t < -nu - CUT_TOL
@@ -343,7 +367,7 @@ def _cap_max_values(w0, v, g0, u):
         along = uv / nu2**2
         # |v| sin(angle to u), from the difference vector: nv**2 - (uv/nu)**2
         # cancels to ~sqrt(eps)*|v| when v is nearly parallel to u.
-        vperp = np.linalg.norm(v - along[:, None] * u, axis=1)
+        vperp = _norm3(v - along[:, None] * u)
         val = np.where(free, w0 + nv, w0 + along * t + vperp * rise)
     return np.where(empty, -np.inf, val)
 
@@ -376,23 +400,34 @@ def _cap_argmax(w0, v, g0, u):
     return _qubit_kets(np.arctan2(np.hypot(n[:, 0], n[:, 1]), n[:, 2]), np.arctan2(n[:, 1], n[:, 0]))
 
 
-def _inner_caps(TL, TN, n, flip, kernel=_cap_max_values):
-    """kernel on the inner party's cap at outer Bloch 4-vectors n; B is outer where flip."""
-    w = np.where(flip[:, None], n @ TL.T, n @ TL)
-    g = np.where(flip[:, None], n @ TN.T, n @ TN)
-    return kernel(w[:, 0], w[:, 1:], g[:, 0], g[:, 1:])
+def _orientations(L, N):
+    """The (4, 8) coefficients S of both orientations: [TL | TN] with party
+    A outer and [TL.T | TN.T] with party B outer, TL and TN the Pauli
+    coefficients of L and N."""
+    TL, TN = _pauli_tensor_coeffs(L), _pauli_tensor_coeffs(N)
+    return np.hstack([TL, TN]), np.hstack([TL.T, TN.T])
+
+
+def _coeff_columns(P):
+    """(w0, v, g0, u) of the rows of n @ S: row i holds the inner party's
+    coefficients of L and of N at outer Bloch 4-vector n[i]."""
+    return P[:, 0], P[:, 1:4], P[:, 4], P[:, 5:]
+
+
+def _inner_caps(S, n, kernel=_cap_max_values):
+    """kernel on the inner party's cap at outer Bloch 4-vectors n, S one orientation of _orientations.
+
+    Blocks of at most _CAP_BLOCK rows keep each temporary small; a row's
+    result does not depend on the block it falls in.
+    """
+    return np.concatenate(
+        [kernel(*_coeff_columns(n[lo : lo + _CAP_BLOCK] @ S)) for lo in range(0, len(n), _CAP_BLOCK)]
+    )
 
 
 def _oracle_22(L, N, resolution):
-    TL, TN = _pauli_tensor_coeffs(L), _pauli_tensor_coeffs(N)
     U = _qubit_bloch(*_qubit_angles(resolution, 2 * resolution - 1))
-    best = -np.inf
-    for lo in range(0, len(U), 1 << 15):
-        # blocks of 1 << 15 outer kets, each in both orientations, keep the temporaries small
-        n = U[lo : lo + (1 << 15)]
-        vals = _inner_caps(TL, TN, np.vstack([n, n]), np.repeat([False, True], len(n)))
-        best = max(best, float(vals.max()))
-    return best
+    return max(float(_inner_caps(S, U).max()) for S in _orientations(L, N))
 
 
 def _party_ket_grid(d: int, resolution: int) -> np.ndarray:
@@ -493,47 +528,66 @@ def _qubit_pair_constrained(L, N):
     optimum shrinks the inner cut to a point, f has a curved ridge in that
     orientation only.
     The 4 best grid points of each orientation seed a compass search on
-    (theta, phi): move to the best improving point of the 3x3 stencil, else
-    halve the step, until it is below COMPASS_STOP (Kolda, Lewis & Torczon,
-    SIAM Rev. 45, 2003) or _COMPASS_MAX_STEPS stencils have run. Returns
-    (value, argmax, True, stencil rounds run) at the best end point; raises
-    EmptyFeasibleSet when no grid point is feasible.
+    (theta, phi): each step moves to the first best point of the 3x3
+    stencil if it improves, else halves the step, until the step is below
+    COMPASS_STOP (Kolda, Lewis & Torczon, SIAM Rev. 45, 2003) or the row
+    has run _COMPASS_MAX_STEPS steps. Most steps only halve, so one round
+    evaluates a row's stencil at its step h and at h/2 ... h/2^(K-1),
+    K = _COMPASS_LEVELS, and replays the steps: the row moves at its first
+    improving level, or halves through every level it ran. h 0.5^m is
+    exact, so every candidate is the one a step-by-step search evaluates.
+    Returns (value, argmax, True, steps) at the best end point, steps being
+    the most stencil steps any row ran, which is the round count of a
+    search that runs one stencil per round; raises EmptyFeasibleSet when no
+    grid point is feasible.
     """
-    TL, TN = _pauli_tensor_coeffs(L), _pauli_tensor_coeffs(N)
-    tn, pn = _PAIR_GRID
-    grid = _qubit_bloch(*_qubit_angles(tn, pn, phi_endpoint=False))
-    vals = _inner_caps(TL, TN, np.vstack([grid, grid]), np.repeat([False, True], len(grid)))
+    S = _orientations(L, N)
+    vals = np.concatenate([_inner_caps(s, _PAIR_BLOCH) for s in S])
     if vals.max() == -np.inf:
         raise EmptyFeasibleSet("no product state on the qubit-pair grid satisfies the constraint side")
     # 4 starts per orientation, searched in lockstep
     ks = np.concatenate([np.argsort(-half, kind="stable")[:4] for half in np.split(vals, 2)])
-    flip = np.repeat([False, True], 4)
-    fx = vals[ks + len(grid) * flip]
+    side = np.repeat([0, 1], 4)
+    fx = vals[ks + len(_PAIR_BLOCH) * side]
+    tn, pn = _PAIR_GRID
     step = np.array([np.pi / (tn - 1), 2 * np.pi / pn])
     stencil = step * np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)])
     x = step * np.stack(divmod(ks, pn), axis=1)
     h = np.ones(len(ks))
-    rows = np.arange(len(ks))
-    rounds = 0
-    for _ in range(_COMPASS_MAX_STEPS):
-        live = h * step.max() >= COMPASS_STOP
-        if not live.any():
+    steps = np.zeros(len(ks), dtype=int)
+    level = np.arange(_COMPASS_LEVELS)
+    while True:
+        hs = h[:, None] * 0.5**level
+        # level m is step steps + m + 1 of the row; it runs while that step
+        # is at least COMPASS_STOP and within _COMPASS_MAX_STEPS
+        runs = (hs * step.max() >= COMPASS_STOP) & (steps[:, None] + level < _COMPASS_MAX_STEPS)
+        live = np.flatnonzero(runs[:, 0])
+        if live.size == 0:
             break
-        rounds += 1
-        cand = x[:, None] + h[:, None, None] * stencil
-        nc = _qubit_bloch(cand[..., 0].ravel(), cand[..., 1].ravel())
-        fv = _inner_caps(TL, TN, nc, np.repeat(flip, len(stencil))).reshape(len(ks), -1)
-        j = fv.argmax(axis=1)
-        up = live & (fv[rows, j] > fx)
-        x[up], fx[up] = cand[rows, j][up], fv[rows, j][up]
-        h[live & ~up] *= 0.5
+        runs = runs[live]
+        cand = (x[live, None, None] + hs[live, :, None, None] * stencil).reshape(-1, 2)
+        n = _qubit_bloch(cand[:, 0], cand[:, 1])
+        # all levels of the live rows, at most 8 * _COMPASS_LEVELS * 9 kets, in one kernel call
+        cut = np.count_nonzero(side[live] == 0) * _COMPASS_LEVELS * len(stencil)
+        fv = _cap_max_values(*_coeff_columns(np.concatenate([n[:cut] @ S[0], n[cut:] @ S[1]])))
+        # each stencil's first maximum, as in index k of cand
+        k = np.arange(len(fv), step=len(stencil)) + fv.reshape(-1, len(stencil)).argmax(axis=1)
+        best = fv[k].reshape(runs.shape)
+        up = runs & (best > fx[live, None])
+        moved = up.any(axis=1)
+        # halvings before the first improving level, or through every level run
+        m = np.where(moved, up.argmax(axis=1), runs.sum(axis=1))
+        steps[live] += m + moved
+        h[live] *= 0.5**m
+        r = np.flatnonzero(moved)
+        x[live[r]], fx[live[r]] = cand[k.reshape(runs.shape)[r, m[r]]], best[r, m[r]]
     s = int(np.argmax(fx))
     kets, n = _qubit_kets(x[s, :1], x[s, 1:]), _qubit_bloch(x[s, :1], x[s, 1:])
     # only the winning row builds its maximiser
     outer = Ket.unit(kets[0])
-    inner = Ket.unit(_inner_caps(TL, TN, n, flip[s : s + 1], _cap_argmax)[0])
-    pk = ProductKet(a=inner, b=outer) if flip[s] else ProductKet(a=outer, b=inner)
-    return expectation(L, pk), pk, True, rounds
+    inner = Ket.unit(_inner_caps(S[side[s]], n, _cap_argmax)[0])
+    pk = ProductKet(a=inner, b=outer) if side[s] else ProductKet(a=outer, b=inner)
+    return expectation(L, pk), pk, True, int(steps.max())
 
 
 def _quad(x, M):
@@ -744,11 +798,12 @@ def sup_product_constrained(
     draws no random starts and always bridges its two ends onto the cut;
     each half step maximises one party exactly under the conditioned
     constraint (_cut_top), and the result is converged when the root-find
-    returned (_generic_constrained). A hybrid result counts the compass
-    rounds or the winning row's constrained sweeps as its iterations. Only
-    cfg.restarts and cfg.seed are read; the see-saw stopping rule is
-    SEESAW_TOL and _SEESAW_MAX_ITER. Raises EmptyFeasibleSet when the
-    qubit-pair grid or the random sample holds no feasible point.
+    returned (_generic_constrained). A hybrid result counts the most
+    compass stencil steps of any row or the winning row's constrained
+    sweeps as its iterations. Only cfg.restarts and cfg.seed are read; the
+    see-saw stopping rule is SEESAW_TOL and _SEESAW_MAX_ITER. Raises
+    EmptyFeasibleSet when the qubit-pair grid or the random sample holds no
+    feasible point.
     """
     if side not in (HalfSpaceSide.LEQ, HalfSpaceSide.GEQ):
         raise ValueError("side must be leq or geq")

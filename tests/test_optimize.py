@@ -15,6 +15,7 @@ from uew import (
     HermitianOperator,
     Ket,
     OptimizerConfig,
+    ProductKet,
     classify_case,
     compute_alpha0,
     expectation,
@@ -23,9 +24,11 @@ from uew import (
     sup_product_constrained,
     sup_product_unconstrained,
 )
-from uew.linalg import _lex_key
+from uew.linalg import COMPASS_STOP, _lex_key
 from uew.witness import BOUNDARY_TOL
 from uew.optimize import (
+    _COMPASS_MAX_STEPS,
+    _PAIR_BLOCH,
     _PAIR_GRID,
     _PAULI,
     _SEESAW_MAX_ITER,
@@ -36,12 +39,16 @@ from uew.optimize import (
     _cap_argmax,
     _cap_max_values,
     _cut_operator,
+    _inner_caps,
+    _oracle_22,
+    _orientations,
     _pair_grid_max,
     _party_ket_grid,
     _pauli_tensor_coeffs,
     _qubit_angles,
     _qubit_bloch,
     _qubit_kets,
+    _qubit_pair_constrained,
     _random_unit,
     _restart_starts,
     _seesaw_batch,
@@ -421,7 +428,93 @@ def _one_band_cap_values(w0, v, g0, u, c, sense):
     return np.where(empty, -np.inf, val)
 
 
+def _one_band_inner_caps(L, N, n, flip):
+    """_one_band_cap_values on the inner party's cap at outer Bloch 4-vectors
+    n, from separate products with the Pauli coefficients of L and N (or
+    their transposes where flip, party B outer)."""
+    TL, TN = _pauli_tensor_coeffs(L), _pauli_tensor_coeffs(N)
+    w = np.where(flip[:, None], n @ TL.T, n @ TL)
+    g = np.where(flip[:, None], n @ TN.T, n @ TN)
+    return _one_band_cap_values(w[:, 0], w[:, 1:], g[:, 0], g[:, 1:], 0.0, 1)
+
+
+def one_stencil_qubit_pair(L, N):
+    """The qubit-pair solve with one 3x3 stencil per compass round.
+
+    Every round evaluates all 8 rows at their current step; a live row moves
+    to its stencil's first maximum when that improves on it and otherwise
+    halves its step. The cap values come from _one_band_inner_caps. Returns
+    (value, argmax, rounds).
+    """
+    tn, pn = _PAIR_GRID
+    grid = _qubit_bloch(*_qubit_angles(tn, pn, phi_endpoint=False))
+    vals = _one_band_inner_caps(L, N, np.vstack([grid, grid]), np.repeat([False, True], len(grid)))
+    ks = np.concatenate([np.argsort(-half, kind="stable")[:4] for half in np.split(vals, 2)])
+    flip = np.repeat([False, True], 4)
+    fx = vals[ks + len(grid) * flip]
+    step = np.array([np.pi / (tn - 1), 2 * np.pi / pn])
+    stencil = step * np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)])
+    x = step * np.stack(divmod(ks, pn), axis=1)
+    h = np.ones(len(ks))
+    rows = np.arange(len(ks))
+    rounds = 0
+    for _ in range(_COMPASS_MAX_STEPS):
+        live = h * step.max() >= COMPASS_STOP
+        if not live.any():
+            break
+        rounds += 1
+        cand = x[:, None] + h[:, None, None] * stencil
+        nc = _qubit_bloch(cand[..., 0].ravel(), cand[..., 1].ravel())
+        fv = _one_band_inner_caps(L, N, nc, np.repeat(flip, len(stencil))).reshape(len(ks), -1)
+        j = fv.argmax(axis=1)
+        up = live & (fv[rows, j] > fx)
+        x[up], fx[up] = cand[rows, j][up], fv[rows, j][up]
+        h[live & ~up] *= 0.5
+    s = int(np.argmax(fx))
+    kets, n = _qubit_kets(x[s, :1], x[s, 1:]), _qubit_bloch(x[s, :1], x[s, 1:])
+    TL, TN = _pauli_tensor_coeffs(L), _pauli_tensor_coeffs(N)
+    w, g = (n @ T.T if flip[s] else n @ T for T in (TL, TN))
+    outer = Ket.unit(kets[0])
+    inner = Ket.unit(_cap_argmax(w[:, 0], w[:, 1:], g[:, 0], g[:, 1:])[0])
+    pk = ProductKet(a=inner, b=outer) if flip[s] else ProductKet(a=outer, b=inner)
+    return expectation(L, pk), pk, rounds
+
+
+def _assert_same_solve(got, ref):
+    """A (value, argmax, ..., iterations) solve equals a one_stencil_qubit_pair one bit for bit."""
+    assert got[0] == ref[0]
+    assert got[1].a.amplitudes.tobytes() == ref[1].a.amplitudes.tobytes()
+    assert got[1].b.amplitudes.tobytes() == ref[1].b.amplitudes.tobytes()
+    assert got[-1] == ref[-1]
+
+
 class TestCapValues:
+    @pytest.mark.parametrize("grid", ["pair", "oracle-181"])
+    def test_blocked_kernel_matches_row_for_row(self, grid):
+        # the blocked kernel on one orientation's stacked coefficients gives
+        # the one-band values of separate products row for row, also for a
+        # few rows alone and for rows on both sides of block boundaries
+        rng = np.random.default_rng(31)
+        n = _PAIR_BLOCH if grid == "pair" else _qubit_bloch(*_qubit_angles(181, 361))
+        for side, q in ((HalfSpaceSide.LEQ, 0.1), (HalfSpaceSide.GEQ, 0.9)):
+            # c near the end of C's diagonal that the side keeps: empty, free and cut caps
+            L, C = rand_herm_22(rng), rand_herm_22(rng)
+            d = np.diag(C.mat).real
+            N = _cut_operator(ConstraintSpec(C=C, c=float(d.min() + q * (d.max() - d.min()))), side)
+            TL = _pauli_tensor_coeffs(L)
+            refs = []
+            for S, flip in zip(_orientations(L, N), (False, True)):
+                ref = _one_band_inner_caps(L, N, n, np.full(len(n), flip))
+                assert _inner_caps(S, n).tobytes() == ref.tobytes()
+                for lo in (0, 1020, 2044, len(n) - 3):
+                    assert _inner_caps(S, n[lo : lo + 7]).tobytes() == ref[lo : lo + 7].tobytes()
+                w = n @ (TL.T if flip else TL)
+                free = ref == w[:, 0] + np.linalg.norm(w[:, 1:], axis=1)
+                assert np.isneginf(ref).any() and free.any() and np.isfinite(ref[~free]).any()
+                refs.append(ref)
+            if grid != "pair":
+                assert _oracle_22(L, N, 181) == max(ref.max() for ref in refs)
+
     @pytest.mark.parametrize("sense", [1, -1])
     def test_value_kernel_matches_on_edge_rows(self, sense):
         rng = np.random.default_rng(12)
@@ -774,15 +867,29 @@ class TestConstrained:
         with pytest.raises(EmptyFeasibleSet, match="random product sample"):
             sup_product_constrained(L, spec, HalfSpaceSide.LEQ, cfg_small)
 
-    def test_qubit_pair_iterations_count_compass_rounds(self, example, cfg, monkeypatch):
-        # one cap kernel call scans the grid, one per compass round, and one
-        # builds the winning maximiser
-        calls = []
-        real = uew.optimize._cap_cut
-        monkeypatch.setattr(uew.optimize, "_cap_cut", lambda *a: calls.append(1) or real(*a))
+    def test_qubit_pair_matches_the_one_stencil_compass(self, example, cfg):
+        # a round evaluates several halvings at once and replays them row by
+        # row, so value, argmax and stencil steps are those of one stencil per round
+        ref = one_stencil_qubit_pair(example["L"], _cut_operator(example["spec"], HalfSpaceSide.LEQ))
         res = sup_product_constrained(example["L"], example["spec"], HalfSpaceSide.LEQ, cfg)
         assert res.method == "hybrid"
-        assert res.iterations == len(calls) - 2 > 0
+        _assert_same_solve((res.value, res.argmax, res.iterations), ref)
+        assert res.iterations == 53
+
+    def test_qubit_pair_matches_the_one_stencil_compass_on_random_solves(self):
+        rng = np.random.default_rng(2026)
+        rounds = []
+        for _ in range(100):
+            L, C = rand_herm_22(rng), rand_herm_22(rng)
+            d = np.diag(C.mat).real
+            spec = ConstraintSpec(C=C, c=float(rng.uniform(d.min(), d.max())))
+            for side in (HalfSpaceSide.LEQ, HalfSpaceSide.GEQ):
+                N = _cut_operator(spec, side)
+                ref = one_stencil_qubit_pair(L, N)
+                _assert_same_solve(_qubit_pair_constrained(L, N), ref)
+                rounds.append(ref[-1])
+        # k = 38, LEQ, runs into the step cap
+        assert rounds[76] == max(rounds) == _COMPASS_MAX_STEPS
 
     def test_generic_iterations_count_the_winning_rows_sweeps(self, monkeypatch):
         # every sweep calls _cut_top twice on the rows still live, so the
