@@ -6,9 +6,10 @@ once at construction and trusted afterwards, so the hot loops (see-saw
 updates) stay cheap; an operator stores the exactly Hermitian part
 (M + M^dagger)/2 of the matrix it has validated, so sums, differences and
 real multiples of accepted operators are accepted too. All objects are
-immutable values. Eigensystems of every size come from LAPACK through
+immutable values. Eigensystems here come from LAPACK through
 ``numpy.linalg.eigh``; the see-saw in ``optimize`` calls it batched over
-restarts. The constants block below is the package's tolerance table:
+restarts for parties of dimension 3 and more, and solves qubit parties in
+closed form. The constants block below is the package's tolerance table:
 every rounding decision of ``uew`` has one name and one reason there, and
 the other modules import the names they read.
 """

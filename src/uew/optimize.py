@@ -3,12 +3,14 @@
 Three cooperating search mechanisms live here:
 
 * a see-saw that alternates exact single-party eigenvector updates, used
-  for unconstrained suprema; all restarts run as one (R, d, d) stack, one
-  einsum and one batched ``numpy.linalg.eigh`` per half step. Each row
-  starts from a party-A ket; these starts are drawn once per (seed,
-  restarts, dA) and cached read-only, each (operator, seed, restarts) is
-  solved once per process, with 16 kept, and value ties between restarts
-  are broken on canonical argmax rows computed in one batch;
+  for unconstrained suprema; all restarts run as one (R, d, d) stack. A
+  half step conditions the operator with one matmul and takes the top
+  eigenpairs in closed form on a qubit party, else with one batched
+  ``numpy.linalg.eigh``. Each row starts from a party-A ket; these starts
+  are drawn once per (seed, restarts, dA) and cached read-only, each
+  (operator, seed, restarts) is solved once per process, with 16 kept,
+  and value ties between restarts are broken on canonical argmax rows
+  computed in one batch;
 * an exhaustive per-party angle-grid oracle, kept deliberately independent
   of the see-saw so the two can cross-check each other;
 * constrained suprema behind a feasibility short-circuit: for qubit pairs
@@ -126,11 +128,53 @@ class OptimizationResult:
 def _hermitian_top(mats: np.ndarray):
     """Top eigenvalues and eigenvectors of a stack of (R, d, d) matrices.
 
-    The stack is symmetrized first to kill float asymmetry, then goes
-    through one batched ``numpy.linalg.eigh`` call.
+    Each matrix is read as its Hermitian part (H + H^dagger)/2, which kills
+    float asymmetry. A 2x2 stack [[a, b], [b*, d]] is solved in closed
+    form: lam = (a + d)/2 + r with r = hypot((a - d)/2, |b|), and the
+    vector (s, b*) for a >= d, else (b, s), with s = r + |a - d|/2, is
+    normalised by hypot(s, |b|); no term cancels, and hypot neither
+    overflows nor underflows. A scalar matrix (zero vector) gets (1, 0).
+    Other sizes go through one batched ``numpy.linalg.eigh`` call.
     """
+    if mats.shape[-1] == 2:
+        a, d = mats[:, 0, 0].real, mats[:, 1, 1].real
+        b = (mats[:, 0, 1] + mats[:, 1, 0].conj()) / 2
+        nb, half = np.abs(b), (a - d) / 2
+        r = np.hypot(half, nb)
+        s = r + np.abs(half)
+        norm = np.hypot(s, nb)
+        scalar = norm == 0
+        s[scalar], norm[scalar] = 1.0, 1.0
+        s, b = s / norm, b / norm
+        ge = half >= 0
+        vecs = np.empty((len(mats), 2), dtype=complex)
+        vecs[:, 0], vecs[:, 1] = np.where(ge, s, b), np.where(ge, b.conj(), s)
+        return (a + d) / 2 + r, vecs
     vals, vecs = np.linalg.eigh((mats + mats.conj().transpose(0, 2, 1)) / 2)
     return vals[:, -1], vecs[:, :, -1]
+
+
+def _conditioning(*ops4):
+    """The two matrices that condition the (dA, dB, dA, dB) operators ops4 on one party.
+
+    MA = M4.transpose(0, 2, 1, 3).reshape(dA^2, dB^2) holds M4[i, k, j, l]
+    at row (i, j) and column (k, l); the operators' MA stand side by side
+    in XA and their transposes in XB, both C-contiguous. _condition with
+    XA fixes party A, with XB party B.
+    """
+    dA, dB = ops4[0].shape[:2]
+    MAs = [M4.transpose(0, 2, 1, 3).reshape(dA * dA, dB * dB) for M4 in ops4]
+    return np.hstack(MAs), np.ascontiguousarray(np.vstack(MAs).T)
+
+
+def _condition(y, X, d):
+    """(R, k, d, d) forms <y|M|y> on the other party of the k operators of X (see _conditioning).
+
+    One matmul of the rows conj(y) (x) y by X; row r of the result is the
+    einsum of conj(y[r]), M4 and y[r] over the conditioned party.
+    """
+    R, n = y.shape
+    return ((y.conj()[:, :, None] * y[:, None, :]).reshape(R, n * n) @ X).reshape(R, -1, d, d)
 
 
 def _seesaw_batch(M4: np.ndarray, A0: np.ndarray):
@@ -141,22 +185,26 @@ def _seesaw_batch(M4: np.ndarray, A0: np.ndarray):
     _restart_starts draws once per (seed, restarts, dA), and breaks value
     ties between the returned rows in one batch (_best_restart). Each row's
     party-B ket is set by its first half step. Each half step is an exact
-    maximization of the conditioned quadratic form, so no row's value ever
+    maximization of the conditioned quadratic form: one matmul conditions
+    M4 on every live row (_condition) and _hermitian_top takes the top
+    eigenpairs, in closed form on a qubit party. No row's value ever
     decreases. A row retires once its gain drops below SEESAW_TOL, keeping
     its value and iteration count, with at most _SEESAW_MAX_ITER sweeps.
     Returns per-row arrays (values, A, B, iterations, converged).
     """
+    dA, dB = M4.shape[:2]
+    XA, XB = _conditioning(M4)
     A = np.array(A0, dtype=complex)
     R = len(A)
-    B = np.empty((R, M4.shape[1]), dtype=complex)
+    B = np.empty((R, dB), dtype=complex)
     vals = np.full(R, -np.inf)
     its = np.full(R, _SEESAW_MAX_ITER)
     conv = np.zeros(R, dtype=bool)
     live = np.arange(R)
     for it in range(1, _SEESAW_MAX_ITER + 1):
         a = A[live]
-        _, b = _hermitian_top(np.einsum("ri,ikjl,rj->rkl", a.conj(), M4, a))
-        new, a = _hermitian_top(np.einsum("rk,ikjl,rl->rij", b.conj(), M4, b))
+        _, b = _hermitian_top(_condition(a, XA, dB)[:, 0])
+        new, a = _hermitian_top(_condition(b, XB, dA)[:, 0])
         done = new - vals[live] < SEESAW_TOL
         A[live], B[live], vals[live] = a, b, new
         its[live[done]] = it
@@ -528,8 +576,10 @@ def _qubit_pair_constrained(L, N):
     optimum shrinks the inner cut to a point, f has a curved ridge in that
     orientation only.
     The 4 best grid points of each orientation seed a compass search on
-    (theta, phi): each step moves to the first best point of the 3x3
-    stencil if it improves, else halves the step, until the step is below
+    (theta, phi): each step moves to the first best of the 8 off-centre
+    points of the 3x3 stencil if it improves, else halves the step (the
+    centre is the row's own point, whose value the row holds, so it never
+    improves and is not evaluated), until the step is below
     COMPASS_STOP (Kolda, Lewis & Torczon, SIAM Rev. 45, 2003) or the row
     has run _COMPASS_MAX_STEPS steps. Most steps only halve, so one round
     evaluates a row's stencil at its step h and at h/2 ... h/2^(K-1),
@@ -551,7 +601,7 @@ def _qubit_pair_constrained(L, N):
     fx = vals[ks + len(_PAIR_BLOCH) * side]
     tn, pn = _PAIR_GRID
     step = np.array([np.pi / (tn - 1), 2 * np.pi / pn])
-    stencil = step * np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)])
+    stencil = step * np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1) if i or j])
     x = step * np.stack(divmod(ks, pn), axis=1)
     h = np.ones(len(ks))
     steps = np.zeros(len(ks), dtype=int)
@@ -567,7 +617,7 @@ def _qubit_pair_constrained(L, N):
         runs = runs[live]
         cand = (x[live, None, None] + hs[live, :, None, None] * stencil).reshape(-1, 2)
         n = _qubit_bloch(cand[:, 0], cand[:, 1])
-        # all levels of the live rows, at most 8 * _COMPASS_LEVELS * 9 kets, in one kernel call
+        # all levels of the live rows, at most 8 * _COMPASS_LEVELS * 8 kets, in one kernel call
         cut = np.count_nonzero(side[live] == 0) * _COMPASS_LEVELS * len(stencil)
         fv = _cap_max_values(*_coeff_columns(np.concatenate([n[:cut] @ S[0], n[cut:] @ S[1]])))
         # each stencil's first maximum, as in index k of cand
@@ -653,14 +703,15 @@ def _constrained_seesaw(L, N, A0, B0):
     """Alternating exact constrained ascent from R starting product kets at once.
 
     As in _seesaw_batch, but each half step maximises the conditioned form
-    of L under the conditioned cut <N> <= 0 (_cut_top). A move is
+    of L under the conditioned cut <N> <= 0 (_cut_top), and one matmul
+    conditions L and N together (_conditioning of both). A move is
     taken only when it is feasible and does not lower the row's value; an
     infeasible start counts as -inf, so its first feasible move is taken. A
     row retires once a sweep gains no more than SEESAW_TOL, with at most
     _SEESAW_MAX_ITER sweeps. Returns per-row arrays (values, A, B, sweeps).
     """
     dA, dB = L.dims
-    M4, N4 = (T.mat.reshape(dA, dB, dA, dB) for T in (L, N))
+    XA, XB = _conditioning(*(T.mat.reshape(dA, dB, dA, dB) for T in (L, N)))
     A = np.array(A0, dtype=complex)
     B = np.array(B0, dtype=complex)
     prod = np.einsum("ri,rk->rik", A, B).reshape(len(A), L.dim)
@@ -673,9 +724,9 @@ def _constrained_seesaw(L, N, A0, B0):
     for it in range(1, _SEESAW_MAX_ITER + 1):
         its[live] = it
         before = vals[live]
-        for X, Y, cond in ((B, A, "ri,ikjl,rj->rkl"), (A, B, "rk,ikjl,rl->rij")):
-            y = Y[live]
-            Mc, Nc = (np.einsum(cond, y.conj(), T, y) for T in (M4, N4))
+        for X, Y, XY, d in ((B, A, XA, dB), (A, B, XB, dA)):
+            cond = _condition(Y[live], XY, d)
+            Mc, Nc = cond[:, 0], cond[:, 1]
             x = _cut_top(Mc, Nc)
             new = _quad(x, Mc)
             ok = (_quad(x, Nc) <= slack) & (new >= vals[live])

@@ -38,7 +38,10 @@ from uew.optimize import (
     _canonical_rows,
     _cap_argmax,
     _cap_max_values,
+    _condition,
+    _conditioning,
     _cut_operator,
+    _hermitian_top,
     _inner_caps,
     _oracle_22,
     _orientations,
@@ -296,6 +299,89 @@ class TestSeesawBatch:
         assert r1.value == r2.value and r1.iterations == r2.iterations
         assert np.array_equal(r1.argmax.a.amplitudes, r2.argmax.a.amplitudes)
         assert np.array_equal(r1.argmax.b.amplitudes, r2.argmax.b.amplitudes)
+
+
+def qubit_stack(seed, scale=1.0):
+    """A seeded (64, 2, 2) stack of Gaussian Hermitian rows times scale,
+    with the edge rows of the closed-form eigenpair in front: b = 0 with
+    a > d and with a < d, a = d with b != 0, three scalar matrices and a
+    row that is not Hermitian (read as its Hermitian part). Three unscaled
+    rows whose entries span 1e-300 to 1e150 follow."""
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(64, 2, 2)) + 1j * rng.normal(size=(64, 2, 2))
+    H = (g + g.conj().transpose(0, 2, 1)) / 2
+    H[:7] = [
+        [[2.0, 0.0], [0.0, -1.0]],
+        [[-1.0, 0.0], [0.0, 2.0]],
+        [[0.5, 1.0 - 2.0j], [1.0 + 2.0j, 0.5]],
+        [[3.0, 0.0], [0.0, 3.0]],
+        [[0.0, 0.0], [0.0, 0.0]],
+        [[-1e-3, 0.0], [0.0, -1e-3]],
+        [[1.0, 2.0 + 1.0j], [3.0, -1.0]],
+    ]
+    mixed = [
+        [[1e150, 1e-150j], [-1e-150j, -1e150]],
+        [[1e-150, 1e150], [1e150, 1e-150]],
+        [[1.0, 1e-300], [1e-300, 1.0]],
+    ]
+    return np.concatenate([H * scale, mixed])
+
+
+class TestQubitEigenpair:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("scale", [1e-150, 1e-75, 1.0, 1e75, 1e150])
+    def test_closed_form_matches_eigh(self, seed, scale):
+        H = qubit_stack(seed, scale)
+        lam, v = _hermitian_top(H)
+        Hs = (H + H.conj().transpose(0, 2, 1)) / 2
+        ref = np.linalg.eigh(Hs)[0][:, -1]
+        eps = np.finfo(float).eps
+        # a few ulps of the largest entry: eigh alone is off by up to ~5
+        assert np.all(np.abs(lam - ref) <= 8 * eps * np.abs(H).max(axis=(1, 2)))
+        res = np.linalg.norm(np.einsum("rij,rj->ri", Hs, v) - lam[:, None] * v, axis=1)
+        assert np.all(res <= 1e-14 * np.linalg.norm(Hs, axis=(1, 2)))
+        assert np.all(np.abs(np.linalg.norm(v, axis=1) - 1.0) <= 4 * eps)
+
+    def test_edge_rows_take_the_exact_vectors(self):
+        lam, v = _hermitian_top(qubit_stack(0)[:5])
+        assert lam.tolist() == [2.0, 2.0, 0.5 + np.sqrt(5.0), 3.0, 0.0]
+        # diagonal rows and scalar matrices give basis kets exactly
+        assert v[[0, 3, 4]].tolist() == [[1, 0]] * 3
+        assert v[1].tolist() == [0, 1]
+        assert np.allclose(v[2], np.array([np.sqrt(5.0), 1.0 + 2.0j]) / np.sqrt(10.0), rtol=0, atol=4e-16)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_matmul_conditioning_equals_einsum(self, dims):
+        rng = np.random.default_rng(10 * dims[0] + dims[1])
+        dA, dB = dims
+        M4, N4 = (rand_herm(rng, dims).mat.reshape(dims + dims) for _ in range(2))
+        XA, XB = _conditioning(M4, N4)
+        a = np.array([_random_unit(rng, dA) for _ in range(20)])
+        b = np.array([_random_unit(rng, dB) for _ in range(20)])
+        on_a, on_b = _condition(a, XA, dB), _condition(b, XB, dA)
+        assert on_a.shape == (20, 2, dB, dB) and on_b.shape == (20, 2, dA, dA)
+        for k, T in enumerate((M4, N4)):
+            tol = 1e-15 * np.linalg.norm(T)
+            assert np.abs(on_a[:, k] - np.einsum("ri,ikjl,rj->rkl", a.conj(), T, a)).max() <= tol
+            assert np.abs(on_b[:, k] - np.einsum("rk,ikjl,rl->rij", b.conj(), T, b)).max() <= tol
+
+    def test_qubit_halves_call_no_eigensolver(self, monkeypatch):
+        sizes = []
+        real_eigh = np.linalg.eigh
+
+        def counted(m, *args, **kwargs):
+            sizes.append(np.shape(m)[-1])
+            return real_eigh(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        _unconstrained_solve.cache_clear()
+        rng = np.random.default_rng(23)
+        cfg = OptimizerConfig(seed=5, restarts=16)
+        sup_product_unconstrained(rand_herm(rng, (2, 2)), cfg)
+        assert sizes == []
+        # a qubit and a qutrit: only the qutrit half steps solve a 3x3 stack
+        sup_product_unconstrained(rand_herm(rng, (2, 3)), cfg)
+        assert sizes and set(sizes) == {3}
 
 
 class TestRestartStarts:
