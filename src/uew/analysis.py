@@ -49,26 +49,32 @@ def threshold_scan(
     set is an interval starting at 0; p* is the first zero of the
     conditions, found from its two ends alone: the family's pure state at
     p = 0, and at p = 1 the maximally mixed state I/d, where <X> is read as
-    Tr(X)/d. No state is built. Returns None when p = 0 itself escapes
-    detection. resolution is only validated (finite,
-    0 < r <= SCAN_RESOLUTION): the edge is exact.
+    Tr(X)/d. So a scan reads four scalars: <T> and <C> of the pure state
+    (T the witness test) and the two operators' stored traces over d. No
+    state is built. Returns None as soon as p = 0 escapes detection.
+    resolution is only validated (finite, 0 < r <= SCAN_RESOLUTION): the
+    edge is exact.
     """
     if not 0.0 < resolution <= SCAN_RESOLUTION:
         raise ValueError(f"resolution must be finite with 0 < resolution <= {SCAN_RESOLUTION}")
     pure, d = family.pure, family.pure.op.dim
     # each condition f(p) <= 0 is kept as (f(0), f(1)); the witness condition
     # is strict, and at p = 0 every comparison is the one detection makes
-    mixed_value = witness.bound - witness.test.trace() / d
-    lines = [(witness.value(pure) + DETECTION_TOL, mixed_value + DETECTION_TOL)]
-    cons = [expectation(spec.C, pure), spec.C.trace() / d]
-    if side is not HalfSpaceSide.GEQ:
-        lines.append(tuple(v - (spec.c + BOUNDARY_TOL) for v in cons))
-    if side is not HalfSpaceSide.LEQ:
-        lines.append(tuple((spec.c - BOUNDARY_TOL) - v for v in cons))
-    if not lines[0][0] < 0.0 or any(at0 > 0.0 for at0, _ in lines):
+    w0 = witness.bound - expectation(witness.test, pure) + DETECTION_TOL
+    if not w0 < 0.0:
         return None
+    lines = [(w0, witness.bound - witness.test.trace() / d + DETECTION_TOL)]
+    c0, c1 = expectation(spec.C, pure), spec.C.trace() / d
+    if side is not HalfSpaceSide.GEQ:
+        hi = spec.c + BOUNDARY_TOL
+        lines.append((c0 - hi, c1 - hi))
+    if side is not HalfSpaceSide.LEQ:
+        lo = spec.c - BOUNDARY_TOL
+        lines.append((lo - c0, lo - c1))
     edge = 1.0
     for at0, at1 in lines:
+        if at0 > 0.0:
+            return None
         if at1 > at0:
             edge = min(edge, abs(at0) / (at1 - at0))  # at0 <= 0; abs keeps the zero unsigned
     return edge

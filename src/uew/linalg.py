@@ -3,9 +3,11 @@
 Everything here is desk scale: dense row-major complex matrices with a
 total dimension cap of 64. Hermiticity and normalization are validated
 once at construction and trusted afterwards, so the hot loops (see-saw
-updates) stay cheap; an operator stores the exactly Hermitian part
-(M + M^dagger)/2 of the matrix it has validated, so sums, differences and
-real multiples of accepted operators are accepted too. All objects are
+updates, noise scans) stay cheap; an operator stores the exactly Hermitian
+part (M + M^dagger)/2 of the matrix it has validated, so sums, differences
+and real multiples of accepted operators are accepted too, and the trace of
+that part, so Tr(X) is a stored float. ``expectation`` takes density
+matrices (anything with an ``.op``) on its first test. All objects are
 immutable values. Eigensystems here come from LAPACK through
 ``numpy.linalg.eigh``; the see-saw in ``optimize`` calls it batched over
 restarts for parties of dimension 3 and more, and solves qubit parties in
@@ -121,10 +123,11 @@ class HermitianOperator:
     entry modulus (or 1, if that is smaller), and then trusted. The stored
     matrix is the exactly Hermitian part (M + M^dagger)/2, bit for bit M
     when M is exactly Hermitian, so arithmetic on accepted operators stays
-    accepted.
+    accepted. Its trace is stored with it when it is validated, so
+    ``trace()`` reads a float and computes nothing.
     """
 
-    __slots__ = ("mat", "dims")
+    __slots__ = ("mat", "dims", "_trace")
 
     def __init__(self, mat, dims=None) -> None:
         m = np.array(mat, dtype=complex, order="C")
@@ -151,6 +154,7 @@ class HermitianOperator:
         m.setflags(write=False)
         object.__setattr__(self, "mat", m)
         object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "_trace", float(m.trace().real))
 
     def __setattr__(self, name, value):
         raise AttributeError("HermitianOperator is immutable")
@@ -190,7 +194,7 @@ class HermitianOperator:
         return float(np.max(np.abs(self.mat)))
 
     def trace(self) -> float:
-        return float(self.mat.trace().real)
+        return self._trace
 
     def __repr__(self) -> str:
         return f"HermitianOperator(dims={self.dims}, dim={self.dim})"
@@ -218,17 +222,17 @@ def tensor_product(a, b):
 
 
 def _state_matrix_or_ket(state):
-    # Accepts HermitianOperator (density), Ket, anything with .op (DensityMatrix)
-    # or with .a/.b kets (ProductKet). Returns (matrix, vector, dims), one of
-    # matrix and vector None; a bare Ket has no dims.
-    if hasattr(state, "op"):
-        state = state.op
+    # Accepts anything with .op (DensityMatrix), HermitianOperator (density),
+    # anything with .a/.b kets (ProductKet) or Ket. Returns (matrix, vector,
+    # dims), one of matrix and vector None; a bare Ket has no dims. Density
+    # matrices, which noise scans pass, are decided by the first test.
+    state = getattr(state, "op", state)
+    if isinstance(state, HermitianOperator):
+        return state.mat, None, state.dims
     if hasattr(state, "a") and hasattr(state, "b"):
         return None, np.kron(state.a.amplitudes, state.b.amplitudes), (state.a.dim, state.b.dim)
     if isinstance(state, Ket):
         return None, state.amplitudes, None
-    if isinstance(state, HermitianOperator):
-        return state.mat, None, state.dims
     raise TypeError(f"unsupported state object {type(state).__name__}")
 
 

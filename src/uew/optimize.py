@@ -224,29 +224,40 @@ def _random_unit(rng: np.random.Generator, d: int) -> np.ndarray:
 def _restart_starts(seed, restarts: int, dA: int):
     """Read-only (restarts, dA) party-A see-saw start kets.
 
-    Row r is the first draw of the r-th child of SeedSequence(seed). Every
-    solve with the same (seed, restarts, dA) starts from the same rows, so
-    they are drawn once and shared.
+    Row r is the first draw of the r-th child of SeedSequence(seed):
+    _random_unit of that child's generator, bit for bit, with the 2*dA
+    normals taken in one call and all rows normalised at once
+    (_unit_rows). Every solve with the same (seed, restarts, dA) starts
+    from the same rows, so they are drawn once and shared.
     """
     children = np.random.SeedSequence(seed).spawn(restarts)
-    A = np.array([_random_unit(np.random.default_rng(ss), dA) for ss in children])
+    x = np.array([np.random.Generator(np.random.PCG64(ss)).normal(size=2 * dA) for ss in children])
+    A = _unit_rows(x[:, :dA] + 1j * x[:, dA:])
     A.setflags(write=False)
     return A
+
+
+def _unit_rows(X: np.ndarray) -> np.ndarray:
+    """``row / numpy.linalg.norm(row)`` for every row of X, bit for bit.
+
+    The squared norm is real.real + imag.imag through the same BLAS dot as
+    ``numpy.linalg.norm`` of one vector (matmul of 1 x d by d x 1 takes
+    it; a plain sum rounds differently).
+    """
+    re, im = X.real, X.imag
+    sq = re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]
+    return X / np.sqrt(sq[:, 0])
 
 
 def _canonical_rows(X: np.ndarray) -> np.ndarray:
     """``Ket.unit(row).amplitudes`` of every row of X, bit for bit.
 
-    The squared norm is real.real + imag.imag through the same BLAS dot as
-    ``numpy.linalg.norm`` of one vector (matmul of 1 x d by d x 1 takes
-    it; a plain sum rounds differently), and the modulus is ``hypot``, as
-    ``abs`` of one complex scalar (numpy's array ``abs`` can differ in the
-    last bit). The phase comes from the first amplitude of modulus above
-    PHASE_TOL, which every normalised row has.
+    The rows are normalised as ``Ket.unit`` does (_unit_rows), and the
+    modulus is ``hypot``, as ``abs`` of one complex scalar (numpy's array
+    ``abs`` can differ in the last bit). The phase comes from the first
+    amplitude of modulus above PHASE_TOL, which every normalised row has.
     """
-    re, im = X.real, X.imag
-    sq = re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]
-    Y = X / np.sqrt(sq[:, 0])
+    Y = _unit_rows(X)
     mod = np.hypot(Y.real, Y.imag)
     j = (mod > PHASE_TOL).argmax(axis=1)
     rows = np.arange(len(Y))

@@ -262,6 +262,67 @@ class TestClosedFormMixedEnd:
         assert edges >= 20  # interior edges, where the p = 1 end decides the value
 
 
+def _dispatch_expectation(M, state):
+    """expectation as threshold_scan read it before operators stored their
+    trace: .op unwrapped, then .a/.b, Ket and HermitianOperator tried in turn."""
+    if hasattr(state, "op"):
+        state = state.op
+    if hasattr(state, "a") and hasattr(state, "b"):
+        vec = np.kron(state.a.amplitudes, state.b.amplitudes)
+    elif isinstance(state, Ket):
+        vec = state.amplitudes
+    else:
+        assert isinstance(state, HermitianOperator)
+        return float(np.einsum("ij,ji->", M.mat, state.mat).real)
+    return float(np.vdot(vec, M.mat @ vec).real)
+
+
+def _recomputed_scan(family, witness, spec, side):
+    """threshold_scan with both traces recomputed from the matrices: the
+    implementation before the traces were stored, kept as the bit-for-bit
+    reference."""
+    pure, d = family.pure, family.pure.op.dim
+    mixed_value = witness.bound - float(witness.test.mat.trace().real) / d
+    lines = [(witness.bound - _dispatch_expectation(witness.test, pure) + DETECTION_TOL,
+              mixed_value + DETECTION_TOL)]
+    cons = [_dispatch_expectation(spec.C, pure), float(spec.C.mat.trace().real) / d]
+    if side is not HalfSpaceSide.GEQ:
+        lines.append(tuple(v - (spec.c + BOUNDARY_TOL) for v in cons))
+    if side is not HalfSpaceSide.LEQ:
+        lines.append(tuple((spec.c - BOUNDARY_TOL) - v for v in cons))
+    if not lines[0][0] < 0.0 or any(at0 > 0.0 for at0, _ in lines):
+        return None
+    edge = 1.0
+    for at0, at1 in lines:
+        if at1 > at0:
+            edge = min(edge, abs(at0) / (at1 - at0))
+    return edge
+
+
+def _bits(edge):
+    return None if edge is None else float(edge).hex()
+
+
+class TestThresholdBitForBit:
+    @pytest.mark.parametrize("side", list(HalfSpaceSide))
+    def test_scan_cases(self, side):
+        found = 0
+        for seed in range(5):
+            for label, family, w, spec in _scan_cases(seed):
+                got = threshold_scan(family, w, spec, side)
+                assert _bits(got) == _bits(_recomputed_scan(family, w, spec, side)), (seed, label)
+                found += got is not None
+        assert found >= 20
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(scan_instances())
+    def test_random_instances(self, inst):
+        family, witness, spec, _ = inst
+        for side in HalfSpaceSide:
+            got = threshold_scan(family, witness, spec, side)
+            assert _bits(got) == _bits(_recomputed_scan(family, witness, spec, side)), side
+
+
 class TestAlphaSweep:
     def test_rows_and_bounds(self, example, cfg):
         alphas = [0.0, -1.0, -10.0, -100.0, MINUS_INF]

@@ -15,6 +15,7 @@ from uew import (
     max_eigenpair,
     tensor_product,
 )
+from uew.fileio import load_operator, save_operator
 from uew.states import build_povm
 
 
@@ -130,6 +131,38 @@ class TestHermitianOperator:
             assert HermitianOperator(m).mat.tobytes() == m.tobytes()
 
 
+    def test_trace_is_stored_bit_for_bit(self, tmp_path):
+        # trace() reads the float stored at validation; it must be the trace
+        # of the stored Hermitian part, computed as it was on every call
+        rng = np.random.default_rng(11)
+        ops = []
+        for n in (2, 3, 4, 6, 9):
+            g = 1e3 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+            skew = np.zeros((n, n), dtype=complex)
+            skew[0, -1] = 3e-10  # within the band: the stored part is not the input
+            ops.append(HermitianOperator(g + g.conj().T + skew))
+        a, b = rand_herm(rng, 4), rand_herm(rng, 4)
+        ops += [a + b, a - b, 0.1 * a, a * -3.7, HermitianOperator.identity((2, 3)),
+                HermitianOperator.identity(5) * (1.0 / 5.0), Ket.unit(rng.normal(size=4)).projector(dims=(2, 2)),
+                tensor_product(rand_herm(rng, 2), rand_herm(rng, 3)), conditional_operator(a, Ket.basis(2, 1), "A")]
+        for k, op in enumerate(ops[:4]):
+            path = tmp_path / f"op{k}.json"
+            save_operator(op, path)
+            ops.append(load_operator(path))
+        for op in ops:
+            want = float(op.mat.trace().real)
+            assert type(op.trace()) is float
+            assert op.trace().hex() == want.hex()
+
+    def test_stored_trace_is_read_only(self):
+        op = HermitianOperator(np.diag([0.25, 0.75]))
+        with pytest.raises(AttributeError):
+            op._trace = 2.0
+        with pytest.raises(AttributeError):
+            op.trace = lambda: 2.0
+        assert op.trace() == 1.0
+
+
 class TestTensorProduct:
     def test_identity(self):
         i2 = HermitianOperator.identity((2,))
@@ -222,6 +255,32 @@ class TestExpectation:
         assert expectation(op, Ket.basis(6, 5)) == 1.0
         assert expectation(op, HermitianOperator.identity(6) * (1.0 / 6.0)) == pytest.approx(0.2)
         assert expectation(op, ProductKet(a=Ket.basis(2, 1), b=Ket.basis(3, 2))) == 1.0
+
+
+    def test_duck_typed_states(self):
+        # anything with .op is unwrapped first, whatever it holds; anything
+        # with .a and .b is a product ket
+        class Holder:
+            def __init__(self, op):
+                self.op = op
+
+        class Pair:
+            def __init__(self, a, b):
+                self.a, self.b = a, b
+
+        rng = np.random.default_rng(2)
+        M = rand_herm(rng, 6)
+        rho = DensityMatrix(HermitianOperator(np.diag([0.5, 0.1, 0.1, 0.1, 0.1, 0.1]), dims=(2, 3)))
+        pk = ProductKet(a=Ket.unit(rng.normal(size=2)), b=Ket.unit(rng.normal(size=3)))
+        assert expectation(M, Holder(rho.op)) == expectation(M, rho) == expectation(M, rho.op)
+        assert expectation(M, Holder(pk)) == expectation(M, Pair(pk.a, pk.b)) == expectation(M, pk)
+        assert expectation(M, Holder(pk.ket())) == expectation(M, pk.ket())
+        with pytest.raises(DimensionMismatch):
+            expectation(M, Holder(DensityMatrix.maximally_mixed((3, 2)).op))
+        with pytest.raises(TypeError, match="unsupported state object ndarray"):
+            expectation(M, Holder(rho.op.mat))
+        with pytest.raises(TypeError, match="unsupported state object list"):
+            expectation(M, [0.5, 0.5])
 
 
 class TestConditionalOperator:
