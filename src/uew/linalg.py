@@ -35,11 +35,10 @@ INPUT_TOL = 1e-10        # density matrices and decoded operators carry rounding
 TIE_TOL = 1e-12          # values this close count as tied
 # -- witnesses and scans
 DETECTION_TOL = 1e-10    # a witness fires only when its value lies below -DETECTION_TOL
-BOUNDARY_TOL = 1e-9      # the boundary band; also the optimizers' slack for "on the side"
+BOUNDARY_TOL = 1e-9      # a state this close to Tr(rho C) = c is on the boundary; optimizers use optimize._cut_slack instead
 SCAN_RESOLUTION = 1e-3   # the coarsest threshold_scan resolution, and its default
 # -- optimizers
 SEESAW_TOL = 1e-11       # a see-saw row retires once a sweep gains less than this
-CUT_TOL = 1e-15          # a point this far past the cut still counts as on it; a qubit cap's only band
 DIV_FLOOR = 1e-300       # a norm that divides is floored here, so a zero norm gives no inf or nan
 COMPASS_STOP = 1e-13     # a compass search stops once its step in radians falls below this
 SLERP_PHASE_TOL = 1e-15  # two kets with an overlap this small have no relative phase to align

@@ -47,9 +47,7 @@ import numpy as np
 from .linalg import (
     ALPHA0_FEAS_TOL,
     ALPHA0_WIDTH,
-    BOUNDARY_TOL,
     COMPASS_STOP,
-    CUT_TOL,
     DIV_FLOOR,
     MU_CAP,
     MU_STOP,
@@ -388,25 +386,26 @@ def _norm3(x):
     return np.sqrt((x0 * x0 + x1 * x1) + x2 * x2)
 
 
-def _cap_cut(v, g0, u):
+def _cap_cut(v, g0, u, band):
     """Row-wise geometry of the cap {unit n : g0 + u.n <= 0} against v.
 
     v and u are (N, 3); views of wider rows serve (see _coeff_columns).
     Returns (nv, t, nu, nu2, uv, ratio, rise, free, empty): |v|, the
     threshold t = -g0, |u| and its floor at DIV_FLOOR, u.v, the cut
     circle's height t/|u| and radius (both clipped to the sphere), whether
-    v/|v| satisfies the cut, and whether the cap is empty. CUT_TOL is the
-    one band: v/|v| is free up to CUT_TOL past the cut, and a cap is empty
-    only once the whole sphere lies more than CUT_TOL past it. A zero u
-    (the zero cut) leaves every row free at a threshold of 0. The norms
-    are _norm3's; u.v stays an einsum, whose 3-term summation order is
-    numpy's SIMD one, so a hand-written sum would change its last bits.
+    v/|v| satisfies the cut, and whether the cap is empty. band, the
+    _cut_slack of the cut that g0 + u.n evaluates, is the one band: v/|v|
+    is free up to band past the cut, and a cap is empty only once the
+    whole sphere lies more than band past it. A zero u (the zero cut, band
+    0) leaves every row free at a threshold of 0. The norms are _norm3's;
+    u.v stays an einsum, whose 3-term summation order is numpy's SIMD one,
+    so a hand-written sum would change its last bits.
     """
     nv, nu = _norm3(v), _norm3(u)
     t = -g0
     uv = np.einsum("ij,ij->i", u, v)
-    free = uv / np.maximum(nv, DIV_FLOOR) <= t + CUT_TOL
-    empty = t < -nu - CUT_TOL
+    free = uv / np.maximum(nv, DIV_FLOOR) <= t + band
+    empty = t < -nu - band
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         nu2 = np.maximum(nu, DIV_FLOOR)
         ratio = np.clip(t / nu2, -1.0, 1.0)
@@ -414,14 +413,14 @@ def _cap_cut(v, g0, u):
     return nv, t, nu, nu2, uv, ratio, rise, free, empty
 
 
-def _cap_max_values(w0, v, g0, u):
+def _cap_max_values(w0, v, g0, u, band):
     """Row-wise max of w0 + v.n over unit n with g0 + u.n <= 0.
 
     Closed form: w0 + |v| where the free maximiser v/|v| satisfies the cut,
     otherwise the best point of the circle where the cut meets the sphere;
-    an empty cap has value -inf (edge rules in _cap_cut).
+    an empty cap has value -inf (edge rules and band in _cap_cut).
     """
-    nv, t, _, nu2, uv, _, rise, free, empty = _cap_cut(v, g0, u)
+    nv, t, _, nu2, uv, _, rise, free, empty = _cap_cut(v, g0, u, band)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         along = uv / nu2**2
         # |v| sin(angle to u), from the difference vector: nv**2 - (uv/nu)**2
@@ -431,12 +430,12 @@ def _cap_max_values(w0, v, g0, u):
     return np.where(empty, -np.inf, val)
 
 
-def _cap_argmax(w0, v, g0, u):
+def _cap_argmax(w0, v, g0, u, band):
     """(N, 2) unit qubit kets whose Bloch vectors maximise _cap_max_values.
 
     An empty cap has a nan row.
     """
-    nv, _, nu, nu2, _, ratio, rise, free, empty = _cap_cut(v, g0, u)
+    nv, _, nu, nu2, _, ratio, rise, free, empty = _cap_cut(v, g0, u, band)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         n_free = v / nv[:, None]
         # the circle point towards v, in a frame (u/|u|, e1, e2) built from u
@@ -473,20 +472,22 @@ def _coeff_columns(P):
     return P[:, 0], P[:, 1:4], P[:, 4], P[:, 5:]
 
 
-def _inner_caps(S, n, kernel=_cap_max_values):
+def _inner_caps(S, n, band, kernel=_cap_max_values):
     """kernel on the inner party's cap at outer Bloch 4-vectors n, S one orientation of _orientations.
 
-    Blocks of at most _CAP_BLOCK rows keep each temporary small; a row's
-    result does not depend on the block it falls in.
+    band is the cut's _cut_slack (see _cap_cut). Blocks of at most
+    _CAP_BLOCK rows keep each temporary small; a row's result does not
+    depend on the block it falls in.
     """
     return np.concatenate(
-        [kernel(*_coeff_columns(n[lo : lo + _CAP_BLOCK] @ S)) for lo in range(0, len(n), _CAP_BLOCK)]
+        [kernel(*_coeff_columns(n[lo : lo + _CAP_BLOCK] @ S), band) for lo in range(0, len(n), _CAP_BLOCK)]
     )
 
 
 def _oracle_22(L, N, resolution):
     U = _qubit_bloch(*_qubit_angles(resolution, 2 * resolution - 1))
-    return max(float(_inner_caps(S, U).max()) for S in _orientations(L, N))
+    band = _cut_slack(N.mat)
+    return max(float(_inner_caps(S, U, band).max()) for S in _orientations(L, N))
 
 
 def _party_ket_grid(d: int, resolution: int) -> np.ndarray:
@@ -509,15 +510,16 @@ def _party_ket_grid(d: int, resolution: int) -> np.ndarray:
 
 
 def _pair_grid_max(L, N, kets_a, kets_b):
-    """Exhaustive max over the product of two ket grids, where <N> <= CUT_TOL."""
+    """Exhaustive max over the product of two ket grids, where <N> <= _cut_slack(N)."""
     dA, dB = L.dims
+    band = _cut_slack(N.mat)
     XA = np.einsum("ni,nj->nij", kets_a.conj(), kets_a).reshape(len(kets_a), dA * dA)
     XB = np.einsum("nk,nl->nkl", kets_b.conj(), kets_b).reshape(len(kets_b), dB * dB)
     L2, N2 = (T.mat.reshape(dA, dB, dA, dB).transpose(0, 2, 1, 3).reshape(dA * dA, dB * dB) for T in (L, N))
     best = -np.inf
     for lo in range(0, len(kets_a), 4096):
         xa = XA[lo : lo + 4096]
-        vals = np.where((xa @ N2 @ XB.T).real <= CUT_TOL, (xa @ L2 @ XB.T).real, -np.inf)
+        vals = np.where((xa @ N2 @ XB.T).real <= band, (xa @ L2 @ XB.T).real, -np.inf)
         best = max(best, float(vals.max()))
     return best
 
@@ -531,8 +533,9 @@ def grid_oracle_sup(
     """Brute-force product-state supremum on per-party angle grids.
 
     Independent of the see-saw path: no iteration, no restarts. The scan
-    keeps the side <N> <= 0 of the cut N (_cut_operator); without spec N is
-    0, which every point satisfies. For qubit pairs the polar/azimuth grid
+    keeps the side <N> <= 0 of the cut N (_cut_operator), counting a point
+    up to _cut_slack(N) past it as on it; without spec N is 0, which every
+    point satisfies. For qubit pairs the polar/azimuth grid
     of one party is scanned exhaustively while the other party is maximized
     in closed form over its Bloch sphere cut by N; both orientations are
     scanned and the larger max wins. Higher local dimensions fall back to a
@@ -577,6 +580,20 @@ def _cut_operator(spec: ConstraintSpec, side: HalfSpaceSide) -> HermitianOperato
     return sense * (spec.C - spec.c * HermitianOperator.identity(spec.C.dims))
 
 
+def _cut_slack(mat) -> float:
+    """How far past the cut <N> = 0 a product point still counts as on its side.
+
+    mat is the cut's matrix N (either sign: only its norm is read). A point
+    computed on the cut lands within rounding of it, on either side, and
+    the rounding of <x|N|x> in dimension dim is of order dim * eps * |N|_F,
+    so the band scales with the operators. Every optimizer test of a
+    product point against the cut reads it: the stage-1 short-circuit, the
+    qubit cap kernels, the grid oracle, the random sample filter, the
+    constrained see-saw and _cut_top.
+    """
+    return len(mat) * np.finfo(float).eps * np.linalg.norm(mat)
+
+
 def _qubit_pair_constrained(L, N):
     """Constrained supremum over qubit product states by one exact reduction.
 
@@ -603,7 +620,8 @@ def _qubit_pair_constrained(L, N):
     grid point is feasible.
     """
     S = _orientations(L, N)
-    vals = np.concatenate([_inner_caps(s, _PAIR_BLOCH) for s in S])
+    band = _cut_slack(N.mat)
+    vals = np.concatenate([_inner_caps(s, _PAIR_BLOCH, band) for s in S])
     if vals.max() == -np.inf:
         raise EmptyFeasibleSet("no product state on the qubit-pair grid satisfies the constraint side")
     # 4 starts per orientation, searched in lockstep
@@ -630,7 +648,7 @@ def _qubit_pair_constrained(L, N):
         n = _qubit_bloch(cand[:, 0], cand[:, 1])
         # all levels of the live rows, at most 8 * _COMPASS_LEVELS * 8 kets, in one kernel call
         cut = np.count_nonzero(side[live] == 0) * _COMPASS_LEVELS * len(stencil)
-        fv = _cap_max_values(*_coeff_columns(np.concatenate([n[:cut] @ S[0], n[cut:] @ S[1]])))
+        fv = _cap_max_values(*_coeff_columns(np.concatenate([n[:cut] @ S[0], n[cut:] @ S[1]])), band)
         # each stencil's first maximum, as in index k of cand
         k = np.arange(len(fv), step=len(stencil)) + fv.reshape(-1, len(stencil)).argmax(axis=1)
         best = fv[k].reshape(runs.shape)
@@ -646,7 +664,7 @@ def _qubit_pair_constrained(L, N):
     kets, n = _qubit_kets(x[s, :1], x[s, 1:]), _qubit_bloch(x[s, :1], x[s, 1:])
     # only the winning row builds its maximiser
     outer = Ket.unit(kets[0])
-    inner = Ket.unit(_inner_caps(S[side[s]], n, _cap_argmax)[0])
+    inner = Ket.unit(_inner_caps(S[side[s]], n, band, _cap_argmax)[0])
     pk = ProductKet(a=inner, b=outer) if side[s] else ProductKet(a=outer, b=inner)
     return expectation(L, pk), pk, True, int(steps.max())
 
@@ -662,21 +680,23 @@ def _bloch_coeffs(h):
     return t[:, 0], t[:, 1:]
 
 
-def _cut_top(M: np.ndarray, N: np.ndarray) -> np.ndarray:
+def _cut_top(M: np.ndarray, N: np.ndarray, band: float) -> np.ndarray:
     """Row-wise unit maximiser of <x|M|x> subject to <x|N|x> <= 0.
 
-    M and N are (R, d, d) Hermitian stacks. Where the top eigenvector of M
-    is feasible it is the maximiser. Elsewhere a multiplier mu > 0 is
+    M and N are (R, d, d) Hermitian stacks, and band is the _cut_slack of
+    the cut they condition. Where the top eigenvector of M is feasible
+    (<N> at most band) it is the maximiser. Elsewhere a multiplier mu > 0 is
     bracketed, by doubling and then bisection, on the sign of <N> at the top
     eigenvector of M - mu N, which falls as mu grows. The problem has zero
     duality gap (Beck & Eldar, SIAM J. Optim. 17, 2006), so the maximiser
     lies in the span of the bracket's two eigenvectors, also where the top
     eigenvalue is degenerate at the multiplier; that span is a qubit, solved
-    exactly by _cap_argmax. Rows where doubling finds no
-    feasible eigenvector are nan.
+    exactly by _cap_argmax with the same band. The bracket's sign tests
+    locate the crossing and keep 0. Rows where doubling finds no feasible
+    eigenvector are nan.
     """
     _, x = _hermitian_top(M)
-    cut = np.flatnonzero(_quad(x, N) > 0)
+    cut = np.flatnonzero(_quad(x, N) > band)
     if cut.size == 0:
         return x
     M, N = M[cut], N[cut]
@@ -704,7 +724,7 @@ def _cut_top(M: np.ndarray, N: np.ndarray) -> np.ndarray:
         lo[~down], x_lo[~down] = mid[~down], y[~down]
     Q = np.linalg.qr(np.stack([x_hi, x_lo], axis=2))[0]  # first column spans x_hi
     QH = Q.conj().transpose(0, 2, 1)
-    y = _cap_argmax(*_bloch_coeffs(QH @ M @ Q), *_bloch_coeffs(QH @ N @ Q))
+    y = _cap_argmax(*_bloch_coeffs(QH @ M @ Q), *_bloch_coeffs(QH @ N @ Q), band)
     x[cut] = np.einsum("rij,rj->ri", Q, y)
     x[cut[g_hi > 0]] = np.nan
     return x
@@ -715,11 +735,12 @@ def _constrained_seesaw(L, N, A0, B0):
 
     As in _seesaw_batch, but each half step maximises the conditioned form
     of L under the conditioned cut <N> <= 0 (_cut_top), and one matmul
-    conditions L and N together (_conditioning of both). A move is
-    taken only when it is feasible and does not lower the row's value; an
-    infeasible start counts as -inf, so its first feasible move is taken. A
-    row retires once a sweep gains no more than SEESAW_TOL, with at most
-    _SEESAW_MAX_ITER sweeps. Returns per-row arrays (values, A, B, sweeps).
+    conditions L and N together (_conditioning of both). A move is taken
+    only when it is feasible (<N> at most _cut_slack(N)) and does not lower
+    the row's value; an infeasible start counts as -inf, so its first
+    feasible move is taken. A row retires once a sweep gains no more than
+    SEESAW_TOL, with at most _SEESAW_MAX_ITER sweeps. Returns per-row
+    arrays (values, A, B, sweeps).
     """
     dA, dB = L.dims
     XA, XB = _conditioning(*(T.mat.reshape(dA, dB, dA, dB) for T in (L, N)))
@@ -727,8 +748,7 @@ def _constrained_seesaw(L, N, A0, B0):
     B = np.array(B0, dtype=complex)
     prod = np.einsum("ri,rk->rik", A, B).reshape(len(A), L.dim)
     vals = _quad(prod, L.mat)
-    # a point on the cut lands within rounding of it, on either side
-    slack = L.dim * np.finfo(float).eps * np.linalg.norm(N.mat)
+    slack = _cut_slack(N.mat)
     vals[_quad(prod, N.mat) > slack] = -np.inf
     its = np.zeros(len(A), dtype=int)
     live = np.arange(len(A))
@@ -738,7 +758,7 @@ def _constrained_seesaw(L, N, A0, B0):
         for X, Y, XY, d in ((B, A, XA, dB), (A, B, XB, dA)):
             cond = _condition(Y[live], XY, d)
             Mc, Nc = cond[:, 0], cond[:, 1]
-            x = _cut_top(Mc, Nc)
+            x = _cut_top(Mc, Nc, slack)
             new = _quad(x, Mc)
             ok = (_quad(x, Nc) <= slack) & (new >= vals[live])
             X[live[ok]], vals[live[ok]] = x[ok], new[ok]
@@ -816,16 +836,16 @@ def _dual_refine(L, N, base):
 
 
 def _generic_constrained(L, N, cfg, base):
-    """_constrained_seesaw from the best feasible points of 200k seeded
-    random product states and from the cut point of the multiplier
-    root-find, which starts at base, the infeasible unconstrained optimum,
-    and draws no further random starts; returns (value, argmax, converged,
-    sweeps) of the first best start, and raises EmptyFeasibleSet when no
-    sample point is feasible."""
+    """_constrained_seesaw from the best feasible points (<N> at most
+    _cut_slack(N)) of 200k seeded random product states and from the cut
+    point of the multiplier root-find, which starts at base, the infeasible
+    unconstrained optimum, and draws no further random starts; returns
+    (value, argmax, converged, sweeps) of the first best start, and raises
+    EmptyFeasibleSet when no sample point is feasible."""
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x5EED)))
     A, B = random_product_batch(L.dims, 200_000, rng)
     vals = product_expectations(L, A, B)
-    feas = np.flatnonzero(product_expectations(N, A, B) <= BOUNDARY_TOL)
+    feas = np.flatnonzero(product_expectations(N, A, B) <= _cut_slack(N.mat))
     if feas.size == 0:
         raise EmptyFeasibleSet("no product state on the random product sample satisfies the constraint side")
     top = feas[np.argsort(-vals[feas], kind="stable")[:_CONSTRAINED_STARTS]]
@@ -847,11 +867,13 @@ def sup_product_constrained(
 ) -> OptimizationResult:
     """Supremum of <a,b|L|a,b> over product kets on one constraint side.
 
-    Stage 1 returns the unconstrained optimum whenever halfspace_membership
-    puts it on the side or in the boundary band. Otherwise the side becomes
-    <N> <= 0 with one cut operator N (_cut_operator), and for qubit
-    pairs, one party is maximised in closed form over its Bloch sphere cut
-    by it and the other by the fixed _PAIR_GRID refined by
+    The side is <N> <= 0 with one cut operator N = s(C - cI) (_cut_operator),
+    and a product point counts as on it up to _cut_slack(N) past the cut,
+    a band that scales with the operators. Stage 1 returns the
+    unconstrained optimum whenever s(<C> - c) at its argmax lies within
+    that band; the band is read from C and c without building N. Otherwise,
+    for qubit pairs, one party is maximised in closed form over its Bloch
+    sphere cut by N and the other by the fixed _PAIR_GRID refined by
     compass search, with either party outer (_qubit_pair_constrained); the
     result is converged whenever a grid point is feasible. Beyond qubit
     pairs, a constrained see-saw runs from the 16 best feasible points of a
@@ -872,8 +894,10 @@ def sup_product_constrained(
     if spec.C.dims != L.dims:
         raise DimensionMismatch("constraint operator lives on a different space")
     base = sup_product_unconstrained(L, cfg)
-    if halfspace_membership(base.argmax, spec) in (side, HalfSpaceSide.BOUNDARY):
-        return replace(base, constraint_value=expectation(spec.C, base.argmax))
+    cv = expectation(spec.C, base.argmax)
+    sense = 1.0 if side is HalfSpaceSide.LEQ else -1.0
+    if sense * (cv - spec.c) <= _cut_slack(spec.C.mat - spec.c * np.eye(L.dim)):
+        return replace(base, constraint_value=cv)
 
     N = _cut_operator(spec, side)
     if L.dims == (2, 2):
@@ -900,7 +924,12 @@ def classify_case(L: HermitianOperator, spec: ConstraintSpec, cfg: OptimizerConf
 
     The optimum of L must not sit strictly on the <= side (that is the
     standing sign convention; callers should swap the sides if it does).
+    An optimum within the BOUNDARY_TOL band of halfspace_membership makes
+    the label DEGENERATE. A constraint on another space is refused before
+    any solve.
     """
+    if spec.C.dims != L.dims:
+        raise DimensionMismatch("constraint operator lives on a different space")
     opt_l = sup_product_unconstrained(L, cfg)
     side_l = halfspace_membership(opt_l.argmax, spec)
     if side_l is HalfSpaceSide.LEQ:
@@ -1028,7 +1057,9 @@ def rotated_bound_residual(
     reported as a warning and the residual is returned regardless. Both
     optima are read from the constrained solves: a "seesaw" result is the
     unconstrained optimum with its constraint value, and a "hybrid" one
-    means that optimum lay beyond the boundary band on the >= side.
+    means that optimum lay more than the cut's _cut_slack past c, on the
+    >= side. The warning fires when a "seesaw" optimum lies below the
+    BOUNDARY_TOL band of halfspace_membership.
     """
     if not -math.inf < alpha < 1.0:
         raise ValueError("alpha must be finite and < 1")

@@ -137,3 +137,15 @@ def test_every_import_is_read():
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
         unread += [f"{path.name}: {name}" for name in bound if name not in read]
     assert unread == []
+
+
+def test_only_the_state_side_imports_the_boundary_band():
+    # BOUNDARY_TOL is the band of a state against Tr(rho C) = c; the
+    # optimizers test product points against the cut's own slack
+    importers = sorted(
+        path.name
+        for path in Path(uew.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and any(alias.name == "BOUNDARY_TOL" for alias in node.names)
+    )
+    assert importers == ["analysis.py", "witness.py"]

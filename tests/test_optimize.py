@@ -10,6 +10,7 @@ from uew import (
     AssumptionViolated,
     CaseLabel,
     ConstraintSpec,
+    DimensionMismatch,
     EmptyFeasibleSet,
     HalfSpaceSide,
     HermitianOperator,
@@ -41,6 +42,7 @@ from uew.optimize import (
     _condition,
     _conditioning,
     _cut_operator,
+    _cut_slack,
     _hermitian_top,
     _inner_caps,
     _oracle_22,
@@ -494,16 +496,16 @@ class TestTieBreak:
         assert _canonical_rows(X).tobytes() == ref.tobytes()
 
 
-def _one_band_cap_values(w0, v, g0, u, c, sense):
+def _one_band_cap_values(w0, v, g0, u, c, sense, band):
     """The value formula of the value-and-maximiser kernel, on the side
-    sense * (g0 + u.n - c) <= 0, with the one band 1e-15 of the cut."""
+    sense * (g0 + u.n - c) <= 0, with the one band of the cut."""
     nv = np.linalg.norm(v, axis=1)
     us = sense * u
     t = sense * (c - g0)
     nu = np.linalg.norm(us, axis=1)
     uv = np.einsum("ij,ij->i", us, v)
-    free = uv / np.maximum(nv, 1e-300) <= t + 1e-15
-    empty = t < -nu - 1e-15
+    free = uv / np.maximum(nv, 1e-300) <= t + band
+    empty = t < -nu - band
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         nu2 = np.maximum(nu, 1e-300)
         ratio = np.clip(t / nu2, -1.0, 1.0)
@@ -514,14 +516,14 @@ def _one_band_cap_values(w0, v, g0, u, c, sense):
     return np.where(empty, -np.inf, val)
 
 
-def _one_band_inner_caps(L, N, n, flip):
+def _one_band_inner_caps(L, N, n, flip, band):
     """_one_band_cap_values on the inner party's cap at outer Bloch 4-vectors
     n, from separate products with the Pauli coefficients of L and N (or
     their transposes where flip, party B outer)."""
     TL, TN = _pauli_tensor_coeffs(L), _pauli_tensor_coeffs(N)
     w = np.where(flip[:, None], n @ TL.T, n @ TL)
     g = np.where(flip[:, None], n @ TN.T, n @ TN)
-    return _one_band_cap_values(w[:, 0], w[:, 1:], g[:, 0], g[:, 1:], 0.0, 1)
+    return _one_band_cap_values(w[:, 0], w[:, 1:], g[:, 0], g[:, 1:], 0.0, 1, band)
 
 
 def one_stencil_qubit_pair(L, N):
@@ -533,8 +535,9 @@ def one_stencil_qubit_pair(L, N):
     (value, argmax, rounds).
     """
     tn, pn = _PAIR_GRID
+    band = _cut_slack(N.mat)
     grid = _qubit_bloch(*_qubit_angles(tn, pn, phi_endpoint=False))
-    vals = _one_band_inner_caps(L, N, np.vstack([grid, grid]), np.repeat([False, True], len(grid)))
+    vals = _one_band_inner_caps(L, N, np.vstack([grid, grid]), np.repeat([False, True], len(grid)), band)
     ks = np.concatenate([np.argsort(-half, kind="stable")[:4] for half in np.split(vals, 2)])
     flip = np.repeat([False, True], 4)
     fx = vals[ks + len(grid) * flip]
@@ -551,7 +554,7 @@ def one_stencil_qubit_pair(L, N):
         rounds += 1
         cand = x[:, None] + h[:, None, None] * stencil
         nc = _qubit_bloch(cand[..., 0].ravel(), cand[..., 1].ravel())
-        fv = _one_band_inner_caps(L, N, nc, np.repeat(flip, len(stencil))).reshape(len(ks), -1)
+        fv = _one_band_inner_caps(L, N, nc, np.repeat(flip, len(stencil)), band).reshape(len(ks), -1)
         j = fv.argmax(axis=1)
         up = live & (fv[rows, j] > fx)
         x[up], fx[up] = cand[rows, j][up], fv[rows, j][up]
@@ -561,7 +564,7 @@ def one_stencil_qubit_pair(L, N):
     TL, TN = _pauli_tensor_coeffs(L), _pauli_tensor_coeffs(N)
     w, g = (n @ T.T if flip[s] else n @ T for T in (TL, TN))
     outer = Ket.unit(kets[0])
-    inner = Ket.unit(_cap_argmax(w[:, 0], w[:, 1:], g[:, 0], g[:, 1:])[0])
+    inner = Ket.unit(_cap_argmax(w[:, 0], w[:, 1:], g[:, 0], g[:, 1:], band)[0])
     pk = ProductKet(a=inner, b=outer) if flip[s] else ProductKet(a=outer, b=inner)
     return expectation(L, pk), pk, rounds
 
@@ -588,12 +591,13 @@ class TestCapValues:
             d = np.diag(C.mat).real
             N = _cut_operator(ConstraintSpec(C=C, c=float(d.min() + q * (d.max() - d.min()))), side)
             TL = _pauli_tensor_coeffs(L)
+            band = _cut_slack(N.mat)
             refs = []
             for S, flip in zip(_orientations(L, N), (False, True)):
-                ref = _one_band_inner_caps(L, N, n, np.full(len(n), flip))
-                assert _inner_caps(S, n).tobytes() == ref.tobytes()
+                ref = _one_band_inner_caps(L, N, n, np.full(len(n), flip), band)
+                assert _inner_caps(S, n, band).tobytes() == ref.tobytes()
                 for lo in (0, 1020, 2044, len(n) - 3):
-                    assert _inner_caps(S, n[lo : lo + 7]).tobytes() == ref[lo : lo + 7].tobytes()
+                    assert _inner_caps(S, n[lo : lo + 7], band).tobytes() == ref[lo : lo + 7].tobytes()
                 w = n @ (TL.T if flip else TL)
                 free = ref == w[:, 0] + np.linalg.norm(w[:, 1:], axis=1)
                 assert np.isneginf(ref).any() and free.any() and np.isfinite(ref[~free]).any()
@@ -628,11 +632,11 @@ class TestCapValues:
         v, g0, u = (np.array(x) for x in zip(*rows))
         w0 = rng.normal(size=len(rows))
         # the kernels take the cut at 0: g0 + u.n <= 0
-        got = _cap_max_values(w0, v, sense * (g0 - c), sense * u)
-        assert got.tobytes() == _one_band_cap_values(w0, v, g0, u, c, sense).tobytes()
+        got = _cap_max_values(w0, v, sense * (g0 - c), sense * u, 1e-15)
+        assert got.tobytes() == _one_band_cap_values(w0, v, g0, u, c, sense, 1e-15).tobytes()
         assert np.isneginf(got[[0, 2]]).all() and np.isfinite(got[1])
         # the argmax kernel's kets lie in the cap and attain its value; empty caps are nan
-        kets = _cap_argmax(w0, v, sense * (g0 - c), sense * u)
+        kets = _cap_argmax(w0, v, sense * (g0 - c), sense * u, 1e-15)
         empty = np.isneginf(got)
         assert np.array_equal(np.isnan(kets).all(axis=1), empty) and not np.isnan(kets[~empty]).any()
         n = np.einsum("ri,kij,rj->rk", kets.conj(), np.array(_PAULI[1:]), kets).real
@@ -686,8 +690,8 @@ def _assert_reaches_pair_grid(L, spec, sense, cfg, kets=None):
         v_tol, c_tol = 1e-12, 1e-12
     else:
         # the short-circuit returns the unconstrained see-saw, which stops once
-        # a sweep gains less than SEESAW_TOL, and accepts it within the
-        # boundary band
+        # a sweep gains less than SEESAW_TOL, and accepts it within the cut's
+        # slack, far inside the boundary band
         v_tol, c_tol = 1e-9, BOUNDARY_TOL
     assert res.value >= grid_val - v_tol
     assert abs(expectation(L, res.argmax) - res.value) <= 1e-12
@@ -797,6 +801,11 @@ class TestQubitPairConstrained:
         assert expectation(C, res.argmax) >= c - 1e-12
 
 
+def _scaled_worked(example, s):
+    """The worked instance with L, C and c all scaled by s."""
+    return s * example["L"], ConstraintSpec(C=s * example["C"], c=s * example["spec"].c)
+
+
 class TestGridOracle:
     def test_identity_any_resolution(self):
         for res in (61, 181):
@@ -851,13 +860,14 @@ class TestGridOracle:
             assert grid_oracle_sup(L, spec, side, resolution=resolution) == free
 
     def test_constrained_value_scales_with_the_operators(self, example):
-        # L, C and c scaled by 1e-12 scale the value by 1e-12: no cap of the
-        # scaled instance is read as uncut
-        s = 1e-12
-        spec = ConstraintSpec(C=s * example["C"], c=s * example["spec"].c)
-        scaled = grid_oracle_sup(s * example["L"], spec, HalfSpaceSide.LEQ, resolution=181)
+        # L, C and c scaled by s scale the value by s: no cap of the scaled
+        # instance is read as uncut (an absolute 1e-15 cap band gave 0.2145 s
+        # against 0.1878 s at s = 1e-13)
         plain = grid_oracle_sup(example["L"], example["spec"], HalfSpaceSide.LEQ, resolution=181)
-        assert abs(scaled / s - plain) <= 1e-9
+        for s in (1e-13, 1e-12, 1e-10, 1e6):
+            L, spec = _scaled_worked(example, s)
+            scaled = grid_oracle_sup(L, spec, HalfSpaceSide.LEQ, resolution=181)
+            assert abs(scaled / s - plain) <= 1e-9
 
     @pytest.mark.parametrize("constrained", [False, True])
     def test_qubit_pair_resolution_cap(self, example, monkeypatch, constrained):
@@ -908,6 +918,36 @@ class TestSideSymmetry:
             other = HalfSpaceSide.GEQ if side is HalfSpaceSide.LEQ else HalfSpaceSide.LEQ
             val = grid_oracle_sup(L, spec, side, resolution=resolution)
             assert val == grid_oracle_sup(L, _mirrored(spec), other, resolution=resolution)
+
+
+class TestCutSlack:
+    # every optimizer test of a product point against the cut N reads
+    # _cut_slack(N), which scales with N; an absolute band does not
+
+    def test_constrained_value_scales_with_the_operators(self, example, cfg):
+        # an absolute 1e-9 short-circuit band returned g_s at s = 1e-10 and
+        # 1e-13, from an argmax 0.24 s past the cut
+        for s in (1e-13, 1e-10, 1e6):
+            L, spec = _scaled_worked(example, s)
+            res = sup_product_constrained(L, spec, HalfSpaceSide.LEQ, cfg)
+            assert res.method == "hybrid"
+            assert abs(res.value / s - PC_EXACT) <= 1e-9
+            N = _cut_operator(spec, HalfSpaceSide.LEQ)
+            assert expectation(spec.C, res.argmax) - spec.c <= _cut_slack(N.mat)
+
+    def test_an_argmax_inside_the_state_band_is_past_the_cut(self, example, cfg):
+        # c 5e-10 inside the side that excludes the g_s argmax: within the
+        # BOUNDARY_TOL band of halfspace_membership, but past the cut
+        for L, C in ((example["L"], example["C"]), (example["C"], example["L"])):
+            gs = sup_product_unconstrained(L, cfg)
+            at_gs = expectation(C, gs.argmax)
+            for side, c in ((HalfSpaceSide.LEQ, at_gs - 5e-10), (HalfSpaceSide.GEQ, at_gs + 5e-10)):
+                spec = ConstraintSpec(C=C, c=c)
+                res = sup_product_constrained(L, spec, side, cfg)
+                N = _cut_operator(spec, side)
+                assert res.method == "hybrid"
+                assert expectation(N, res.argmax) <= _cut_slack(N.mat)
+                assert res.value <= gs.value
 
 
 class TestConstrained:
@@ -984,7 +1024,9 @@ class TestConstrained:
         L, spec, cfg = recipe_instance(55, 1, 0.5, 4, HalfSpaceSide.LEQ)
         sizes, runs = [], []
         real_top, real_seesaw = uew.optimize._cut_top, uew.optimize._constrained_seesaw
-        monkeypatch.setattr(uew.optimize, "_cut_top", lambda M, N: sizes.append(len(M)) or real_top(M, N))
+        monkeypatch.setattr(
+            uew.optimize, "_cut_top", lambda M, N, band: sizes.append(len(M)) or real_top(M, N, band)
+        )
         monkeypatch.setattr(
             uew.optimize, "_constrained_seesaw", lambda *a: runs.append(real_seesaw(*a)) or runs[-1]
         )
@@ -1143,6 +1185,16 @@ class TestClassify:
         opt = sup_product_unconstrained(example["L"], cfg_small)
         spec = ConstraintSpec(C=example["C"], c=expectation(example["C"], opt.argmax))
         assert classify_case(example["L"], spec, cfg_small) is CaseLabel.DEGENERATE
+
+    def test_constraint_on_another_space_is_refused_before_any_solve(self, example, cfg_small, monkeypatch):
+        calls = []
+        real = uew.optimize._seesaw_batch
+        monkeypatch.setattr(uew.optimize, "_seesaw_batch", lambda *a: calls.append(1) or real(*a))
+        _unconstrained_solve.cache_clear()  # a memoised g_s(L) would hide the solve
+        spec = ConstraintSpec(C=HermitianOperator.identity((2, 3)), c=0.5)
+        with pytest.raises(DimensionMismatch, match="different space"):
+            classify_case(example["L"], spec, cfg_small)
+        assert calls == []
 
     def test_deterministic_label_for_degenerate_difference(self, example, cfg_small):
         spec = ConstraintSpec(C=example["L"], c=0.3)
