@@ -3,9 +3,12 @@
 Three cooperating search mechanisms live here:
 
 * a see-saw that alternates exact single-party eigenvector updates, used
-  for unconstrained suprema; all restarts run as one (R, d, d) stack. A
-  half step conditions the operator with one matmul and takes the top
-  eigenpairs in closed form on a qubit party, else with one batched
+  for unconstrained suprema; all restarts run as one batch. On a qubit
+  pair a half step works on Bloch vectors and the operator's real 4x4
+  Pauli coefficients: fixing one party leaves the other w0 + v.m, whose
+  maximum over unit m is w0 + |v| at m = v/|v|. Otherwise a half step
+  conditions the operator with one matmul and takes the top eigenpairs in
+  closed form on a qubit party, else with one batched
   ``numpy.linalg.eigh``. Each row starts from a party-A ket; these starts
   are drawn once per (seed, restarts, dA) and cached read-only, each
   (operator, seed, restarts) is solved once per process, with 16 kept,
@@ -16,8 +19,9 @@ Three cooperating search mechanisms live here:
 * constrained suprema behind a feasibility short-circuit: for qubit pairs
   one exact reduction (one party in closed form over its Bloch sphere cut
   by the constraint, the other by a coarse angle grid and compass search,
-  with either party outer). The closed form takes one matmul per
-  orientation and runs in blocks of at most _CAP_BLOCK outer kets; each
+  with either party outer). The closed form takes one matmul and one
+  kernel call per orientation over the whole grid (the grid oracle runs in
+  blocks of _CAP_BLOCK outer kets); each
   compass round evaluates _COMPASS_LEVELS halvings of a row's step at
   once and replays them as a one-stencil-per-step search would, so values,
   argmaxes and step counts are those of that search. Beyond qubit pairs a
@@ -69,8 +73,8 @@ ORACLE_MAX_TOTAL_DIM = 9
 _SEESAW_MAX_ITER = 500         # sweeps per see-saw row
 _PAIR_GRID = (45, 90)          # outer-party polar x azimuth grid of the qubit-pair solve
 _COMPASS_MAX_STEPS = 400       # stencils per qubit-pair compass search; a smooth f needs ~100
-_COMPASS_LEVELS = 8            # step halvings one compass round evaluates per row
-_CAP_BLOCK = 1024              # outer kets per cap kernel call; keeps its temporaries below ~128 KB
+_COMPASS_LEVELS = 5            # step halvings one compass round evaluates per row
+_CAP_BLOCK = 4096              # outer kets per cap kernel call, the whole _PAIR_GRID; its n @ S is 256 KiB
 _GENERIC_PAIR_CAP = 1 << 24    # max grid oracle rows: ket pairs, or one party's kets for a qubit pair
 _CONSTRAINED_STARTS = 16       # best feasible sample points the d >= 3 constrained see-saw starts from
 _MU_DOUBLINGS = 64             # multiplier doublings before a party's cut counts as empty
@@ -127,29 +131,41 @@ def _hermitian_top(mats: np.ndarray):
     """Top eigenvalues and eigenvectors of a stack of (R, d, d) matrices.
 
     Each matrix is read as its Hermitian part (H + H^dagger)/2, which kills
-    float asymmetry. A 2x2 stack [[a, b], [b*, d]] is solved in closed
-    form: lam = (a + d)/2 + r with r = hypot((a - d)/2, |b|), and the
-    vector (s, b*) for a >= d, else (b, s), with s = r + |a - d|/2, is
-    normalised by hypot(s, |b|); no term cancels, and hypot neither
-    overflows nor underflows. A scalar matrix (zero vector) gets (1, 0).
-    Other sizes go through one batched ``numpy.linalg.eigh`` call.
+    float asymmetry. A 2x2 stack [[a, b], [b*, d]] is (a + d)/2 times the
+    identity plus the traceless part that _qubit_top solves in closed form;
+    the qubit halves of a qubit-qudit see-saw and _cut_top's qubit parties
+    take this branch (a qubit-pair see-saw runs on Bloch vectors instead,
+    see _seesaw_batch). Other sizes go through one batched
+    ``numpy.linalg.eigh`` call.
     """
     if mats.shape[-1] == 2:
         a, d = mats[:, 0, 0].real, mats[:, 1, 1].real
-        b = (mats[:, 0, 1] + mats[:, 1, 0].conj()) / 2
-        nb, half = np.abs(b), (a - d) / 2
-        r = np.hypot(half, nb)
-        s = r + np.abs(half)
-        norm = np.hypot(s, nb)
-        scalar = norm == 0
-        s[scalar], norm[scalar] = 1.0, 1.0
-        s, b = s / norm, b / norm
-        ge = half >= 0
-        vecs = np.empty((len(mats), 2), dtype=complex)
-        vecs[:, 0], vecs[:, 1] = np.where(ge, s, b), np.where(ge, b.conj(), s)
+        r, vecs = _qubit_top((a - d) / 2, (mats[:, 0, 1] + mats[:, 1, 0].conj()) / 2)
         return (a + d) / 2 + r, vecs
     vals, vecs = np.linalg.eigh((mats + mats.conj().transpose(0, 2, 1)) / 2)
     return vals[:, -1], vecs[:, :, -1]
+
+
+def _qubit_top(half, b):
+    """Top eigenvalues r and unit eigenvectors of the traceless 2x2 rows [[half, b], [b*, -half]].
+
+    r = hypot(half, |b|), and the vector (s, b*) for half >= 0, else
+    (b, s), with s = r + |half|, is normalised by hypot(s, |b|); no term
+    cancels, and hypot neither overflows nor underflows. A zero row gets
+    (1, 0). As a Bloch vector v = (Re b, -Im b, half), the vector is the
+    qubit ket of v/|v|, and of (0, 0, 1) where v = 0.
+    """
+    nb = np.abs(b)
+    r = np.hypot(half, nb)
+    s = r + np.abs(half)
+    norm = np.hypot(s, nb)
+    scalar = norm == 0
+    s[scalar], norm[scalar] = 1.0, 1.0
+    s, b = s / norm, b / norm
+    ge = half >= 0
+    vecs = np.empty((len(b), 2), dtype=complex)
+    vecs[:, 0], vecs[:, 1] = np.where(ge, s, b), np.where(ge, b.conj(), s)
+    return r, vecs
 
 
 def _conditioning(*ops4):
@@ -183,34 +199,96 @@ def _seesaw_batch(M4: np.ndarray, A0: np.ndarray):
     _restart_starts draws once per (seed, restarts, dA), and breaks value
     ties between the returned rows in one batch (_best_restart). Each row's
     party-B ket is set by its first half step. Each half step is an exact
-    maximization of the conditioned quadratic form: one matmul conditions
-    M4 on every live row (_condition) and _hermitian_top takes the top
-    eigenpairs, in closed form on a qubit party. No row's value ever
-    decreases. A row retires once its gain drops below SEESAW_TOL, keeping
-    its value and iteration count, with at most _SEESAW_MAX_ITER sweeps.
-    Returns per-row arrays (values, A, B, iterations, converged).
+    maximization of the conditioned quadratic form. For a qubit pair it
+    runs on Bloch 4-vectors n = (1, <X>, <Y>, <Z>) and the real Pauli
+    coefficients T of M4 (_pauli_tensor_coeffs): fixing party A at n gives
+    party B the form w0 + v.m with (w0, v) = n T (n T^T the other way), so
+    the step takes m = v/|v|, or (0, 0, 1) where v = 0, and the value
+    w0 + |v| (_bloch_top); the kets are built once at the end (_qubit_top).
+    Otherwise one matmul conditions M4 on every live row (_condition) and
+    _hermitian_top takes the top eigenpairs, in closed form on a qubit
+    party. No row's value ever decreases. A row retires once its gain drops
+    below SEESAW_TOL, keeping its value and iteration count, with at most
+    _SEESAW_MAX_ITER sweeps. Returns per-row arrays (values, A, B,
+    iterations, converged).
     """
     dA, dB = M4.shape[:2]
-    XA, XB = _conditioning(M4)
-    A = np.array(A0, dtype=complex)
+    bloch = dA == dB == 2
+    if bloch:
+        T = _pauli_tensor_coeffs(M4)
+        T0, T1, TB0, TB1 = T[0], T[1:], T[:, 0], np.ascontiguousarray(T[:, 1:].T)
+        A = _ket_bloch(np.asarray(A0))
+        B = np.empty_like(A)
+
+        def halves(a):
+            _, b = _bloch_top(a[:, :3] @ T1 + T0)
+            new, a = _bloch_top(b[:, :3] @ TB1 + TB0)
+            return new, a, b
+
+    else:
+        XA, XB = _conditioning(M4)
+        A = np.array(A0, dtype=complex)
+        B = np.empty((len(A), dB), dtype=complex)
+
+        def halves(a):
+            _, b = _hermitian_top(_condition(a, XA, dB)[:, 0])
+            new, a = _hermitian_top(_condition(b, XB, dA)[:, 0])
+            return new, a, b
+
+    # the live rows travel compacted (a, val) and are written back as they retire
     R = len(A)
-    B = np.empty((R, dB), dtype=complex)
     vals = np.full(R, -np.inf)
     its = np.full(R, _SEESAW_MAX_ITER)
     conv = np.zeros(R, dtype=bool)
-    live = np.arange(R)
+    live, a, val = np.arange(R), A, vals
     for it in range(1, _SEESAW_MAX_ITER + 1):
-        a = A[live]
-        _, b = _hermitian_top(_condition(a, XA, dB)[:, 0])
-        new, a = _hermitian_top(_condition(b, XB, dA)[:, 0])
-        done = new - vals[live] < SEESAW_TOL
-        A[live], B[live], vals[live] = a, b, new
-        its[live[done]] = it
-        conv[live[done]] = True
-        live = live[~done]
-        if live.size == 0:
-            break
+        new, a, b = halves(a)
+        done = new - val < SEESAW_TOL
+        val = new
+        if done.any():
+            r = live[done]
+            A[r], B[r], vals[r], its[r], conv[r] = a[done], b[done], new[done], it, True
+            keep = ~done
+            live, a, b, val = live[keep], a[keep], b[keep], val[keep]
+            if live.size == 0:
+                break
+    A[live], B[live], vals[live] = a, b, val
+    if bloch:  # the top eigenvectors of v.sigma, from each row's last v
+        A, B = (_qubit_top(X[:, 5], X[:, 3] - 1j * X[:, 4])[1] for X in (A, B))
     return vals, A, B, its, conv
+
+
+def _ket_bloch(K: np.ndarray) -> np.ndarray:
+    """(R, 6) rows (m, m) of the Bloch vectors m = (<k|X|k>, <k|Y|k>, <k|Z|k>)
+    of (R, 2) unit qubit rows k, laid out as _bloch_top's rows (m, v)."""
+    x = K[:, 0].conj() * K[:, 1]
+    p = K.real**2 + K.imag**2
+    n = np.empty((len(K), 6))
+    n[:, 0], n[:, 1], n[:, 2] = 2 * x.real, 2 * x.imag, p[:, 0] - p[:, 1]
+    n[:, 3:] = n[:, :3]
+    return n
+
+
+def _bloch_top(P: np.ndarray):
+    """Max of w0 + v.m over unit Bloch vectors m for the rows (w0, v) of the (R, 4) P.
+
+    Returns the values w0 + |v| and (R, 6) rows (m, v): the maximiser
+    m = v/|v|, which the next half step reads, and v itself, from which
+    _seesaw_batch builds the ket as _hermitian_top does (_qubit_top). A
+    row with v = 0 takes m = (0, 0, 1), the Bloch vector of the ket (1, 0)
+    that _hermitian_top gives a scalar matrix. |v| is taken by hypot, as
+    in _qubit_top, so it neither overflows nor underflows.
+    """
+    v = P[:, 1:]
+    nv = np.hypot(np.hypot(v[:, 0], v[:, 1]), v[:, 2])
+    out = np.empty((len(P), 6))
+    out[:, 3:] = v
+    if nv.all():
+        np.divide(v, nv[:, None], out=out[:, :3])
+    else:
+        out[:, :3] = (0.0, 0.0, 1.0)
+        np.divide(v, nv[:, None], out=out[:, :3], where=nv[:, None] > 0)
+    return P[:, 0] + nv, out
 
 
 def _random_unit(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -329,9 +407,14 @@ _PAULI = (
 _PAULI_PAIRS = np.array([np.kron(p, q) for p in _PAULI for q in _PAULI])
 
 
-def _pauli_tensor_coeffs(M: HermitianOperator) -> np.ndarray:
-    """Real 4x4 coefficients of a two-qubit operator in the Pauli basis."""
-    return np.trace(M.mat @ _PAULI_PAIRS, axis1=1, axis2=2).real.reshape(4, 4) / 4.0
+def _pauli_tensor_coeffs(M) -> np.ndarray:
+    """Real 4x4 coefficients T of a two-qubit operator in the Pauli basis.
+
+    M is a HermitianOperator or its matrix, as (4, 4) or (2, 2, 2, 2);
+    M = sum T[i, j] sigma_i (x) sigma_j.
+    """
+    mat = np.reshape(getattr(M, "mat", M), (4, 4))
+    return np.trace(mat @ _PAULI_PAIRS, axis1=1, axis2=2).real.reshape(4, 4) / 4.0
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +424,7 @@ def _pauli_tensor_coeffs(M: HermitianOperator) -> np.ndarray:
 
 def _columns(cols, theta, phi):
     """The columns broadcast over theta and phi, flattened in C order, as (N, k)."""
-    shape = np.broadcast_shapes(np.shape(theta), np.shape(phi))
+    shape = np.broadcast(theta, phi).shape
     out = np.empty(shape + (len(cols),), dtype=np.result_type(*cols))
     for k, x in enumerate(cols):
         out[..., k] = x
@@ -359,7 +442,7 @@ def _qubit_bloch(theta, phi):
     <k|X|k> = bloch @ (Pauli coefficients of X).
     """
     st = np.sin(theta)
-    return _columns([np.ones(()), st * np.cos(phi), st * np.sin(phi), np.cos(theta)], theta, phi)
+    return _columns([1.0, st * np.cos(phi), st * np.sin(phi), np.cos(theta)], theta, phi)
 
 
 def _qubit_angles(n_theta: int, n_phi: int, phi_endpoint: bool = True):
@@ -399,17 +482,17 @@ def _cap_cut(v, g0, u, band):
     whole sphere lies more than band past it. A zero u (the zero cut, band
     0) leaves every row free at a threshold of 0. The norms are _norm3's;
     u.v stays an einsum, whose 3-term summation order is numpy's SIMD one,
-    so a hand-written sum would change its last bits.
+    so a hand-written sum would change its last bits. The kernels that
+    call it hold one np.errstate for it and their own formulas.
     """
     nv, nu = _norm3(v), _norm3(u)
     t = -g0
     uv = np.einsum("ij,ij->i", u, v)
     free = uv / np.maximum(nv, DIV_FLOOR) <= t + band
     empty = t < -nu - band
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        nu2 = np.maximum(nu, DIV_FLOOR)
-        ratio = np.clip(t / nu2, -1.0, 1.0)
-        rise = np.sqrt(np.maximum(1.0 - ratio**2, 0.0))
+    nu2 = np.maximum(nu, DIV_FLOOR)
+    ratio = np.minimum(np.maximum(t / nu2, -1.0), 1.0)
+    rise = np.sqrt(np.maximum(1.0 - ratio**2, 0.0))
     return nv, t, nu, nu2, uv, ratio, rise, free, empty
 
 
@@ -418,10 +501,12 @@ def _cap_max_values(w0, v, g0, u, band):
 
     Closed form: w0 + |v| where the free maximiser v/|v| satisfies the cut,
     otherwise the best point of the circle where the cut meets the sphere;
-    an empty cap has value -inf (edge rules and band in _cap_cut).
+    an empty cap has value -inf (edge rules and band in _cap_cut). The
+    qubit-pair grid takes one call per orientation and a compass round one
+    call for both; the grid oracle's caps come in blocks of _CAP_BLOCK rows.
     """
-    nv, t, _, nu2, uv, _, rise, free, empty = _cap_cut(v, g0, u, band)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        nv, t, _, nu2, uv, _, rise, free, empty = _cap_cut(v, g0, u, band)
         along = uv / nu2**2
         # |v| sin(angle to u), from the difference vector: nv**2 - (uv/nu)**2
         # cancels to ~sqrt(eps)*|v| when v is nearly parallel to u.
@@ -435,8 +520,8 @@ def _cap_argmax(w0, v, g0, u, band):
 
     An empty cap has a nan row.
     """
-    nv, _, nu, nu2, _, ratio, rise, free, empty = _cap_cut(v, g0, u, band)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        nv, _, nu, nu2, _, ratio, rise, free, empty = _cap_cut(v, g0, u, band)
         n_free = v / nv[:, None]
         # the circle point towards v, in a frame (u/|u|, e1, e2) built from u
         # alone (Duff et al., JCGT 6, 2017): where v is (nearly) parallel to u,
@@ -594,6 +679,19 @@ def _cut_slack(mat) -> float:
     return len(mat) * np.finfo(float).eps * np.linalg.norm(mat)
 
 
+def _top4(x):
+    """``np.argsort(-x, kind="stable")[:4]`` without sorting all of x.
+
+    The 4th smallest of -x bounds the candidates; sorted stably in index
+    order, they rank as in the full sort. A nan bound (fewer than 4 rows
+    that are not nan) keeps every row, and nan rows rank last either way.
+    """
+    neg = -x
+    kth = np.partition(neg, 3)[3]
+    cand = np.flatnonzero(~(neg > kth))
+    return cand[np.argsort(neg[cand], kind="stable")[:4]]
+
+
 def _qubit_pair_constrained(L, N):
     """Constrained supremum over qubit product states by one exact reduction.
 
@@ -625,7 +723,7 @@ def _qubit_pair_constrained(L, N):
     if vals.max() == -np.inf:
         raise EmptyFeasibleSet("no product state on the qubit-pair grid satisfies the constraint side")
     # 4 starts per orientation, searched in lockstep
-    ks = np.concatenate([np.argsort(-half, kind="stable")[:4] for half in np.split(vals, 2)])
+    ks = np.concatenate([_top4(half) for half in np.split(vals, 2)])
     side = np.repeat([0, 1], 4)
     fx = vals[ks + len(_PAIR_BLOCH) * side]
     tn, pn = _PAIR_GRID
@@ -635,11 +733,12 @@ def _qubit_pair_constrained(L, N):
     h = np.ones(len(ks))
     steps = np.zeros(len(ks), dtype=int)
     level = np.arange(_COMPASS_LEVELS)
+    halvings, widest, width = 0.5**level, step.max(), len(stencil)
     while True:
-        hs = h[:, None] * 0.5**level
+        hs = h[:, None] * halvings
         # level m is step steps + m + 1 of the row; it runs while that step
         # is at least COMPASS_STOP and within _COMPASS_MAX_STEPS
-        runs = (hs * step.max() >= COMPASS_STOP) & (steps[:, None] + level < _COMPASS_MAX_STEPS)
+        runs = (hs * widest >= COMPASS_STOP) & (steps[:, None] + level < _COMPASS_MAX_STEPS)
         live = np.flatnonzero(runs[:, 0])
         if live.size == 0:
             break
@@ -647,10 +746,10 @@ def _qubit_pair_constrained(L, N):
         cand = (x[live, None, None] + hs[live, :, None, None] * stencil).reshape(-1, 2)
         n = _qubit_bloch(cand[:, 0], cand[:, 1])
         # all levels of the live rows, at most 8 * _COMPASS_LEVELS * 8 kets, in one kernel call
-        cut = np.count_nonzero(side[live] == 0) * _COMPASS_LEVELS * len(stencil)
+        cut = np.count_nonzero(side[live] == 0) * _COMPASS_LEVELS * width
         fv = _cap_max_values(*_coeff_columns(np.concatenate([n[:cut] @ S[0], n[cut:] @ S[1]])), band)
         # each stencil's first maximum, as in index k of cand
-        k = np.arange(len(fv), step=len(stencil)) + fv.reshape(-1, len(stencil)).argmax(axis=1)
+        k = np.arange(len(fv), step=width) + fv.reshape(-1, width).argmax(axis=1)
         best = fv[k].reshape(runs.shape)
         up = runs & (best > fx[live, None])
         moved = up.any(axis=1)
@@ -792,7 +891,7 @@ def _dual_refine(L, N, base):
     dA, dB = L.dims
 
     def gamma(a, b):
-        prod = np.kron(a, b)
+        prod = (a[:, None] * b).ravel()
         return float(np.vdot(prod, N.mat @ prod).real)
 
     def solve(mu, A0):

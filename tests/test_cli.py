@@ -118,6 +118,32 @@ class TestRoundTrip:
             back = operator_from_dict(json.loads(json.dumps(doc)))
             assert np.array_equal(back.mat, (mat + mat.conj().T) / 2)
 
+    @pytest.mark.parametrize(
+        "dims, cell",
+        [
+            ([1.5, 2], [1, 0]),  # a fractional dim, which int() would floor
+            ([2.0, 2], [1, 0]),
+            ([True, 2], [1, 0]),
+            ([2, 2], [1, 0, 9]),  # three parts
+            ([2, 2], [True, False]),
+            ([2, 2], [1]),
+            ([2, 2], ["1", 0]),
+            ([2, 2], 1.0),
+            ([2, 2], [10**400, 0]),  # an integer past the float range
+        ],
+    )
+    def test_rejects_malformed_documents(self, dims, cell):
+        doc = operator_to_dict(HermitianOperator.identity((2, 2)))
+        doc["dims"] = dims
+        doc["matrix"][0][0] = cell
+        with pytest.raises(ValueError, match="malformed operator document"):
+            operator_from_dict(doc)
+
+    def test_rejects_ragged_rows(self):
+        doc = {"dims": [2, 1], "matrix": [[[1, 0], [0, 0]], [[0, 0]]]}
+        with pytest.raises(ValueError, match="malformed operator document"):
+            operator_from_dict(doc)
+
     def test_relative_band_still_rejects_non_hermitian_document(self):
         doc = {"dims": [2, 1], "matrix": [[[1e5, 0], [1e-4, 0]], [[0, 0], [1e5, 0]]]}  # 1e-9 of the largest entry
         with pytest.raises(ValueError, match="Hermitian"):
@@ -142,6 +168,26 @@ class TestGs:
         proc = run_cli("gs", "--test", str(bad))
         assert proc.returncode == 1
         assert "error" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "dims, cell",
+        [
+            ([1.5, 2], [1.0, 0.0]),
+            ([2, 2], [1.0, 0.0, 9.0]),
+            ([2, 2], [True, False]),
+            ([2, 2], [10**400, 0]),
+        ],
+    )
+    def test_malformed_document_exits_1(self, tmp_path, dims, cell):
+        path = tmp_path / "bad.json"
+        doc = operator_to_dict(HermitianOperator.identity((2, 2)))
+        doc["dims"] = dims
+        doc["matrix"][0][0] = cell
+        path.write_text(json.dumps(doc))
+        proc = run_cli("gs", "--test", str(path))
+        assert proc.returncode == 1
+        assert "malformed operator document" in proc.stderr
+        assert "g_s" not in proc.stdout
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_entry_exits_1(self, tmp_path, bad):
@@ -176,7 +222,7 @@ class TestPc:
         assert grab(proc.stdout, "boundary_active") == "true"
 
     def test_leq_near_the_cut_is_not_active(self, files):
-        # the unconstrained optimum has <C> = 0.25000000000000006, 5e-7 inside
+        # the unconstrained optimum has <C> = 0.24999999999999992, 5e-7 inside
         # the cut: far outside the 1e-9 boundary band
         proc = run_cli(
             "pc", "--test", str(files["L"]), "--constraint", str(files["C"]),

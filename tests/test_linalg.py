@@ -1,4 +1,5 @@
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from uew import (
     tensor_product,
 )
 from uew.fileio import load_operator, save_operator
+from uew.linalg import _state_matrix_or_ket
 from uew.states import build_povm
 
 
@@ -194,6 +196,25 @@ class TestTensorProduct:
         assert np.allclose(left.mat, right.mat, atol=1e-12)
         assert left.dims == (16, 4) and right.dims == (4, 16)
         assert left.dim == right.dim == 64
+
+    def test_product_kets_equal_kron_bytes(self):
+        # the product vector of a ket pair is built as (a[:, None] * b).ravel();
+        # it must be np.kron's, byte for byte, also at zero and -0.0 parts
+        rng = np.random.default_rng(26)
+        specials = np.array([0.0, -0.0])
+        for dA, dB in [(2, 2), (2, 3), (3, 2), (3, 3)]:
+            for _ in range(2000):
+                a, b = (rng.normal(size=(2, d)) for d in (dA, dB))
+                for x in (a, b):
+                    hit = rng.random(x.shape) < 0.3
+                    x[hit] = rng.choice(specials, size=hit.sum())
+                a, b = a[0] + 1j * a[1], b[0] + 1j * b[1]
+                pair = SimpleNamespace(a=SimpleNamespace(amplitudes=a, dim=dA), b=SimpleNamespace(amplitudes=b, dim=dB))
+                assert _state_matrix_or_ket(pair)[1].tobytes() == np.kron(a, b).tobytes()
+                if np.any(a) and np.any(b):
+                    ka, kb = Ket.unit(a), Ket.unit(b)
+                    got = tensor_product(ka, kb).amplitudes
+                    assert got.tobytes() == Ket(np.kron(ka.amplitudes, kb.amplitudes)).amplitudes.tobytes()
 
 
 class TestExpectation:

@@ -57,6 +57,7 @@ from uew.optimize import (
     _random_unit,
     _restart_starts,
     _seesaw_batch,
+    _top4,
     _unconstrained_solve,
 )
 
@@ -384,6 +385,137 @@ class TestQubitEigenpair:
         # a qubit and a qutrit: only the qutrit half steps solve a 3x3 stack
         sup_product_unconstrained(rand_herm(rng, (2, 3)), cfg)
         assert sizes and set(sizes) == {3}
+
+
+def ket_seesaw_22(M4, A0):
+    """The 2x2 see-saw on kets: each half step conditions M4 with one matmul
+    (_condition) and takes the closed-form top eigenpair (_hermitian_top).
+    Returns per-row (values, A, B, iterations, converged)."""
+    XA, XB = _conditioning(M4)
+    A = np.array(A0, dtype=complex)
+    R = len(A)
+    B = np.empty((R, 2), dtype=complex)
+    vals = np.full(R, -np.inf)
+    its = np.full(R, _SEESAW_MAX_ITER)
+    conv = np.zeros(R, dtype=bool)
+    live = np.arange(R)
+    for it in range(1, _SEESAW_MAX_ITER + 1):
+        _, b = _hermitian_top(_condition(A[live], XA, 2)[:, 0])
+        new, a = _hermitian_top(_condition(b, XB, 2)[:, 0])
+        done = new - vals[live] < SEESAW_TOL
+        A[live], B[live], vals[live] = a, b, new
+        its[live[done]] = it
+        conv[live[done]] = True
+        live = live[~done]
+        if live.size == 0:
+            break
+    return vals, A, B, its, conv
+
+
+def v0_operator():
+    """2|1><1| (x) Z: from party A at |0>, party B sees v = 0, and the next
+    half step depends on the ket B takes there."""
+    return HermitianOperator(np.kron(np.diag([0.0, 2.0]), np.diag([1.0, -1.0])), dims=(2, 2))
+
+
+class TestBlochSeesaw:
+    @staticmethod
+    def assert_rows_match(op, got, ref, rows):
+        vals, A, B, its, conv = got
+        ref_vals, ref_A, ref_B, ref_its, ref_conv = ref
+        assert np.all(np.abs(vals[rows] - ref_vals[rows]) <= 4 * np.finfo(float).eps * np.linalg.norm(op.mat))
+        assert its[rows].tolist() == ref_its[rows].tolist() and conv[rows].tolist() == ref_conv[rows].tolist()
+        for X, ref_X in ((A, ref_A), (B, ref_B)):
+            assert np.all(np.abs(np.einsum("ri,ri->r", X[rows].conj(), ref_X[rows])) >= 1 - 1e-14)
+
+    def assert_matches_kets(self, op, A0):
+        M4 = op.mat.reshape(2, 2, 2, 2)
+        self.assert_rows_match(op, _seesaw_batch(M4, A0), ket_seesaw_22(M4, A0), slice(None))
+
+    def test_random_operators(self):
+        # the solves of the default config: the winning restart, its value,
+        # sweeps, flag and argmax. Rows are not compared one by one: where a
+        # conditioned form is nearly scalar, a sweep amplifies the rounding
+        # of its start, and a row whose last gain lies within rounding of
+        # SEESAW_TOL may retire a sweep apart
+        rng = np.random.default_rng(26)
+        starts = _restart_starts(0, 64, 2)
+        for _ in range(200):
+            op = rand_herm_22(rng)
+            M4 = op.mat.reshape(2, 2, 2, 2)
+            got, ref = _seesaw_batch(M4, starts), ket_seesaw_22(M4, starts)
+            best = _best_restart(*got[:3])
+            assert best == _best_restart(*ref[:3])
+            self.assert_rows_match(op, got, ref, [best])
+
+    def test_degenerate_operators(self, swapped):
+        ops = [
+            HermitianOperator.identity((2, 2)),
+            _zi(),
+            HermitianOperator(np.diag([1.0, 1.0, 0.0, 0.0]), dims=(2, 2)),
+            swapped["L"],
+            v0_operator(),
+        ]
+        basis = np.eye(2, dtype=complex)
+        for op in ops:
+            for A0 in (basis, _restart_starts(0, 64, 2), _restart_starts(7, 64, 2)):
+                self.assert_matches_kets(op, A0)
+
+    @pytest.mark.parametrize("scale", [1e155, 1e-160])
+    def test_extreme_scales(self, example, scale):
+        # |v|^2 overflows near 1e155 and underflows near 1e-160. Values and
+        # argmaxes are compared row by row, sweep counts are not: at 1e155
+        # every gain dwarfs SEESAW_TOL and rows retire on rounding
+        rng = np.random.default_rng(155)
+        starts = _restart_starts(0, 64, 2)
+        for op in (example["L"], rand_herm_22(rng), rand_herm_22(rng)):
+            M = (scale * op).mat
+            vals, A, B, _, _ = _seesaw_batch(M.reshape(2, 2, 2, 2), starts)
+            tol = 4 * np.finfo(float).eps * scale * np.linalg.norm(op.mat)
+            assert np.all(np.abs(vals - ket_seesaw_22(M.reshape(2, 2, 2, 2), starts)[0]) <= tol)
+            kets = (A[:, :, None] * B[:, None, :]).reshape(-1, 4)
+            assert np.all(np.abs(np.einsum("ri,ij,rj->r", kets.conj(), M, kets).real - vals) <= tol)
+        res = sup_product_unconstrained(scale * example["L"], OptimizerConfig(seed=0))
+        assert abs(res.value / scale - GS_EXACT) <= 1e-12
+
+    def test_zero_v_takes_the_first_basis_ket(self):
+        # the identity conditions to a scalar on both parties, |0><0| (x) I on party B
+        starts = _restart_starts(3, 64, 2)
+        _, A, B, _, _ = _seesaw_batch(HermitianOperator.identity((2, 2)).mat.reshape(2, 2, 2, 2), starts)
+        assert A.tolist() == B.tolist() == [[1, 0]] * 64
+        _, _, B, _, _ = _seesaw_batch(np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex).reshape(2, 2, 2, 2), starts)
+        assert B.tolist() == [[1, 0]] * 64
+        # B at (1, 0) makes party A see 2|1><1|, which converges at once; with
+        # a zero Bloch vector for B party A would see 0 and need a sweep more
+        vals, A, B, its, _ = _seesaw_batch(v0_operator().mat.reshape(2, 2, 2, 2), np.array([[1.0, 0.0j]]))
+        assert vals.tolist() == [2.0] and its.tolist() == [2]
+        assert A.tolist() == [[0, 1]] and B.tolist() == [[1, 0]]
+
+
+class TestGridStarts:
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(45)
+        ties = rng.normal(size=4050)
+        ties[[5, 17]], ties[99], ties[[3, 50, 4000]] = 10.0, 9.0, 8.0  # three rows tie at the 4th value
+        many = rng.integers(0, 5, size=4050).astype(float)  # hundreds tie at the top
+        walls = rng.normal(size=4050)
+        walls[rng.random(4050) < 0.5] = -np.inf
+        few = np.full(4050, -np.inf)
+        few[[7, 3000]] = (1.0, 2.0)  # fewer than 4 finite rows
+        zeros = np.zeros(4050)
+        zeros[::3] = -0.0
+        nan = np.full(4050, np.nan)
+        nan[[40, 41, 900]] = (-np.inf, 0.5, 0.5)
+        yield from (ties, many, walls, few, np.full(4050, -np.inf), zeros, nan)
+        for _ in range(200):
+            x = np.round(rng.normal(size=4050), 1)
+            x[rng.random(4050) < rng.random()] = -np.inf
+            yield x
+
+    def test_top4_equals_the_stable_argsort(self):
+        for x in self.cases():
+            assert _top4(x).tolist() == np.argsort(-x, kind="stable")[:4].tolist()
 
 
 class TestRestartStarts:
