@@ -7,7 +7,8 @@ updates, noise scans) stay cheap; an operator stores the exactly Hermitian
 part (M + M^dagger)/2 of the matrix it has validated, so sums, differences
 and real multiples of accepted operators are accepted too, and the trace of
 that part, so Tr(X) is a stored float. ``expectation`` takes density
-matrices (anything with an ``.op``) on its first test. All objects are
+matrices (anything with an ``.op``) on its first test and reads one with
+a single ``np.vdot``, exact for the stored Hermitian part. All objects are
 immutable values. Eigensystems here come from LAPACK through
 ``numpy.linalg.eigh``; the see-saw in ``optimize`` calls it batched over
 restarts for parties of dimension 3 and more, and solves qubit parties in
@@ -243,6 +244,10 @@ def expectation(M: HermitianOperator, state) -> float:
     operator is bipartite too; a bare Ket and single-party dims are checked
     on the total dimension only. The operator is exactly Hermitian, so the
     imaginary part is rounding (growing with ||M||): the real part is returned.
+    A density matrix rho is read with one vdot, sum conj(rho_ij) M_ij,
+    which is Tr(M rho) exactly because rho stores its exactly Hermitian
+    part (conj(rho_ij) = rho_ji); only the summation order, and so the
+    last bits, differ from sum M_ij rho_ji.
     """
     mat, vec, dims = _state_matrix_or_ket(state)
     if dims is not None and len(dims) == 2 == len(M.dims) and dims != M.dims:
@@ -256,7 +261,7 @@ def expectation(M: HermitianOperator, state) -> float:
             raise DimensionMismatch(
                 f"state dim {mat.shape[0]} vs operator dim {M.dim}"
             )
-        val = np.einsum("ij,ji->", M.mat, mat)
+        val = np.vdot(mat, M.mat)
     return float(val.real)
 
 

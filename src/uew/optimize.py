@@ -511,7 +511,9 @@ def _cap_max_values(w0, v, g0, u, band):
         # |v| sin(angle to u), from the difference vector: nv**2 - (uv/nu)**2
         # cancels to ~sqrt(eps)*|v| when v is nearly parallel to u.
         vperp = _norm3(v - along[:, None] * u)
-        val = np.where(free, w0 + nv, w0 + along * t + vperp * rise)
+        # the circle's height clipped to the sphere, as in ratio: past the
+        # tangent plane, within the band, the cap is the one point -u/|u|
+        val = np.where(free, w0 + nv, w0 + along * np.maximum(t, -nu2) + vperp * rise)
     return np.where(empty, -np.inf, val)
 
 
@@ -662,7 +664,8 @@ def grid_oracle_sup(
 def _cut_operator(spec: ConstraintSpec, side: HalfSpaceSide) -> HermitianOperator:
     """The cut N = s(C - cI) of one side, s = 1 for LEQ and -1 for GEQ: the side is <N> <= 0."""
     sense = 1.0 if side is HalfSpaceSide.LEQ else -1.0
-    return sense * (spec.C - spec.c * HermitianOperator.identity(spec.C.dims))
+    C = spec.C
+    return HermitianOperator(sense * (C.mat - spec.c * np.eye(C.dim)), dims=C.dims)  # one validation
 
 
 def _cut_slack(mat) -> float:

@@ -273,7 +273,7 @@ def _dispatch_expectation(M, state):
         vec = state.amplitudes
     else:
         assert isinstance(state, HermitianOperator)
-        return float(np.einsum("ij,ji->", M.mat, state.mat).real)
+        return float(np.vdot(state.mat, M.mat).real)
     return float(np.vdot(vec, M.mat @ vec).real)
 
 

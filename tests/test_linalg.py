@@ -262,6 +262,29 @@ class TestExpectation:
                 assert type(val) is float
                 assert val == pytest.approx(exact.real, rel=1e-12, abs=1e-6)
 
+    def test_density_matrix_within_rounding_of_the_trace(self):
+        # a density matrix is read with one vdot: within dim^2 eps |M|_F |rho|_F
+        # of Tr(M rho) summed as M_ij rho_ji, and for a pure state of the ket's
+        # <phi|M|phi>; rho and its operator are read the same way, bit for bit
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(27)
+        for i in range(300):
+            dims = [(2, 2), (2, 3), (3, 3)][i % 3]
+            n = dims[0] * dims[1]
+            g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            M = HermitianOperator(10.0 ** rng.uniform(-6.0, 6.0) * (g + g.conj().T) / 2, dims=dims)
+            phi = Ket.unit(rng.normal(size=n) + 1j * rng.normal(size=n))
+            x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            mixed = DensityMatrix(HermitianOperator(x @ x.conj().T / np.trace(x @ x.conj().T).real, dims=dims))
+            pure = DensityMatrix.from_ket(phi, dims=dims)
+            for rho in (pure, mixed):
+                val = expectation(M, rho)
+                bound = n * n * eps * np.linalg.norm(M.mat) * np.linalg.norm(rho.op.mat)
+                assert abs(val - float(np.einsum("ij,ji->", M.mat, rho.op.mat).real)) <= bound
+                assert val == expectation(M, rho.op)
+                if rho is pure:
+                    assert abs(val - expectation(M, phi)) <= bound
+
     def test_party_dims_mismatch(self):
         # a (3, 2) state against a (2, 3) operator has the right total
         # dimension but another factorisation, so no bound applies to it

@@ -644,7 +644,7 @@ def _one_band_cap_values(w0, v, g0, u, c, sense, band):
         rise = np.sqrt(np.maximum(1.0 - ratio**2, 0.0))
         along = uv / nu2**2
         vperp = np.linalg.norm(v - along[:, None] * us, axis=1)
-        val = np.where(free, w0 + nv, w0 + along * t + vperp * rise)
+        val = np.where(free, w0 + nv, w0 + along * np.maximum(t, -nu2) + vperp * rise)
     return np.where(empty, -np.inf, val)
 
 
@@ -775,6 +775,42 @@ class TestCapValues:
         attained = w0 + np.einsum("ij,ij->i", v, n)
         assert np.max(np.abs(attained - got)[~empty]) <= 1e-12
         assert np.all(sense * (g0 + np.einsum("ij,ij->i", u, n) - c)[~empty] <= 1e-12)
+
+    def test_cut_past_the_tangent_plane_of_a_short_normal(self):
+        # |u| = 1e-20 against a band of 1e-16, the threshold 0.7e-20 past the
+        # sphere: the cap is the one point -u/|u|, worth 0.4, where the
+        # unclipped threshold once gave 4000.28
+        args = (np.zeros(1), np.array([[-0.4, 0.9, 0.0]]), np.array([1e-16 + 0.7e-20]),
+                np.array([[1e-20, 0.0, 0.0]]), 1e-16)
+        assert abs(_cap_max_values(*args)[0] - 0.4) <= 1e-15
+        kets = _cap_argmax(*args)
+        n = np.einsum("ri,kij,rj->rk", kets.conj(), np.array(_PAULI[1:]), kets).real
+        assert np.abs(n - [[-1.0, 0.0, 0.0]]).max() <= 1e-15
+
+    def test_short_normals_attain_their_value(self):
+        # cut normals |u| from 1e-4 to 1e2 bands, thresholds within |u| + band
+        # of the centre: every value is at most the free w0 + |v|, and it is
+        # what _cap_argmax's point attains
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(57)
+        past = 0
+        for _ in range(20):
+            rows, band = 500, 10.0 ** rng.uniform(-17.0, -9.0)
+            w0 = rng.normal(size=rows)
+            v = rng.normal(size=(rows, 3)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(rows, 1))
+            nu = band * 10.0 ** rng.uniform(-4.0, 2.0, size=rows)
+            u = rng.normal(size=(rows, 3))
+            u *= (nu / np.linalg.norm(u, axis=1))[:, None]
+            t = (nu + band) * rng.uniform(-1.0, 1.0, size=rows)
+            got = _cap_max_values(w0, v, -t, u, band)
+            kets = _cap_argmax(w0, v, -t, u, band)
+            n = np.einsum("ri,kij,rj->rk", kets.conj(), np.array(_PAULI[1:]), kets).real
+            nv = np.linalg.norm(v, axis=1)
+            scale = np.abs(w0) + nv
+            assert np.all(got <= w0 + nv + 4 * eps * scale)
+            assert np.all(np.abs(got - (w0 + np.einsum("ij,ij->i", v, n))) <= 16 * eps * scale)
+            past += np.count_nonzero((t < -nu) & (got < w0 + nv))
+        assert past >= 100
 
 
 def _parent_pauli_coeffs(M):
@@ -1080,6 +1116,30 @@ class TestCutSlack:
                 assert res.method == "hybrid"
                 assert expectation(N, res.argmax) <= _cut_slack(N.mat)
                 assert res.value <= gs.value
+
+
+def _stepwise_cut(spec, side):
+    """The cut N = s(C - cI) built one validated operator at a time."""
+    sense = 1.0 if side is HalfSpaceSide.LEQ else -1.0
+    return sense * (spec.C - spec.c * HermitianOperator.identity(spec.C.dims))
+
+
+def test_cut_operator_is_the_stepwise_build(example, swapped):
+    # one validation of s(C - cI) gives the bytes of the four-step build,
+    # signs of zero included, at any scale and either sign of c
+    rng = np.random.default_rng(59)
+    specs = [example["spec"], swapped["spec"]]
+    for i in range(300):
+        s = 10.0 ** rng.uniform(-6.0, 6.0)
+        specs.append(ConstraintSpec(C=s * rand_herm(rng, [(2, 2), (2, 3), (3, 3)][i % 3]), c=s * float(rng.normal())))
+    for c in (0.0, -0.0, -1.5):
+        specs += [ConstraintSpec(C=HermitianOperator.identity((2, 3)), c=c),
+                  ConstraintSpec(C=HermitianOperator(np.diag([1.0, -2.0, 0.0, 3.0]), dims=(2, 2)), c=c)]
+    for spec in specs:
+        for side in (HalfSpaceSide.LEQ, HalfSpaceSide.GEQ):
+            got, want = _cut_operator(spec, side), _stepwise_cut(spec, side)
+            assert got.dims == want.dims and got.mat.tobytes() == want.mat.tobytes()
+            assert got.trace().hex() == want.trace().hex()
 
 
 class TestConstrained:

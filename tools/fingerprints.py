@@ -5,9 +5,10 @@
 
 Run it from the repository root of two trees, for example a commit and its
 parent, and compare the lines: an equal hash means bit-identical results
-for the whole family. The package is imported from ``src/`` and the
+for the whole family. The package is imported from ``src/``, the
 instance builders (``rand_herm``, ``rand_herm_22``, ``recipe_instance``)
-from ``tests/test_optimize.py``. BLAS runs on one thread.
+from ``tests/test_optimize.py`` and the scan instances (``_scan_cases``)
+from ``tests/test_analysis.py``. BLAS runs on one thread.
 
 Each solve contributes its value (hex), the bytes of both argmax kets, its
 iteration count and ``converged`` flag, and its ``method`` where the result
@@ -26,6 +27,9 @@ carries one. Families:
                          and 3x3 at 5; unconstrained, leq and geq
   unconstrained-2x2      200 sup_product_unconstrained solves on 2x2
   unconstrained-2x3-3x3  200 each on 2x3 and 3x3
+  scan                   125 _scan_cases instances, seeds 0..4: <T> and <C>
+                         of the pure state (T the witness test) and the
+                         threshold_scan edge on all three sides, as hex
   cli                    14 CLI runs, stdout and stderr without the
                          wall_time_s line: gs of L and C, pc leq/geq on the
                          worked and role-swapped instances, alpha0 on both,
@@ -51,8 +55,9 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 import numpy as np  # noqa: E402
 
+from test_analysis import _scan_cases  # noqa: E402
 from test_optimize import rand_herm, rand_herm_22, recipe_instance  # noqa: E402
-from uew import cli, fileio, optimize  # noqa: E402
+from uew import cli, expectation, fileio, optimize, threshold_scan  # noqa: E402
 from uew.optimize import OptimizerConfig, grid_oracle_sup, sup_product_constrained, sup_product_unconstrained  # noqa: E402
 from uew.states import DensityMatrix, Example31Config, build_example31  # noqa: E402
 from uew.witness import ConstraintSpec, HalfSpaceSide  # noqa: E402
@@ -130,6 +135,14 @@ def unconstrained(dims_list):
             yield result_record(sup_product_unconstrained(rand_herm(rng, dims), OptimizerConfig(seed=i % 8)))
 
 
+def scan():
+    for seed in range(5):
+        for label, family, w, spec in _scan_cases(seed):
+            values = [expectation(w.test, family.pure), expectation(spec.C, family.pure)]
+            values += [threshold_scan(family, w, spec, side) for side in HalfSpaceSide]
+            yield b"|".join([label.encode(), *(b"None" if v is None else v.hex().encode() for v in values)])
+
+
 def cli_runs():
     C, L, phi = build_example31(Example31Config())
     runs = [
@@ -173,6 +186,7 @@ FAMILIES = {
     "oracle": oracle,
     "unconstrained-2x2": lambda: unconstrained([(2, 2)]),
     "unconstrained-2x3-3x3": lambda: unconstrained([(2, 3), (3, 3)]),
+    "scan": scan,
     "cli": cli_runs,
 }
 
