@@ -40,11 +40,7 @@ BOUNDARY_TOL = 1e-9      # a state this close to Tr(rho C) = c is on the boundar
 SCAN_RESOLUTION = 1e-3   # the coarsest threshold_scan resolution, and its default
 # -- optimizers
 SEESAW_TOL = 1e-11       # a see-saw row retires once a sweep gains less than this
-DIV_FLOOR = 1e-300       # a norm that divides is floored here, so a zero norm gives no inf or nan
 COMPASS_STOP = 1e-13     # a compass search stops once its step in radians falls below this
-SLERP_PHASE_TOL = 1e-15  # two kets with an overlap this small have no relative phase to align
-MU_CAP = 1e9             # the multiplier search gives up past this times the value scale
-MU_STOP = 1e-14          # the multiplier bisection stops at this width relative to the multiplier
 ALPHA0_FEAS_TOL = 1e-8   # a rotated bound this far below its supremum still counts as valid
 ALPHA0_WIDTH = 1e-6      # compute_alpha0 stops once its bracket is this narrow in alpha
 

@@ -52,12 +52,8 @@ from .linalg import (
     ALPHA0_FEAS_TOL,
     ALPHA0_WIDTH,
     COMPASS_STOP,
-    DIV_FLOOR,
-    MU_CAP,
-    MU_STOP,
     PHASE_TOL,
     SEESAW_TOL,
-    SLERP_PHASE_TOL,
     TIE_TOL,
     DimensionMismatch,
     HermitianOperator,
@@ -77,7 +73,7 @@ _COMPASS_LEVELS = 5            # step halvings one compass round evaluates per r
 _CAP_BLOCK = 4096              # outer kets per cap kernel call, the whole _PAIR_GRID; its n @ S is 256 KiB
 _GENERIC_PAIR_CAP = 1 << 24    # max grid oracle rows: ket pairs, or one party's kets for a qubit pair
 _CONSTRAINED_STARTS = 16       # best feasible sample points the d >= 3 constrained see-saw starts from
-_MU_DOUBLINGS = 64             # multiplier doublings before a party's cut counts as empty
+_MU_DOUBLINGS = 64             # multiplier doublings before a cut counts as unreached, in _cut_top and _dual_refine
 _MU_BISECTIONS = 30            # multiplier halvings of a constrained half step
 
 
@@ -291,20 +287,16 @@ def _bloch_top(P: np.ndarray):
     return P[:, 0] + nv, out
 
 
-def _random_unit(rng: np.random.Generator, d: int) -> np.ndarray:
-    v = rng.normal(size=d) + 1j * rng.normal(size=d)
-    return v / np.linalg.norm(v)
-
-
 @functools.lru_cache(maxsize=32)
 def _restart_starts(seed, restarts: int, dA: int):
     """Read-only (restarts, dA) party-A see-saw start kets.
 
-    Row r is the first draw of the r-th child of SeedSequence(seed):
-    _random_unit of that child's generator, bit for bit, with the 2*dA
-    normals taken in one call and all rows normalised at once
-    (_unit_rows). Every solve with the same (seed, restarts, dA) starts
-    from the same rows, so they are drawn once and shared.
+    Row r is the first draw of the r-th child of SeedSequence(seed): dA
+    complex normals (real parts, then imaginary parts) from that child's
+    generator, divided by their norm, with the 2*dA normals taken in one
+    call and all rows normalised at once (_unit_rows). Every solve with
+    the same (seed, restarts, dA) starts from the same rows, so they are
+    drawn once and shared.
     """
     children = np.random.SeedSequence(seed).spawn(restarts)
     x = np.array([np.random.Generator(np.random.PCG64(ss)).normal(size=2 * dA) for ss in children])
@@ -474,23 +466,26 @@ def _cap_cut(v, g0, u, band):
 
     v and u are (N, 3); views of wider rows serve (see _coeff_columns).
     Returns (nv, t, nu, nu2, uv, ratio, rise, free, empty): |v|, the
-    threshold t = -g0, |u| and its floor at DIV_FLOOR, u.v, the cut
-    circle's height t/|u| and radius (both clipped to the sphere), whether
-    v/|v| satisfies the cut, and whether the cap is empty. band, the
-    _cut_slack of the cut that g0 + u.n evaluates, is the one band: v/|v|
-    is free up to band past the cut, and a cap is empty only once the
-    whole sphere lies more than band past it. A zero u (the zero cut, band
-    0) leaves every row free at a threshold of 0. The norms are _norm3's;
-    u.v stays an einsum, whose 3-term summation order is numpy's SIMD one,
-    so a hand-written sum would change its last bits. The kernels that
-    call it hold one np.errstate for it and their own formulas.
+    threshold t = -g0, |u| and its floor, u.v, the cut circle's height
+    t/|u| and radius (both clipped to the sphere), whether v/|v| satisfies
+    the cut, and whether the cap is empty. A norm that divides is floored
+    at the smallest normal double, np.finfo(float).tiny, so a zero norm
+    gives no inf or nan. band, the _cut_slack of the cut that g0 + u.n
+    evaluates, is the one band: v/|v| is free up to band past the cut, and
+    a cap is empty only once the whole sphere lies more than band past it.
+    A zero u (the zero cut, band 0) leaves every row free at a threshold
+    of 0. The norms are _norm3's; u.v stays an einsum, whose 3-term
+    summation order is numpy's SIMD one, so a hand-written sum would
+    change its last bits. The kernels that call it hold one np.errstate
+    for it and their own formulas.
     """
     nv, nu = _norm3(v), _norm3(u)
     t = -g0
+    tiny = np.finfo(float).tiny
     uv = np.einsum("ij,ij->i", u, v)
-    free = uv / np.maximum(nv, DIV_FLOOR) <= t + band
+    free = uv / np.maximum(nv, tiny) <= t + band
     empty = t < -nu - band
-    nu2 = np.maximum(nu, DIV_FLOOR)
+    nu2 = np.maximum(nu, tiny)
     ratio = np.minimum(np.maximum(t / nu2, -1.0), 1.0)
     rise = np.sqrt(np.maximum(1.0 - ratio**2, 0.0))
     return nv, t, nu, nu2, uv, ratio, rise, free, empty
@@ -604,8 +599,8 @@ def _pair_grid_max(L, N, kets_a, kets_b):
     XB = np.einsum("nk,nl->nkl", kets_b.conj(), kets_b).reshape(len(kets_b), dB * dB)
     L2, N2 = (T.mat.reshape(dA, dB, dA, dB).transpose(0, 2, 1, 3).reshape(dA * dA, dB * dB) for T in (L, N))
     best = -np.inf
-    for lo in range(0, len(kets_a), 4096):
-        xa = XA[lo : lo + 4096]
+    for lo in range(0, len(kets_a), _CAP_BLOCK):
+        xa = XA[lo : lo + _CAP_BLOCK]
         vals = np.where((xa @ N2 @ XB.T).real <= band, (xa @ L2 @ XB.T).real, -np.inf)
         best = max(best, float(vals.max()))
     return best
@@ -871,11 +866,14 @@ def _constrained_seesaw(L, N, A0, B0):
 
 
 def _slerp(u: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
+    """Unit ket on the chord from u (t = 0) to v (t = 1), v's phase first
+    aligned so that <u|v> is real and >= 0 whenever it is nonzero; for unit
+    u, v and t in [0, 1] the chord point then has |w|^2 >= 1/2."""
     ov = np.vdot(u, v)
-    if abs(ov) > SLERP_PHASE_TOL:
-        v = v * (ov.conjugate() / abs(ov))  # align phases first
+    if ov:
+        v = v * (ov.conjugate() / abs(ov))
     w = (1 - t) * u + t * v
-    return w / np.linalg.norm(w)  # |w|^2 >= 1/2 - 1e-15 for unit u, v and t in [0, 1]
+    return w / np.linalg.norm(w)
 
 
 def _dual_refine(L, N, base):
@@ -885,13 +883,17 @@ def _dual_refine(L, N, base):
     bound v(mu) on the side <N> <= 0. The bracket
     starts at mu = 0 from base, the unconstrained optimum, which lies past
     the cut; each penalized see-saw continues from the party-A kets of the
-    bracket ends, with no random starts. A sign-change bisection narrows
-    the bracket to its crossing, and the feasible and infeasible ends are
-    then bridged along a product-state path onto the cut, which restores
-    attainment also where the crossing is a jump between branches. None
-    when no multiplier reaches the feasible side.
+    bracket ends, with no random starts. The multiplier doubles from 1 at
+    most _MU_DOUBLINGS times. A sign-change bisection narrows the bracket
+    to its crossing, and the feasible and infeasible ends are then bridged
+    along a product-state path onto the cut, which restores attainment
+    also where the crossing is a jump between branches. Both bisections
+    stop where the doubles do, once hi - lo is at most eps * max(1, hi)
+    (eps = np.finfo(float).eps, as in _cut_slack): about 53 halvings each.
+    None when no multiplier reaches the feasible side.
     """
     dA, dB = L.dims
+    eps = np.finfo(float).eps
 
     def gamma(a, b):
         prod = (a[:, None] * b).ravel()
@@ -903,32 +905,30 @@ def _dual_refine(L, N, base):
         r = int(np.argmax(vals))
         return gamma(A[r], B[r]), (A[r], B[r])
 
+    def wide(lo, hi):
+        return hi - lo > eps * max(1.0, hi)
+
     lo_mu, hi_mu = 0.0, 1.0
     lo_pt = (base.argmax.a.amplitudes, base.argmax.b.amplitudes)
-    scale = max(1.0, abs(base.value))
-    for _ in range(80):
+    for _ in range(_MU_DOUBLINGS):
         hi_gam, hi_pt = solve(hi_mu, [lo_pt[0]])
         if hi_gam <= 0.0:
             break
         lo_mu, lo_pt = hi_mu, hi_pt
         hi_mu *= 2.0
-        if hi_mu > MU_CAP * scale:
-            return None
     else:
         return None
-    for _ in range(90):
+    while wide(lo_mu, hi_mu):
         mid = 0.5 * (lo_mu + hi_mu)
         gam, pt = solve(mid, [lo_pt[0], hi_pt[0]])
         if gam <= 0.0:
             hi_mu, hi_pt = mid, pt
         else:
             lo_mu, lo_pt = mid, pt
-        if hi_mu - lo_mu < MU_STOP * max(1.0, hi_mu):
-            break
     # bridge the two ends through product states onto the cut
     (af, bf), (ai, bi) = hi_pt, lo_pt
     tlo, thi = 0.0, 1.0  # t=0 feasible side, t=1 infeasible side
-    for _ in range(200):
+    while wide(tlo, thi):
         tm = 0.5 * (tlo + thi)
         if gamma(_slerp(af, ai, tm), _slerp(bf, bi, tm)) <= 0.0:
             tlo = tm

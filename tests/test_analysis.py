@@ -263,8 +263,9 @@ class TestClosedFormMixedEnd:
 
 
 def _dispatch_expectation(M, state):
-    """expectation as threshold_scan read it before operators stored their
-    trace: .op unwrapped, then .a/.b, Ket and HermitianOperator tried in turn."""
+    """expectation dispatched by hand: .op unwrapped, then .a/.b, Ket and
+    HermitianOperator tried in turn; a density matrix is read with one
+    np.vdot, as linalg.expectation reads it, and a ket as <v|M v>."""
     if hasattr(state, "op"):
         state = state.op
     if hasattr(state, "a") and hasattr(state, "b"):

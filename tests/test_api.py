@@ -139,6 +139,27 @@ def test_every_import_is_read():
     assert unread == []
 
 
+def test_every_private_function_is_read():
+    # a helper whose last caller is deleted goes too: every module-level
+    # private function of uew is loaded somewhere in uew. _alpha_feasible is
+    # kept as the alpha-validity predicate that the acceptance tests call
+    root = Path(uew.__file__).parent
+    trees = [ast.parse(path.read_text()) for path in sorted(root.glob("*.py"))]
+    defined = [
+        stmt.name
+        for tree in trees
+        for stmt in tree.body
+        if isinstance(stmt, ast.FunctionDef) and stmt.name.startswith("_") and not stmt.name.startswith("__")
+    ]
+    read = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+    assert [name for name in defined if name not in read] == ["_alpha_feasible"]
+
+
 def test_only_the_state_side_imports_the_boundary_band():
     # BOUNDARY_TOL is the band of a state against Tr(rho C) = c; the
     # optimizers test product points against the cut's own slack

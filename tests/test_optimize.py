@@ -43,6 +43,7 @@ from uew.optimize import (
     _conditioning,
     _cut_operator,
     _cut_slack,
+    _dual_refine,
     _hermitian_top,
     _inner_caps,
     _oracle_22,
@@ -54,12 +55,18 @@ from uew.optimize import (
     _qubit_bloch,
     _qubit_kets,
     _qubit_pair_constrained,
-    _random_unit,
     _restart_starts,
     _seesaw_batch,
     _top4,
     _unconstrained_solve,
 )
+
+
+def _random_unit(rng: np.random.Generator, d: int) -> np.ndarray:
+    """A unit ket of d complex normals: the reference that
+    uew.optimize._restart_starts reproduces row by row."""
+    v = rng.normal(size=d) + 1j * rng.normal(size=d)
+    return v / np.linalg.norm(v)
 
 
 def rand_herm(rng, dims):
@@ -1037,6 +1044,19 @@ class TestGridOracle:
             scaled = grid_oracle_sup(L, spec, HalfSpaceSide.LEQ, resolution=181)
             assert abs(scaled / s - plain) <= 1e-9
 
+    def test_rejects_bad_arguments(self, example):
+        L, spec = example["L"], example["spec"]
+        with pytest.raises(DimensionMismatch, match="bipartite"):
+            grid_oracle_sup(HermitianOperator.identity(4))
+        other = ConstraintSpec(C=HermitianOperator.identity((2, 3)), c=0.5)
+        with pytest.raises(DimensionMismatch, match="different space"):
+            grid_oracle_sup(L, other, HalfSpaceSide.LEQ)
+        for side in (None, HalfSpaceSide.BOUNDARY):
+            with pytest.raises(ValueError, match="leq or geq"):
+                grid_oracle_sup(L, spec, side)
+        with pytest.raises(ValueError, match="at least 2"):
+            grid_oracle_sup(L, resolution=1)
+
     @pytest.mark.parametrize("constrained", [False, True])
     def test_qubit_pair_resolution_cap(self, example, monkeypatch, constrained):
         # 2896 * 5791 grid rows fit under the cap, 2897 * 5793 do not; the
@@ -1258,6 +1278,35 @@ class TestConstrained:
         res = sup_product_constrained(L, spec, HalfSpaceSide.LEQ, cfg_small)
         assert res.value == pytest.approx(0.3, abs=1e-6)
         assert res.constraint_value <= 0.25 + 1e-9
+
+    def test_dual_refine_bridges_onto_the_cut(self, cfg_small, monkeypatch):
+        # the root-find alone on the diagonal instance: its bridge lands on
+        # the cut at the optimum 0.3, and the bridge's bisection stops where
+        # the doubles do, within 54 halvings of two _slerp calls each
+        L = HermitianOperator(np.diag([0.2, 0, 0, 0, 0, 1.0]), dims=(2, 3))
+        C = HermitianOperator(np.diag([0, 0, 0, 0, 0, 1.0]), dims=(2, 3))
+        N = _cut_operator(ConstraintSpec(C=C, c=0.25), HalfSpaceSide.LEQ)
+        base = sup_product_unconstrained(L, cfg_small)
+        calls = []
+        real = uew.optimize._slerp
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(uew.optimize, "_slerp", counting)
+        a, b = _dual_refine(L, N, base)
+        prod = np.kron(a, b)
+        assert abs(np.vdot(prod, L.mat @ prod).real - 0.3) <= 1e-12
+        assert -1e-12 <= np.vdot(prod, N.mat @ prod).real <= 0
+        assert len(calls) <= 2 * 54
+
+    def test_rejects_single_party_and_foreign_constraint(self, example, cfg_small):
+        with pytest.raises(DimensionMismatch, match="bipartite"):
+            sup_product_unconstrained(HermitianOperator.identity(4), cfg_small)
+        other = ConstraintSpec(C=HermitianOperator.identity((2, 3)), c=0.5)
+        with pytest.raises(DimensionMismatch, match="different space"):
+            sup_product_constrained(example["L"], other, HalfSpaceSide.LEQ, cfg_small)
 
     def test_generic_dims_against_grid_oracle(self, cfg_small):
         rng = np.random.default_rng(55)
