@@ -19,12 +19,14 @@ Three cooperating search mechanisms live here:
 * constrained suprema behind a feasibility short-circuit: for qubit pairs
   one exact reduction (one party in closed form over its Bloch sphere cut
   by the constraint, the other by a coarse angle grid and compass search,
-  with either party outer). The closed form takes one matmul and one
-  kernel call per orientation over the whole grid (the grid oracle runs in
-  blocks of _CAP_BLOCK outer kets); each
-  compass round evaluates _COMPASS_LEVELS halvings of a row's step at
-  once and replays them as a one-stencil-per-step search would, so values,
-  argmaxes and step counts are those of that search. Beyond qubit pairs a
+  with either party outer). The closed form takes one matmul per
+  orientation over the whole grid, and its circle branch runs only on the
+  rows that can reach the grid's top four (the grid oracle runs in blocks
+  of _CAP_BLOCK outer kets against a running best); each compass state
+  (orientation, angles, step) is evaluated once per solve, at
+  _COMPASS_LEVELS halvings of its step, and every row replays those
+  levels as a one-stencil-per-step search would, so values, argmaxes and
+  step counts are those of that search. Beyond qubit pairs a
   constrained see-saw whose half steps are exact single-party
   maximisations under the conditioned constraint, started from the best
   feasible points of a random sample and from the cut point of a
@@ -61,7 +63,7 @@ from .linalg import (
     expectation,
 )
 from .states import ProductKet, product_expectations, random_product_batch
-from .witness import ConstraintSpec, HalfSpaceSide, halfspace_membership, normalised_rotation
+from .witness import ConstraintSpec, HalfSpaceSide, halfspace_membership, normalised_rotation, rotated_test
 
 _ALPHA0_AIM = 0.8              # share of the way from the tangent to the square-root Newton crossing
 _ALPHA0_MAX_TANGENTS = 64      # tangent steps per alpha0 search, at least its lam bisection's depth
@@ -69,8 +71,8 @@ ORACLE_MAX_TOTAL_DIM = 9
 _SEESAW_MAX_ITER = 500         # sweeps per see-saw row
 _PAIR_GRID = (45, 90)          # outer-party polar x azimuth grid of the qubit-pair solve
 _COMPASS_MAX_STEPS = 400       # stencils per qubit-pair compass search; a smooth f needs ~100
-_COMPASS_LEVELS = 5            # step halvings one compass round evaluates per row
-_CAP_BLOCK = 4096              # outer kets per cap kernel call, the whole _PAIR_GRID; its n @ S is 256 KiB
+_COMPASS_LEVELS = 5            # step halvings a compass round evaluates per new state
+_CAP_BLOCK = 4096              # outer kets per n @ S block of the caps, the whole _PAIR_GRID; 256 KiB
 _GENERIC_PAIR_CAP = 1 << 24    # max grid oracle rows: ket pairs, or one party's kets for a qubit pair
 _CONSTRAINED_STARTS = 16       # best feasible sample points the d >= 3 constrained see-saw starts from
 _MU_DOUBLINGS = 64             # multiplier doublings before a cut counts as unreached, in _cut_top and _dual_refine
@@ -497,8 +499,9 @@ def _cap_max_values(w0, v, g0, u, band):
     Closed form: w0 + |v| where the free maximiser v/|v| satisfies the cut,
     otherwise the best point of the circle where the cut meets the sphere;
     an empty cap has value -inf (edge rules and band in _cap_cut). The
-    qubit-pair grid takes one call per orientation and a compass round one
-    call for both; the grid oracle's caps come in blocks of _CAP_BLOCK rows.
+    qubit-pair grid and the grid oracle call it only on the rows whose
+    circle value can matter (_cap_bounds), and a compass round once for the
+    new states of both orientations.
     """
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         nv, t, _, nu2, uv, _, rise, free, empty = _cap_cut(v, g0, u, band)
@@ -566,10 +569,64 @@ def _inner_caps(S, n, band, kernel=_cap_max_values):
     )
 
 
+def _cap_bounds(P, band):
+    """(top, free, cut, reach) of the rows of P = n @ S, S one orientation of _orientations.
+
+    top = w0 + |v| is _cap_max_values' own value on the free rows (v/|v|
+    satisfies the cut and the cap is not empty); cut marks the rows that
+    are neither free nor empty, whose circle value is at most w0 + |v| in
+    exact arithmetic. Rounded, it can land a few eps (|w0| + |v|) above
+    top (up to 2.9 on 4e7 random near-tangent rows), so reach adds
+    16 eps (|w0| + |v|): no kernel value of a row exceeds its reach, and a
+    row whose reach cannot change a max or a top four needs no kernel call.
+    """
+    w0, v, g0, u = _coeff_columns(P)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        nv, _, _, _, _, _, _, free, empty = _cap_cut(v, g0, u, band)
+    top = w0 + nv
+    reach = top + 16 * np.finfo(float).eps * (np.abs(w0) + nv)
+    return top, free & ~empty, ~(free | empty), reach
+
+
+def _pair_grid_caps(S, band):
+    """_inner_caps(S, _PAIR_BLOCH, band) wherever _top4 can read it.
+
+    The free rows take their value w0 + |v| (_cap_bounds). With tau the
+    4th-largest free value (-inf when fewer than 4 rows are free), only
+    the cut rows whose reach is at least tau go through _cap_max_values;
+    the other cut rows lie below 4 rows of value at least tau, so they get
+    -inf, as do the empty rows. The 4 best rows, their values and whether
+    any row is feasible are then those of the full kernel, bit for bit.
+    """
+    P = _PAIR_BLOCH @ S  # _PAIR_GRID fits one _CAP_BLOCK
+    top, free, cut, reach = _cap_bounds(P, band)
+    vals = np.where(free, top, -np.inf)
+    rows = np.flatnonzero(cut & (reach >= np.partition(vals, -4)[-4]))
+    if rows.size:
+        vals[rows] = _cap_max_values(*_coeff_columns(P[rows]), band)
+    return vals
+
+
 def _oracle_22(L, N, resolution):
+    """Max of _inner_caps over both orientations of a resolution grid, read through a running best.
+
+    Block by block, the free rows raise the best to their value w0 + |v|
+    (_cap_bounds), and only the cut rows whose reach exceeds it go through
+    _cap_max_values; the max is that of the full kernel, bit for bit.
+    """
     U = _qubit_bloch(*_qubit_angles(resolution, 2 * resolution - 1))
     band = _cut_slack(N.mat)
-    return max(float(_inner_caps(S, U, band).max()) for S in _orientations(L, N))
+    best = -np.inf
+    for S in _orientations(L, N):
+        for lo in range(0, len(U), _CAP_BLOCK):
+            P = U[lo : lo + _CAP_BLOCK] @ S
+            top, free, cut, reach = _cap_bounds(P, band)
+            if free.any():
+                best = max(best, float(top[free].max()))
+            rows = np.flatnonzero(cut & (reach > best))
+            if rows.size:
+                best = max(best, float(_cap_max_values(*_coeff_columns(P[rows]), band).max()))
+    return best
 
 
 def _party_ket_grid(d: int, resolution: int) -> np.ndarray:
@@ -698,7 +755,8 @@ def _qubit_pair_constrained(L, N):
     scanned on the outer party's _PAIR_GRID (polar angles with both poles,
     azimuths without the 2 pi endpoint) with either party outer: where the
     optimum shrinks the inner cut to a point, f has a curved ridge in that
-    orientation only.
+    orientation only. Only the grid rows that can reach an orientation's
+    top four go through the cap's circle branch (_pair_grid_caps).
     The 4 best grid points of each orientation seed a compass search on
     (theta, phi): each step moves to the first best of the 8 off-centre
     points of the 3x3 stencil if it improves, else halves the step (the
@@ -710,60 +768,75 @@ def _qubit_pair_constrained(L, N):
     K = _COMPASS_LEVELS, and replays the steps: the row moves at its first
     improving level, or halves through every level it ran. h 0.5^m is
     exact, so every candidate is the one a step-by-step search evaluates.
-    Returns (value, argmax, True, steps) at the best end point, steps being
-    the most stencil steps any row ran, which is the round count of a
-    search that runs one stencil per round; raises EmptyFeasibleSet when no
-    grid point is feasible.
+    A state's K*8 candidates depend on its (orientation, theta, phi, h)
+    alone and the kernel works row by row, so each state reaches the
+    kernel once per solve: the starts fall onto one trajectory within a
+    few steps, and a round mostly evaluates only the states of the rows
+    that moved. The cache lives for the solve; every row replays the
+    cached levels against its own value and step count. Returns (value,
+    argmax, True, steps) at the best end point, steps being the most
+    stencil steps any row ran, which is the round count of a search that
+    runs one stencil per round; raises EmptyFeasibleSet when no grid point
+    is feasible.
     """
     S = _orientations(L, N)
     band = _cut_slack(N.mat)
-    vals = np.concatenate([_inner_caps(s, _PAIR_BLOCH, band) for s in S])
+    vals = np.concatenate([_pair_grid_caps(s, band) for s in S])
     if vals.max() == -np.inf:
         raise EmptyFeasibleSet("no product state on the qubit-pair grid satisfies the constraint side")
     # 4 starts per orientation, searched in lockstep
     ks = np.concatenate([_top4(half) for half in np.split(vals, 2)])
-    side = np.repeat([0, 1], 4)
-    fx = vals[ks + len(_PAIR_BLOCH) * side]
+    side = [0] * 4 + [1] * 4
+    fx = vals[ks + len(_PAIR_BLOCH) * np.array(side)].tolist()
     tn, pn = _PAIR_GRID
     step = np.array([np.pi / (tn - 1), 2 * np.pi / pn])
     stencil = step * np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1) if i or j])
-    x = step * np.stack(divmod(ks, pn), axis=1)
-    h = np.ones(len(ks))
-    steps = np.zeros(len(ks), dtype=int)
-    level = np.arange(_COMPASS_LEVELS)
-    halvings, widest, width = 0.5**level, step.max(), len(stencil)
+    x = (step * np.stack(divmod(ks, pn), axis=1)).tolist()
+    h = [1.0] * len(ks)
+    steps = [0] * len(ks)
+    K, width, widest = _COMPASS_LEVELS, len(stencil), float(step.max())
+    halvings = [0.5**m for m in range(K)]
+    # h (0.5^m stencil) is (h 0.5^m) stencil: scaling by 0.5^m is exact
+    levels = np.multiply.outer(halvings, stencil)
+    # (orientation, theta, phi, h) -> each level's first stencil maximum and the (theta, phi) at it
+    seen = {}
     while True:
-        hs = h[:, None] * halvings
-        # level m is step steps + m + 1 of the row; it runs while that step
-        # is at least COMPASS_STOP and within _COMPASS_MAX_STEPS
-        runs = (hs * widest >= COMPASS_STOP) & (steps[:, None] + level < _COMPASS_MAX_STEPS)
-        live = np.flatnonzero(runs[:, 0])
-        if live.size == 0:
+        # a row runs while its next step is at least COMPASS_STOP and within _COMPASS_MAX_STEPS
+        live = [r for r in range(len(ks)) if h[r] * widest >= COMPASS_STOP and steps[r] < _COMPASS_MAX_STEPS]
+        if not live:
             break
-        runs = runs[live]
-        cand = (x[live, None, None] + hs[live, :, None, None] * stencil).reshape(-1, 2)
-        n = _qubit_bloch(cand[:, 0], cand[:, 1])
-        # all levels of the live rows, at most 8 * _COMPASS_LEVELS * 8 kets, in one kernel call
-        cut = np.count_nonzero(side[live] == 0) * _COMPASS_LEVELS * width
-        fv = _cap_max_values(*_coeff_columns(np.concatenate([n[:cut] @ S[0], n[cut:] @ S[1]])), band)
-        # each stencil's first maximum, as in index k of cand
-        k = np.arange(len(fv), step=width) + fv.reshape(-1, width).argmax(axis=1)
-        best = fv[k].reshape(runs.shape)
-        up = runs & (best > fx[live, None])
-        moved = up.any(axis=1)
-        # halvings before the first improving level, or through every level run
-        m = np.where(moved, up.argmax(axis=1), runs.sum(axis=1))
-        steps[live] += m + moved
-        h[live] *= 0.5**m
-        r = np.flatnonzero(moved)
-        x[live[r]], fx[live[r]] = cand[k.reshape(runs.shape)[r, m[r]]], best[r, m[r]]
+        keys = [(side[r], *x[r], h[r]) for r in live]
+        new = sorted(set(keys).difference(seen))  # orientation 0 first, as the split below needs
+        if new:
+            state = np.array(new)
+            cand = (state[:, None, None, 1:3] + state[:, 3, None, None, None] * levels).reshape(-1, 2)
+            n = _qubit_bloch(cand[:, 0], cand[:, 1])
+            # every level of the new states, at most 8 * _COMPASS_LEVELS * 8 kets, in one kernel call
+            cut = np.count_nonzero(state[:, 0] == 0) * K * width
+            fv = _cap_max_values(*_coeff_columns(np.concatenate([n[:cut] @ S[0], n[cut:] @ S[1]])), band)
+            # each stencil's first maximum, as in index k of cand
+            k = np.arange(len(fv), step=width) + fv.reshape(-1, width).argmax(axis=1)
+            seen.update(zip(new, zip(fv[k].reshape(-1, K).tolist(), cand[k].reshape(-1, K, 2).tolist())))
+        for r, key in zip(live, keys):
+            best, to = seen[key]
+            # level m is step steps + m + 1 of the row: it moves at its first
+            # improving level, or halves through every level it runs
+            m, moved = 0, False
+            while m < K and h[r] * halvings[m] * widest >= COMPASS_STOP and steps[r] + m < _COMPASS_MAX_STEPS:
+                if best[m] > fx[r]:
+                    x[r], fx[r], moved = to[m], best[m], True
+                    break
+                m += 1
+            steps[r] += m + moved
+            h[r] *= 0.5**m
     s = int(np.argmax(fx))
-    kets, n = _qubit_kets(x[s, :1], x[s, 1:]), _qubit_bloch(x[s, :1], x[s, 1:])
+    th, ph = np.array(x[s])[:, None]
+    kets, n = _qubit_kets(th, ph), _qubit_bloch(th, ph)
     # only the winning row builds its maximiser
     outer = Ket.unit(kets[0])
     inner = Ket.unit(_inner_caps(S[side[s]], n, band, _cap_argmax)[0])
     pk = ProductKet(a=inner, b=outer) if side[s] else ProductKet(a=outer, b=inner)
-    return expectation(L, pk), pk, True, int(steps.max())
+    return expectation(L, pk), pk, True, max(steps)
 
 
 def _quad(x, M):
@@ -1071,7 +1144,7 @@ def _alpha0_probe(L, spec, cfg, p_c, lam):
     for <C>_s >= c (no decreasing line), and for a non-finite step.
     """
     bound = lam * spec.c + p_c
-    res = sup_product_constrained(lam * spec.C + L, spec, HalfSpaceSide.LEQ, cfg)
+    res = sup_product_constrained(rotated_test(spec, L, lam), spec, HalfSpaceSide.LEQ, cfg)
     if res.value <= bound + ALPHA0_FEAS_TOL:
         return True, None
     slope = res.constraint_value - spec.c

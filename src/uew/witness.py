@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from .linalg import (
     BOUNDARY_TOL,
     DETECTION_TOL,
+    DimensionMismatch,
     HermitianOperator,
     expectation,
 )
@@ -128,7 +129,20 @@ def normalised_rotation(spec: ConstraintSpec, L: HermitianOperator, alpha):
         scale, lam = 1.0 - alpha, alpha / (1.0 - alpha)
     else:
         raise ValueError("alpha must be < 1 or -inf")
-    return scale, lam, lam * spec.C + L
+    return scale, lam, rotated_test(spec, L, lam)
+
+
+def rotated_test(spec: ConstraintSpec, L: HermitianOperator, lam: float) -> HermitianOperator:
+    """The test lam*C + L in one validation, the bytes and trace of the stepwise lam * spec.C + L.
+
+    A real multiple of the stored, exactly Hermitian C is exactly Hermitian,
+    so the stepwise build's first validation only repeats work, as long as
+    lam*C has no entry near the double's overflow (~9e307), where that
+    validation raises. The dims check is the one its sum makes.
+    """
+    if spec.C.dims != L.dims:
+        raise DimensionMismatch(f"dims {spec.C.dims} vs {L.dims}")
+    return HermitianOperator(spec.C.mat * float(lam) + L.mat, dims=L.dims)
 
 
 def build_few(L: HermitianOperator, g_s: float) -> Witness:

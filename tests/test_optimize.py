@@ -26,7 +26,7 @@ from uew import (
     sup_product_unconstrained,
 )
 from uew.linalg import COMPASS_STOP, _lex_key
-from uew.witness import BOUNDARY_TOL
+from uew.witness import BOUNDARY_TOL, rotated_test
 from uew.optimize import (
     _COMPASS_MAX_STEPS,
     _PAIR_BLOCH,
@@ -46,8 +46,10 @@ from uew.optimize import (
     _dual_refine,
     _hermitian_top,
     _inner_caps,
+    _norm3,
     _oracle_22,
     _orientations,
+    _pair_grid_caps,
     _pair_grid_max,
     _party_ket_grid,
     _pauli_tensor_coeffs,
@@ -524,6 +526,99 @@ class TestGridStarts:
         for x in self.cases():
             assert _top4(x).tolist() == np.argsort(-x, kind="stable")[:4].tolist()
 
+    @staticmethod
+    def assert_pruned_grid_is_exact(S, band):
+        """_pair_grid_caps gives the full kernel's _top4 rows, their bytes and
+        its empty check, and every value it computes is the kernel's."""
+        full, got = _inner_caps(S, _PAIR_BLOCH, band), _pair_grid_caps(S, band)
+        top = _top4(full)
+        assert _top4(got).tolist() == top.tolist()
+        assert got[top].tobytes() == full[top].tobytes()
+        assert (got.max() == -np.inf) == (full.max() == -np.inf)
+        kept = got > -np.inf
+        assert got[kept].tobytes() == full[kept].tobytes()
+        return full, got
+
+    def test_pruned_grid_on_random_cuts(self):
+        rng = np.random.default_rng(77)
+        pruned = 0
+        for k in range(60):
+            L, C = rand_herm_22(rng), rand_herm_22(rng)
+            d = np.diag(C.mat).real
+            side = (HalfSpaceSide.LEQ, HalfSpaceSide.GEQ)[k % 2]
+            N = _cut_operator(ConstraintSpec(C=C, c=float(rng.uniform(d.min(), d.max()))), side)
+            for S in _orientations(L, N):
+                full, got = self.assert_pruned_grid_is_exact(S, _cut_slack(N.mat))
+                pruned += np.count_nonzero(got < full)
+        assert pruned > 0
+
+    @staticmethod
+    def parallel_S(c):
+        """S with w0 = n_y, v = u = (0, 0, 1) and g0 = c - n_x at outer Bloch
+        vector n: a row is free where n_x >= 1 + c, empty where n_x < c - 1."""
+        S = np.zeros((4, 8))
+        S[2, 0] = S[0, 3] = S[0, 7] = 1.0
+        S[0, 4], S[1, 4] = c, -1.0
+        return S
+
+    def test_pruned_grid_with_few_or_no_free_rows(self):
+        # thresholds midway between the largest distinct n_x leave 1, 2, ...
+        # rows free; c = 0.5 leaves none, and c = 3 empties every cap
+        levels = np.unique(_PAIR_BLOCH[:, 1])[::-1][:6]
+        free_counts = []
+        for thr in (levels[:-1] + levels[1:]) / 2:
+            self.assert_pruned_grid_is_exact(self.parallel_S(thr - 1.0), 0.0)
+            free_counts.append(np.count_nonzero(_PAIR_BLOCH[:, 1] >= thr))
+        assert min(free_counts) < 4 <= max(free_counts)
+        full, _ = self.assert_pruned_grid_is_exact(self.parallel_S(0.5), 0.0)
+        assert np.isfinite(full).any()
+        full, got = self.assert_pruned_grid_is_exact(self.parallel_S(3.0), 0.0)
+        assert np.isneginf(full).all() and np.isneginf(got).all()
+
+    def test_oracle_prune_is_the_full_kernel_max(self):
+        # the running best skips only cut rows whose reach cannot raise it
+        rng = np.random.default_rng(90)
+        U = _qubit_bloch(*_qubit_angles(61, 121))
+        for k in range(30):
+            L, C = rand_herm_22(rng), rand_herm_22(rng)
+            d = np.diag(C.mat).real
+            side = (HalfSpaceSide.LEQ, HalfSpaceSide.GEQ)[k % 2]
+            N = _cut_operator(ConstraintSpec(C=C, c=float(rng.uniform(d.min(), d.max()))), side)
+            full = max(float(_inner_caps(S, U, _cut_slack(N.mat)).max()) for S in _orientations(L, N))
+            assert _oracle_22(L, N, 61).hex() == full.hex()
+
+    def test_pruned_grid_with_ties_at_the_fourth_value(self):
+        # diagonal operators have Pauli coefficients in I and Z only, so every
+        # grid row's value is exactly that of its polar angle: 90 rows tie
+        rng = np.random.default_rng(8)
+        ties = 0
+        for _ in range(10):
+            L, C = (HermitianOperator(np.diag(rng.normal(size=4)), dims=(2, 2)) for _ in range(2))
+            d = np.diag(C.mat).real
+            for side in (HalfSpaceSide.LEQ, HalfSpaceSide.GEQ):
+                N = _cut_operator(ConstraintSpec(C=C, c=float(rng.uniform(d.min(), d.max()))), side)
+                for S in _orientations(L, N):
+                    full, _ = self.assert_pruned_grid_is_exact(S, _cut_slack(N.mat))
+                    ties += np.count_nonzero(full == full[_top4(full)[3]]) > 1
+        assert ties > 0
+
+    def test_pruned_grid_with_rows_free_and_empty_by_rounding(self):
+        # v = -k u: u.v/|v| can round below -|u|, and a threshold t at that
+        # quotient makes v/|v| free and the cap empty, with band 0; the polar
+        # rows, n = (1, +-0, +-0, 1), all take S's first row
+        rng = np.random.default_rng(3)
+        while True:
+            u = rng.normal(size=(1, 3))
+            v = -rng.uniform(0.5, 2.0) * u
+            t = float(np.einsum("ij,ij->i", u, v)[0] / _norm3(v)[0])
+            if t < -_norm3(u)[0]:
+                break
+        for _ in range(10):
+            S = np.zeros((4, 8))
+            S[0], S[1:3] = np.concatenate([[10.0], v[0], [-t], u[0]]), rng.normal(size=(2, 8))
+            full, _ = self.assert_pruned_grid_is_exact(S, 0.0)
+            assert np.isneginf(full[:90]).all()
+
 
 class TestRestartStarts:
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
@@ -665,13 +760,14 @@ def _one_band_inner_caps(L, N, n, flip, band):
     return _one_band_cap_values(w[:, 0], w[:, 1:], g[:, 0], g[:, 1:], 0.0, 1, band)
 
 
-def one_stencil_qubit_pair(L, N):
+def one_stencil_qubit_pair(L, N, path=None):
     """The qubit-pair solve with one 3x3 stencil per compass round.
 
     Every round evaluates all 8 rows at their current step; a live row moves
     to its stencil's first maximum when that improves on it and otherwise
     halves its step. The cap values come from _one_band_inner_caps. Returns
-    (value, argmax, rounds).
+    (value, argmax, rounds). A list path gets one (live, x, h, up) per
+    round, copied before the round's moves.
     """
     tn, pn = _PAIR_GRID
     band = _cut_slack(N.mat)
@@ -696,6 +792,8 @@ def one_stencil_qubit_pair(L, N):
         fv = _one_band_inner_caps(L, N, nc, np.repeat(flip, len(stencil)), band).reshape(len(ks), -1)
         j = fv.argmax(axis=1)
         up = live & (fv[rows, j] > fx)
+        if path is not None:
+            path.append((live, x.copy(), h.copy(), up))
         x[up], fx[up] = cand[rows, j][up], fv[rows, j][up]
         h[live & ~up] *= 0.5
     s = int(np.argmax(fx))
@@ -706,6 +804,26 @@ def one_stencil_qubit_pair(L, N):
     inner = Ket.unit(_cap_argmax(w[:, 0], w[:, 1:], g[:, 0], g[:, 1:], band)[0])
     pk = ProductKet(a=inner, b=outer) if flip[s] else ProductKet(a=outer, b=inner)
     return expectation(L, pk), pk, rounds
+
+
+def compass_states(path, levels):
+    """The distinct (orientation, theta, phi, h) at which a compass evaluating
+    `levels` step halvings per round starts a round, from a one_stencil_qubit_pair path.
+
+    A row starts a round at its first step, after a move, and after `levels`
+    halvings since its last start; rows 0-3 have party A outer.
+    """
+    states = set()
+    for r in range(8):
+        since = None
+        for live, x, h, up in path:
+            if not live[r]:
+                break
+            if since is None or since == levels:
+                states.add((r >= 4, *x[r].tolist(), float(h[r])))
+                since = 0
+            since = None if up[r] else since + 1
+    return states
 
 
 def _assert_same_solve(got, ref):
@@ -1162,6 +1280,30 @@ def test_cut_operator_is_the_stepwise_build(example, swapped):
             assert got.trace().hex() == want.trace().hex()
 
 
+def test_rotated_test_is_the_stepwise_build(example, swapped):
+    # one validation of lam*C + L gives the bytes and trace of the two-step
+    # build, signs of zero included, at any scale and lam
+    rng = np.random.default_rng(61)
+    pairs = [(example["spec"], example["L"]), (swapped["spec"], swapped["L"])]
+    for i in range(300):
+        dims = [(2, 2), (2, 3), (3, 3)][i % 3]
+        C, L = (10.0 ** rng.uniform(-6.0, 6.0) * rand_herm(rng, dims) for _ in range(2))
+        pairs.append((ConstraintSpec(C=C, c=0.0), L))
+    diag = HermitianOperator(np.diag([1.0, -2.0, 0.0, 3.0]), dims=(2, 2))
+    pairs += [(ConstraintSpec(C=diag, c=0.0), HermitianOperator.identity((2, 2))),
+              (ConstraintSpec(C=HermitianOperator.identity((2, 2)), c=0.0), diag)]
+    for spec, L in pairs:
+        for lam in (0.0, -0.0, -1.0, float(rng.uniform(-1.0, 0.0)), -1e-300, -1e290):
+            got, want = rotated_test(spec, L, lam), lam * spec.C + L
+            assert got.dims == want.dims and got.mat.tobytes() == want.mat.tobytes()
+            assert got.trace().hex() == want.trace().hex()
+    foreign = ConstraintSpec(C=HermitianOperator.identity((2, 3)), c=0.0)
+    with pytest.raises(DimensionMismatch) as want:
+        -1.0 * foreign.C + example["L"]
+    with pytest.raises(DimensionMismatch, match=str(want.value).replace("(", r"\(").replace(")", r"\)")):
+        rotated_test(foreign, example["L"], -1.0)
+
+
 class TestConstrained:
     def test_interior_optimum_geq(self, example, cfg):
         res = sup_product_constrained(example["L"], example["spec"], HalfSpaceSide.GEQ, cfg)
@@ -1228,6 +1370,42 @@ class TestConstrained:
                 rounds.append(ref[-1])
         # k = 38, LEQ, runs into the step cap
         assert rounds[76] == max(rounds) == _COMPASS_MAX_STEPS
+
+    def test_qubit_pair_evaluates_each_compass_state_once(self, example, monkeypatch):
+        # a state's candidates are a function of (orientation, theta, phi, h),
+        # so each state visited reaches the kernel once per solve, and replaying
+        # its levels keeps value, argmax and steps at any level count
+        rng = np.random.default_rng(83)
+        cuts = [(example["L"], _cut_operator(example["spec"], HalfSpaceSide.LEQ))]
+        for k in range(20):
+            L, C = rand_herm_22(rng), rand_herm_22(rng)
+            d = np.diag(C.mat).real
+            spec = ConstraintSpec(C=C, c=float(rng.uniform(d.min(), d.max())))
+            cuts.append((L, _cut_operator(spec, (HalfSpaceSide.LEQ, HalfSpaceSide.GEQ)[k % 2])))
+        calls, marks = [], []
+        kernel, grid_caps = uew.optimize._cap_max_values, uew.optimize._pair_grid_caps
+
+        def spy(*args):
+            calls.append(args[0])
+            return kernel(*args)
+
+        def grid(*args):
+            out = grid_caps(*args)
+            marks.append(len(calls))
+            return out
+
+        monkeypatch.setattr(uew.optimize, "_cap_max_values", spy)
+        monkeypatch.setattr(uew.optimize, "_pair_grid_caps", grid)
+        for L, N in cuts:
+            path = []
+            ref = one_stencil_qubit_pair(L, N, path)
+            for levels in (1, 2, 5, 8):
+                monkeypatch.setattr(uew.optimize, "_COMPASS_LEVELS", levels)
+                calls.clear()
+                _assert_same_solve(_qubit_pair_constrained(L, N), ref)
+                # every state a row visits needs its kernel rows at least once
+                rows = sum(len(P) for P in calls[marks[-1] :])
+                assert rows == 8 * levels * len(compass_states(path, levels))
 
     def test_generic_iterations_count_the_winning_rows_sweeps(self, monkeypatch):
         # every sweep calls _cut_top twice on the rows still live, so the
