@@ -119,7 +119,8 @@ class HermitianOperator:
     entry modulus (or 1, if that is smaller), and then trusted. The stored
     matrix is the exactly Hermitian part (M + M^dagger)/2, bit for bit M
     when M is exactly Hermitian, so arithmetic on accepted operators stays
-    accepted. Its trace is stored with it when it is validated, so
+    accepted; a matrix whose stored part would overflow to inf is refused
+    as non-finite. Its trace is stored with it when it is validated, so
     ``trace()`` reads a float and computes nothing.
     """
 
@@ -132,14 +133,18 @@ class HermitianOperator:
         n = m.shape[0]
         if n > MAX_TOTAL_DIM:
             raise ValueError(f"total dimension {n} exceeds cap {MAX_TOTAL_DIM}")
-        top = np.abs(m).max()  # NaN or inf when any entry is
-        if not math.isfinite(top):
-            raise ValueError("matrix must be finite and Hermitian; it has a non-finite entry")
-        # relative to the largest entry: the rounding asymmetry of a computed
-        # operator such as U M U^dagger grows with its norm
-        if not np.abs(m - m.conj().T).max() <= HERM_TOL * max(1.0, top):
-            raise ValueError(f"matrix is not Hermitian within {HERM_TOL} times max(1, largest |entry|)")
-        m = (m + m.conj().T) / 2
+        non_finite = "matrix must be finite and Hermitian; it has a non-finite entry"
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves inf or nan, refused below
+            top = np.abs(m).max()  # NaN or inf when any entry is
+            if not math.isfinite(top):
+                raise ValueError(non_finite)
+            # relative to the largest entry: the rounding asymmetry of a computed
+            # operator such as U M U^dagger grows with its norm
+            if not np.abs(m - m.conj().T).max() <= HERM_TOL * max(1.0, top):
+                raise ValueError(f"matrix is not Hermitian within {HERM_TOL} times max(1, largest |entry|)")
+            m = (m + m.conj().T) / 2  # overflows where an entry passes half the largest double
+        if not np.isfinite(m).all():
+            raise ValueError(non_finite + " in (M + M^dagger)/2")
         if dims is None:
             dims = (n,)
         dims = tuple(int(d) for d in dims)

@@ -9,8 +9,11 @@ Three cooperating search mechanisms live here:
   maximum over unit m is w0 + |v| at m = v/|v|. Otherwise a half step
   conditions the operator with one matmul and takes the top eigenpairs in
   closed form on a qubit party, else with one batched
-  ``numpy.linalg.eigh``. Each row starts from a party-A ket; these starts
-  are drawn once per (seed, restarts, dA) and cached read-only, each
+  ``numpy.linalg.eigh``. Each row starts from a party-A ket, the first
+  draw of one SeedSequence(seed) child, byte for byte numpy's spawn loop:
+  the children's PCG64 states come from one vectorised copy of numpy's
+  seed hash, not from one SeedSequence object each. These starts are
+  drawn once per (seed, restarts, dA) and cached read-only, each
   (operator, seed, restarts) is solved once per process, with 16 kept,
   and value ties between restarts are broken on canonical argmax rows
   computed in one batch;
@@ -49,6 +52,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .linalg import (
     ALPHA0_FEAS_TOL,
@@ -289,6 +293,79 @@ def _bloch_top(P: np.ndarray):
     return P[:, 0] + nv, out
 
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), pool of 4 uint32 words
+_SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875  # hashmix of the entropy words
+_SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED  # generate_state
+_SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715  # mix of two pool words
+_MASK32 = 0xFFFFFFFF
+
+
+def _hash_constants(init, mult, n):
+    """The n + 1 words init * mult**k mod 2**32, k = 0 .. n: call k of a hash
+    xors with the k-th and multiplies by the (k + 1)-th."""
+    out = [init]
+    for _ in range(n):
+        out.append(out[-1] * mult & _MASK32)
+    return out
+
+
+def _ss_mix(x, y):
+    """numpy's mix of pool word x with hashed word y, on ints or uint32 arrays."""
+    r = ((_SS_MIX_L * x & _MASK32) - _SS_MIX_R * y) & _MASK32
+    return r ^ r >> 16
+
+
+def _spawn_states(seed: int, n: int) -> np.ndarray:
+    """(n, 4) uint64: row i is SeedSequence(seed).spawn(n)[i].generate_state(4, np.uint64), bit for bit.
+
+    Child i's entropy is the seed's little-endian uint32 words, zero-padded
+    to the pool size, then its spawn key i. Only that last word differs
+    between children, so the seed's words are mixed into the pool once, on
+    Python ints, and the spawn-key word and generate_state run over the
+    (n,) keys as uint32 arrays, whose products wrap mod 2**32 as numpy's do.
+    """
+    seed = int(seed)
+    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (4 - len(words))
+    # hashmix calls: one per pool word, 12 cross mixes, 4 per later word, the key's last
+    consts = _hash_constants(_SS_INIT_A, _SS_MULT_A, 4 * len(words) + 4)
+    calls = iter(zip(consts, consts[1:]))
+
+    def hashmix(value):
+        xor, mult = next(calls)
+        value = (value ^ xor) * mult & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(w) for w in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _ss_mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        pool = [_ss_mix(p, hashmix(w)) for p in pool]
+    # the spawn-key word, hashed against each pool word in turn
+    xor, mult = (np.array(c, dtype=np.uint32)[:, None] for c in zip(*calls))
+    key = (np.arange(n, dtype=np.uint32) ^ xor) * mult
+    key ^= key >> 16
+    pool = _ss_mix(np.array(pool, dtype=np.uint32)[:, None], key)
+    # generate_state(4, np.uint64): 8 uint32 words cycling the pool, read as little-endian pairs
+    consts = np.array(_hash_constants(_SS_INIT_B, _SS_MULT_B, 8), dtype=np.uint32)[:, None]
+    state = (pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ consts[:-1]) * consts[1:]
+    state ^= state >> 16
+    return state.T.astype("<u4", order="C").view("<u8").astype(np.uint64)
+
+
+class _FixedState(ISeedSequence):
+    """A seed sequence whose generate_state returns given uint64 words (a
+    _spawn_states row), all PCG64 reads of it."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
 @functools.lru_cache(maxsize=32)
 def _restart_starts(seed, restarts: int, dA: int):
     """Read-only (restarts, dA) party-A see-saw start kets.
@@ -296,12 +373,16 @@ def _restart_starts(seed, restarts: int, dA: int):
     Row r is the first draw of the r-th child of SeedSequence(seed): dA
     complex normals (real parts, then imaginary parts) from that child's
     generator, divided by their norm, with the 2*dA normals taken in one
-    call and all rows normalised at once (_unit_rows). Every solve with
-    the same (seed, restarts, dA) starts from the same rows, so they are
-    drawn once and shared.
+    call and all rows normalised at once (_unit_rows). The children's PCG64
+    states come from one vectorised copy of numpy's hash (_spawn_states),
+    so the rows are byte for byte those of numpy's spawn loop, without its
+    SeedSequence objects. Every solve with the same (seed, restarts, dA)
+    starts from the same rows, so they are drawn once and shared.
     """
-    children = np.random.SeedSequence(seed).spawn(restarts)
-    x = np.array([np.random.Generator(np.random.PCG64(ss)).normal(size=2 * dA) for ss in children])
+    x = np.array([
+        np.random.Generator(np.random.PCG64(_FixedState(w))).normal(size=2 * dA)
+        for w in _spawn_states(seed, restarts)
+    ])
     A = _unit_rows(x[:, :dA] + 1j * x[:, dA:])
     A.setflags(write=False)
     return A
@@ -397,18 +478,25 @@ _PAULI = (
 )
 
 
-# kron(_PAULI[i], _PAULI[j]) at row 4*i + j
+# kron(_PAULI[i], _PAULI[j]) at row 4*i + j; column a of each has its one
+# nonzero entry, a phase of +-1 or +-i, in row _PAULI_ROWS[4*i + j, a]
 _PAULI_PAIRS = np.array([np.kron(p, q) for p in _PAULI for q in _PAULI])
+_PAULI_ROWS = np.abs(_PAULI_PAIRS).argmax(axis=1)
+_PAULI_PHASES = np.take_along_axis(_PAULI_PAIRS, _PAULI_ROWS[:, None, :], axis=1)[:, 0]
+_PAULI_GATHER = 4 * np.arange(4) + _PAULI_ROWS  # flat index of M[a, row(a)]
 
 
 def _pauli_tensor_coeffs(M) -> np.ndarray:
     """Real 4x4 coefficients T of a two-qubit operator in the Pauli basis.
 
     M is a HermitianOperator or its matrix, as (4, 4) or (2, 2, 2, 2);
-    M = sum T[i, j] sigma_i (x) sigma_j.
+    M = sum T[i, j] sigma_i (x) sigma_j. T[i, j] is Tr(M P)/4 with P the
+    pair's kron: one gather of M[a, row(a)] * phase(a), summed over a in
+    order, which is the trace of the matmul M @ P bit for bit (the other
+    three products of each diagonal entry are zeros).
     """
-    mat = np.reshape(getattr(M, "mat", M), (4, 4))
-    return np.trace(mat @ _PAULI_PAIRS, axis1=1, axis2=2).real.reshape(4, 4) / 4.0
+    mat = np.reshape(getattr(M, "mat", M), 16)
+    return (mat[_PAULI_GATHER] * _PAULI_PHASES).sum(axis=1).real.reshape(4, 4) / 4.0
 
 
 # ---------------------------------------------------------------------------
@@ -467,12 +555,11 @@ def _cap_cut(v, g0, u, band):
     """Row-wise geometry of the cap {unit n : g0 + u.n <= 0} against v.
 
     v and u are (N, 3); views of wider rows serve (see _coeff_columns).
-    Returns (nv, t, nu, nu2, uv, ratio, rise, free, empty): |v|, the
-    threshold t = -g0, |u| and its floor, u.v, the cut circle's height
-    t/|u| and radius (both clipped to the sphere), whether v/|v| satisfies
-    the cut, and whether the cap is empty. A norm that divides is floored
-    at the smallest normal double, np.finfo(float).tiny, so a zero norm
-    gives no inf or nan. band, the _cut_slack of the cut that g0 + u.n
+    Returns (nv, t, nu, uv, free, empty): |v|, the threshold t = -g0, |u|,
+    u.v, whether v/|v| satisfies the cut, and whether the cap is empty
+    (the cut circle itself is _cap_circle's). A norm that divides is
+    floored at the smallest normal double, np.finfo(float).tiny, so a zero
+    norm gives no inf or nan. band, the _cut_slack of the cut that g0 + u.n
     evaluates, is the one band: v/|v| is free up to band past the cut, and
     a cap is empty only once the whole sphere lies more than band past it.
     A zero u (the zero cut, band 0) leaves every row free at a threshold
@@ -483,14 +570,19 @@ def _cap_cut(v, g0, u, band):
     """
     nv, nu = _norm3(v), _norm3(u)
     t = -g0
-    tiny = np.finfo(float).tiny
     uv = np.einsum("ij,ij->i", u, v)
-    free = uv / np.maximum(nv, tiny) <= t + band
+    free = uv / np.maximum(nv, np.finfo(float).tiny) <= t + band
     empty = t < -nu - band
-    nu2 = np.maximum(nu, tiny)
+    return nv, t, nu, uv, free, empty
+
+
+def _cap_circle(t, nu):
+    """(nu2, ratio, rise) of the cut circle, for the rows that reach a kernel:
+    |u| floored at np.finfo(float).tiny, and the circle's height t/|u| and
+    radius, both clipped to the sphere."""
+    nu2 = np.maximum(nu, np.finfo(float).tiny)
     ratio = np.minimum(np.maximum(t / nu2, -1.0), 1.0)
-    rise = np.sqrt(np.maximum(1.0 - ratio**2, 0.0))
-    return nv, t, nu, nu2, uv, ratio, rise, free, empty
+    return nu2, ratio, np.sqrt(np.maximum(1.0 - ratio**2, 0.0))
 
 
 def _cap_max_values(w0, v, g0, u, band):
@@ -504,7 +596,8 @@ def _cap_max_values(w0, v, g0, u, band):
     new states of both orientations.
     """
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        nv, t, _, nu2, uv, _, rise, free, empty = _cap_cut(v, g0, u, band)
+        nv, t, nu, uv, free, empty = _cap_cut(v, g0, u, band)
+        nu2, _, rise = _cap_circle(t, nu)
         along = uv / nu2**2
         # |v| sin(angle to u), from the difference vector: nv**2 - (uv/nu)**2
         # cancels to ~sqrt(eps)*|v| when v is nearly parallel to u.
@@ -521,7 +614,8 @@ def _cap_argmax(w0, v, g0, u, band):
     An empty cap has a nan row.
     """
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        nv, _, nu, nu2, _, ratio, rise, free, empty = _cap_cut(v, g0, u, band)
+        nv, t, nu, _, free, empty = _cap_cut(v, g0, u, band)
+        nu2, ratio, rise = _cap_circle(t, nu)
         n_free = v / nv[:, None]
         # the circle point towards v, in a frame (u/|u|, e1, e2) built from u
         # alone (Duff et al., JCGT 6, 2017): where v is (nearly) parallel to u,
@@ -582,7 +676,7 @@ def _cap_bounds(P, band):
     """
     w0, v, g0, u = _coeff_columns(P)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        nv, _, _, _, _, _, _, free, empty = _cap_cut(v, g0, u, band)
+        nv, _, _, _, free, empty = _cap_cut(v, g0, u, band)
     top = w0 + nv
     reach = top + 16 * np.finfo(float).eps * (np.abs(w0) + nv)
     return top, free & ~empty, ~(free | empty), reach

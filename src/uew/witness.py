@@ -137,8 +137,10 @@ def rotated_test(spec: ConstraintSpec, L: HermitianOperator, lam: float) -> Herm
 
     A real multiple of the stored, exactly Hermitian C is exactly Hermitian,
     so the stepwise build's first validation only repeats work, as long as
-    lam*C has no entry near the double's overflow (~9e307), where that
-    validation raises. The dims check is the one its sum makes.
+    lam*C has no entry past half the largest double (~9e307), where that
+    validation refuses its overflowing stored part. This build refuses the
+    sum in the same way, unless L brings every such entry back below it.
+    The dims check is the one its sum makes.
     """
     if spec.C.dims != L.dims:
         raise DimensionMismatch(f"dims {spec.C.dims} vs {L.dims}")

@@ -86,6 +86,24 @@ class TestHermitianOperator:
             with pytest.raises(ValueError, match="finite and Hermitian"):
                 HermitianOperator(m)
 
+    @pytest.mark.parametrize(
+        "m", [np.diag([1e308, 1.0]), np.diag([1.0, -1e308]), np.array([[1.0, 1e308j], [-1e308j, 1.0]])]
+    )
+    def test_overflowing_hermitian_part_raises_without_warning(self, m):
+        # (M + M^dagger)/2 overflows where an entry passes half the largest double
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite and Hermitian"):
+                HermitianOperator(m)
+
+    def test_largest_storable_entries_keep_their_bytes(self):
+        for m in (np.diag([8e307, 1.0]), np.array([[1.0, 8e307j], [np.conj(8e307j), -8e307]])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                h = HermitianOperator(m)
+            assert h.mat.tobytes() == m.astype(complex).tobytes()
+            assert h.trace() == float(np.trace(m).real)
+
     def test_rejects_bad_dims(self):
         with pytest.raises(DimensionMismatch):
             HermitianOperator(np.eye(4), dims=(2, 3))

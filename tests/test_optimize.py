@@ -1,3 +1,6 @@
+import warnings
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -620,12 +623,18 @@ class TestGridStarts:
             assert np.isneginf(full[:90]).all()
 
 
+START_SEEDS = [*range(200), 2**32 - 1, 2**32 + 1, 2**64 + 1, 2**128 + 5]
+
+
 class TestRestartStarts:
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
     def test_equal_to_spawn_loop(self, dims):
-        A = _restart_starts(9, 16, dims[0])
-        ref_a, _ = stack_starts(spawn_loop_starts(9, 16, dims))
-        assert A.tobytes() == ref_a.tobytes()
+        # seeds of one to five uint32 words: the five-word seed mixes a run
+        # word into the pool after the first four, as the spawn key is
+        for seed in START_SEEDS:
+            for restarts in (1, 24, 64):
+                ref_a, _ = stack_starts(spawn_loop_starts(seed, restarts, dims))
+                assert _restart_starts(seed, restarts, dims[0]).tobytes() == ref_a.tobytes(), (seed, restarts)
 
     def test_read_only_and_unchanged_by_a_solve(self, example):
         A = _restart_starts(4, 8, 2)
@@ -635,19 +644,11 @@ class TestRestartStarts:
         assert _restart_starts(4, 8, 2) is A
         assert A.tobytes() == before
 
-    def test_alpha0_draws_once(self, swapped, cfg_small, monkeypatch):
-        spawned = []
-
-        class CountingSeedSequence(np.random.SeedSequence):
-            def spawn(self, n_children):
-                spawned.append(n_children)
-                return super().spawn(n_children)
-
-        monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
+    def test_alpha0_draws_once(self, swapped, cfg_small):
         _restart_starts.cache_clear()
         _unconstrained_solve.cache_clear()
         assert compute_alpha0(swapped["L"], swapped["spec"], cfg_small) is not None
-        assert spawned == [cfg_small.restarts]
+        assert _restart_starts.cache_info().misses == 1
 
 
 class TestUnconstrainedMemo:
@@ -947,11 +948,39 @@ def _parent_pauli_coeffs(M):
     return T
 
 
+def signed_zero_herm_22(rng):
+    """A Hermitian 4x4 matrix of parts drawn from +-0, +-1, 0.5 and -2, each
+    zero part on and below the diagonal signed at random."""
+    parts = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -2.0])
+    x, y = rng.choice(parts, (2, 4, 4))
+    lower_x, lower_y = x.T.copy(), -y.T
+    for part in (lower_x, lower_y):
+        zero = part == 0
+        part[zero] = rng.choice([0.0, -0.0], zero.sum())
+    upper = np.triu(np.ones((4, 4), dtype=bool), 1)
+    m = np.empty((4, 4), dtype=complex)
+    m.real, m.imag = np.where(upper, x, lower_x), np.where(upper, y, lower_y)
+    m.imag[np.diag_indices(4)] = rng.choice([0.0, -0.0], 4)
+    return m
+
+
 def test_pauli_coeffs_match_per_entry_kron():
+    # random, signed-zero, diagonal, +-Pauli-pair and scaled operators, as
+    # HermitianOperator and as the (2, 2, 2, 2) matrix the see-saw passes
     rng = np.random.default_rng(5)
+    ops = [rand_herm_22(rng) for _ in range(500)]
     for _ in range(500):
-        M = rand_herm_22(rng)
-        assert _pauli_tensor_coeffs(M).tobytes() == _parent_pauli_coeffs(M).tobytes()
+        m = signed_zero_herm_22(rng)
+        ops += [SimpleNamespace(mat=m), HermitianOperator(m, dims=(2, 2))]
+        diag = np.diag(rng.choice([0.0, -0.0, 1.0, -1.0, 3.0], 4)) * 10.0 ** rng.uniform(-6.0, 6.0)
+        ops.append(HermitianOperator(diag, dims=(2, 2)))
+        ops.append(10.0 ** rng.uniform(-6.0, 6.0) * rand_herm_22(rng))
+    for sign in (1.0, -1.0, -3.5):
+        ops += [HermitianOperator(sign * np.kron(p, q), dims=(2, 2)) for p in _PAULI for q in _PAULI]
+    for M in ops:
+        want = _parent_pauli_coeffs(M).tobytes()
+        assert _pauli_tensor_coeffs(M).tobytes() == want
+        assert _pauli_tensor_coeffs(M.mat.reshape(2, 2, 2, 2)).tobytes() == want
 
 
 def _qubit_grid(n_theta, n_phi, phi_endpoint=True):
@@ -1297,6 +1326,13 @@ def test_rotated_test_is_the_stepwise_build(example, swapped):
             got, want = rotated_test(spec, L, lam), lam * spec.C + L
             assert got.dims == want.dims and got.mat.tobytes() == want.mat.tobytes()
             assert got.trace().hex() == want.trace().hex()
+    # where lam*C overflows its stored part, both builds refuse it
+    huge = ConstraintSpec(C=HermitianOperator(np.diag([1e300, 1.0, 0.0, 0.0]), dims=(2, 2)), c=0.0)
+    for build in (lambda: 1e8 * huge.C + example["L"], lambda: rotated_test(huge, example["L"], 1e8)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite and Hermitian"):
+                build()
     foreign = ConstraintSpec(C=HermitianOperator.identity((2, 3)), c=0.0)
     with pytest.raises(DimensionMismatch) as want:
         -1.0 * foreign.C + example["L"]

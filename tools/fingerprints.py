@@ -30,6 +30,9 @@ carries one. Families:
   scan                   125 _scan_cases instances, seeds 0..4: <T> and <C>
                          of the pure state (T the witness test) and the
                          threshold_scan edge on all three sides, as hex
+  starts                 1224 _restart_starts draws, the bytes of each: seeds
+                         0..199, 2**32 - 1, 2**32 + 1, 2**64 + 1 and
+                         2**128 + 5, restarts 1, 24 and 64, dA 2 and 3
   cli                    14 CLI runs, stdout and stderr without the
                          wall_time_s line: gs of L and C, pc leq/geq on the
                          worked and role-swapped instances, alpha0 on both,
@@ -143,6 +146,13 @@ def scan():
             yield b"|".join([label.encode(), *(b"None" if v is None else v.hex().encode() for v in values)])
 
 
+def starts():
+    for seed in [*range(200), 2**32 - 1, 2**32 + 1, 2**64 + 1, 2**128 + 5]:
+        for restarts in (1, 24, 64):
+            for dA in (2, 3):
+                yield optimize._restart_starts(seed, restarts, dA).tobytes()
+
+
 def cli_runs():
     C, L, phi = build_example31(Example31Config())
     runs = [
@@ -187,6 +197,7 @@ FAMILIES = {
     "unconstrained-2x2": lambda: unconstrained([(2, 2)]),
     "unconstrained-2x3-3x3": lambda: unconstrained([(2, 3), (3, 3)]),
     "scan": scan,
+    "starts": starts,
     "cli": cli_runs,
 }
 
