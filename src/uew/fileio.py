@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import INPUT_TOL, HermitianOperator
+from .linalg import INPUT_TOL, HermitianOperator, is_integer
 from .states import DensityMatrix
 
 
@@ -30,10 +30,6 @@ def operator_to_dict(op: HermitianOperator, kind: str | None = None) -> dict:
     return doc
 
 
-def _integer(x) -> bool:
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)  # JSON true is an int in Python
-
-
 def _real_pair(cell) -> bool:
     return isinstance(cell, (list, tuple)) and len(cell) == 2 and all(
         isinstance(x, numbers.Real) and not isinstance(x, bool) for x in cell
@@ -46,14 +42,13 @@ def operator_from_dict(doc: dict) -> HermitianOperator:
         dims, rows = doc["dims"], doc["matrix"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed operator document: {exc}") from exc
-    if not (isinstance(dims, (list, tuple)) and all(_integer(d) for d in dims)):
+    if not (isinstance(dims, (list, tuple)) and all(is_integer(d) for d in dims)):
         raise ValueError(f"malformed operator document: dims {dims!r} must be a list of integers")
     if not (
         isinstance(rows, (list, tuple))
         and all(isinstance(row, (list, tuple)) and all(_real_pair(c) for c in row) for row in rows)
     ):
         raise ValueError("malformed operator document: every matrix cell must be one [re, im] pair of real numbers")
-    dims = tuple(int(d) for d in dims)
     try:
         mat = np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
     except (ValueError, OverflowError) as exc:  # rows of unequal length; an integer past the float range

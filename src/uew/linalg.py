@@ -20,6 +20,7 @@ the other modules import the names they read.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,11 @@ ALPHA0_WIDTH = 1e-6      # compute_alpha0 stops once its bracket is this narrow 
 
 class DimensionMismatch(ValueError):
     """Operands act on incompatible Hilbert spaces."""
+
+
+def is_integer(x) -> bool:
+    """True for a Python or numpy integer; false for bool, which Python counts as one, and for floats."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 def _canonicalize_phase(vec: np.ndarray) -> np.ndarray:
@@ -89,6 +95,8 @@ class Ket:
 
     @classmethod
     def basis(cls, dim: int, index: int) -> "Ket":
+        if not (is_integer(dim) and is_integer(index) and 0 <= index < dim):
+            raise ValueError(f"basis index {index!r} must be an integer in [0, dim) for dim {dim!r}")
         vec = np.zeros(dim, dtype=complex)
         vec[index] = 1.0
         return cls(vec)
@@ -147,9 +155,10 @@ class HermitianOperator:
             raise ValueError(non_finite + " in (M + M^dagger)/2")
         if dims is None:
             dims = (n,)
-        dims = tuple(int(d) for d in dims)
-        if len(dims) not in (1, 2) or any(d <= 0 for d in dims):
+        dims = tuple(dims)
+        if len(dims) not in (1, 2) or not all(is_integer(d) and d > 0 for d in dims):
             raise ValueError("dims must be one or two positive integers")
+        dims = tuple(int(d) for d in dims)
         if int(np.prod(dims)) != n:
             raise DimensionMismatch(f"dims {dims} do not factor dimension {n}")
         m.setflags(write=False)
@@ -162,7 +171,7 @@ class HermitianOperator:
 
     @classmethod
     def identity(cls, dims) -> "HermitianOperator":
-        dims = tuple(dims) if not isinstance(dims, int) else (dims,)
+        dims = (dims,) if is_integer(dims) else tuple(dims)
         return cls(np.eye(int(np.prod(dims))), dims=dims)
 
     @property

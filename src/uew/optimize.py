@@ -11,9 +11,10 @@ Three cooperating search mechanisms live here:
   closed form on a qubit party, else with one batched
   ``numpy.linalg.eigh``. Each row starts from a party-A ket, the first
   draw of one SeedSequence(seed) child, byte for byte numpy's spawn loop:
-  the children's PCG64 states come from one vectorised copy of numpy's
-  seed hash, not from one SeedSequence object each. These starts are
-  drawn once per (seed, restarts, dA) and cached read-only, each
+  numpy's SeedSequence(seed).pool supplies the mixed seed, and one
+  vectorised pass mixes in each child's spawn key and hashes the
+  children's PCG64 states, with no SeedSequence object per child. These
+  starts are drawn once per (seed, restarts, dA) and cached read-only, each
   (operator, seed, restarts) is solved once per process, with 16 kept,
   and value ties between restarts are broken on canonical argmax rows
   computed in one batch;
@@ -46,7 +47,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -65,6 +65,7 @@ from .linalg import (
     HermitianOperator,
     Ket,
     expectation,
+    is_integer,
 )
 from .states import ProductKet, product_expectations, random_product_batch
 from .witness import ConstraintSpec, HalfSpaceSide, halfspace_membership, normalised_rotation, rotated_test
@@ -81,6 +82,8 @@ _GENERIC_PAIR_CAP = 1 << 24    # max grid oracle rows: ket pairs, or one party's
 _CONSTRAINED_STARTS = 16       # best feasible sample points the d >= 3 constrained see-saw starts from
 _MU_DOUBLINGS = 64             # multiplier doublings before a cut counts as unreached, in _cut_top and _dual_refine
 _MU_BISECTIONS = 30            # multiplier halvings of a constrained half step
+_TINY = np.finfo(float).tiny   # smallest normal double, the floor of a norm that divides
+_EPS = np.finfo(float).eps     # machine epsilon of the rounding bands
 
 
 class EmptyFeasibleSet(RuntimeError):
@@ -105,12 +108,10 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        def whole(x):  # bool is an Integral; a seed of None would draw OS entropy
-            return isinstance(x, numbers.Integral) and not isinstance(x, bool)
-
-        if not (whole(self.restarts) and self.restarts >= 1):
+        # a seed of None would draw OS entropy
+        if not (is_integer(self.restarts) and self.restarts >= 1):
             raise ValueError(f"restarts {self.restarts!r} must be a positive integer")
-        if not (whole(self.seed) and self.seed >= 0):
+        if not (is_integer(self.seed) and self.seed >= 0):
             raise ValueError(f"seed {self.seed!r} must be a non-negative integer")
 
 
@@ -318,36 +319,20 @@ def _ss_mix(x, y):
 def _spawn_states(seed: int, n: int) -> np.ndarray:
     """(n, 4) uint64: row i is SeedSequence(seed).spawn(n)[i].generate_state(4, np.uint64), bit for bit.
 
-    Child i's entropy is the seed's little-endian uint32 words, zero-padded
-    to the pool size, then its spawn key i. Only that last word differs
-    between children, so the seed's words are mixed into the pool once, on
-    Python ints, and the spawn-key word and generate_state run over the
-    (n,) keys as uint32 arrays, whose products wrap mod 2**32 as numpy's do.
+    Child i's entropy is the seed's w little-endian uint32 words, zero-padded
+    to the pool size, then its spawn key i. Before that last word a child's
+    pool is SeedSequence(seed).pool, which numpy supplies; the spawn-key
+    word and generate_state run over the (n,) keys as uint32 arrays, whose
+    products wrap mod 2**32 as numpy's do. The parent's mixing makes
+    4 max(4, w) hashmix calls, so the key's 4 calls start there.
     """
     seed = int(seed)
-    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (4 - len(words))
-    # hashmix calls: one per pool word, 12 cross mixes, 4 per later word, the key's last
-    consts = _hash_constants(_SS_INIT_A, _SS_MULT_A, 4 * len(words) + 4)
-    calls = iter(zip(consts, consts[1:]))
-
-    def hashmix(value):
-        xor, mult = next(calls)
-        value = (value ^ xor) * mult & _MASK32
-        return value ^ value >> 16
-
-    pool = [hashmix(w) for w in words[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _ss_mix(pool[dst], hashmix(pool[src]))
-    for w in words[4:]:
-        pool = [_ss_mix(p, hashmix(w)) for p in pool]
+    start = 4 * max(4, -(-seed.bit_length() // 32))
+    consts = np.array(_hash_constants(_SS_INIT_A, _SS_MULT_A, start + 4)[start:], dtype=np.uint32)[:, None]
     # the spawn-key word, hashed against each pool word in turn
-    xor, mult = (np.array(c, dtype=np.uint32)[:, None] for c in zip(*calls))
-    key = (np.arange(n, dtype=np.uint32) ^ xor) * mult
+    key = (np.arange(n, dtype=np.uint32) ^ consts[:-1]) * consts[1:]
     key ^= key >> 16
-    pool = _ss_mix(np.array(pool, dtype=np.uint32)[:, None], key)
+    pool = _ss_mix(np.random.SeedSequence(seed).pool[:, None], key)
     # generate_state(4, np.uint64): 8 uint32 words cycling the pool, read as little-endian pairs
     consts = np.array(_hash_constants(_SS_INIT_B, _SS_MULT_B, 8), dtype=np.uint32)[:, None]
     state = (pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ consts[:-1]) * consts[1:]
@@ -374,9 +359,10 @@ def _restart_starts(seed, restarts: int, dA: int):
     complex normals (real parts, then imaginary parts) from that child's
     generator, divided by their norm, with the 2*dA normals taken in one
     call and all rows normalised at once (_unit_rows). The children's PCG64
-    states come from one vectorised copy of numpy's hash (_spawn_states),
-    so the rows are byte for byte those of numpy's spawn loop, without its
-    SeedSequence objects. Every solve with the same (seed, restarts, dA)
+    states come from _spawn_states: numpy's SeedSequence(seed).pool, with
+    each child's spawn key mixed in by one vectorised pass, so the rows are
+    byte for byte those of numpy's spawn loop, without a SeedSequence object
+    per child. Every solve with the same (seed, restarts, dA)
     starts from the same rows, so they are drawn once and shared.
     """
     x = np.array([
@@ -558,8 +544,8 @@ def _cap_cut(v, g0, u, band):
     Returns (nv, t, nu, uv, free, empty): |v|, the threshold t = -g0, |u|,
     u.v, whether v/|v| satisfies the cut, and whether the cap is empty
     (the cut circle itself is _cap_circle's). A norm that divides is
-    floored at the smallest normal double, np.finfo(float).tiny, so a zero
-    norm gives no inf or nan. band, the _cut_slack of the cut that g0 + u.n
+    floored at the smallest normal double, _TINY, so a zero norm gives no
+    inf or nan. band, the _cut_slack of the cut that g0 + u.n
     evaluates, is the one band: v/|v| is free up to band past the cut, and
     a cap is empty only once the whole sphere lies more than band past it.
     A zero u (the zero cut, band 0) leaves every row free at a threshold
@@ -571,16 +557,16 @@ def _cap_cut(v, g0, u, band):
     nv, nu = _norm3(v), _norm3(u)
     t = -g0
     uv = np.einsum("ij,ij->i", u, v)
-    free = uv / np.maximum(nv, np.finfo(float).tiny) <= t + band
+    free = uv / np.maximum(nv, _TINY) <= t + band
     empty = t < -nu - band
     return nv, t, nu, uv, free, empty
 
 
 def _cap_circle(t, nu):
     """(nu2, ratio, rise) of the cut circle, for the rows that reach a kernel:
-    |u| floored at np.finfo(float).tiny, and the circle's height t/|u| and
+    |u| floored at _TINY, and the circle's height t/|u| and
     radius, both clipped to the sphere."""
-    nu2 = np.maximum(nu, np.finfo(float).tiny)
+    nu2 = np.maximum(nu, _TINY)
     ratio = np.minimum(np.maximum(t / nu2, -1.0), 1.0)
     return nu2, ratio, np.sqrt(np.maximum(1.0 - ratio**2, 0.0))
 
@@ -678,7 +664,7 @@ def _cap_bounds(P, band):
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         nv, _, _, _, free, empty = _cap_cut(v, g0, u, band)
     top = w0 + nv
-    reach = top + 16 * np.finfo(float).eps * (np.abs(w0) + nv)
+    reach = top + 16 * _EPS * (np.abs(w0) + nv)
     return top, free & ~empty, ~(free | empty), reach
 
 
@@ -785,8 +771,8 @@ def grid_oracle_sup(
         raise DimensionMismatch("constraint operator lives on a different space")
     if spec is not None and side not in (HalfSpaceSide.LEQ, HalfSpaceSide.GEQ):
         raise ValueError("constrained oracle needs side leq or geq")
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
+    if not (is_integer(resolution) and resolution >= 2):
+        raise ValueError(f"resolution {resolution!r} must be an integer of at least 2")
     # a qubit pair scans one party's kets (the other is closed form), other dims ket pairs
     power = 1 if L.dims == (2, 2) else L.dims[0] + L.dims[1] - 2
     if (resolution * (2 * resolution - 1)) ** power > _GENERIC_PAIR_CAP:
@@ -825,7 +811,7 @@ def _cut_slack(mat) -> float:
     qubit cap kernels, the grid oracle, the random sample filter, the
     constrained see-saw and _cut_top.
     """
-    return len(mat) * np.finfo(float).eps * np.linalg.norm(mat)
+    return len(mat) * _EPS * np.linalg.norm(mat)
 
 
 def _top4(x):
@@ -1055,12 +1041,11 @@ def _dual_refine(L, N, base):
     to its crossing, and the feasible and infeasible ends are then bridged
     along a product-state path onto the cut, which restores attainment
     also where the crossing is a jump between branches. Both bisections
-    stop where the doubles do, once hi - lo is at most eps * max(1, hi)
-    (eps = np.finfo(float).eps, as in _cut_slack): about 53 halvings each.
+    stop where the doubles do, once hi - lo is at most _EPS * max(1, hi)
+    (_EPS as in _cut_slack): about 53 halvings each.
     None when no multiplier reaches the feasible side.
     """
     dA, dB = L.dims
-    eps = np.finfo(float).eps
 
     def gamma(a, b):
         prod = (a[:, None] * b).ravel()
@@ -1073,7 +1058,7 @@ def _dual_refine(L, N, base):
         return gamma(A[r], B[r]), (A[r], B[r])
 
     def wide(lo, hi):
-        return hi - lo > eps * max(1.0, hi)
+        return hi - lo > _EPS * max(1.0, hi)
 
     lo_mu, hi_mu = 0.0, 1.0
     lo_pt = (base.argmax.a.amplitudes, base.argmax.b.amplitudes)

@@ -39,6 +39,12 @@ class TestKet:
             with pytest.raises(ValueError):
                 Ket.unit(bad)
 
+    @pytest.mark.parametrize("index", [-1, 2, 1.0, True])
+    def test_basis_index_out_of_range_or_not_integer(self, index):
+        # numpy would read -1 as the last index and refuse 1.0 with IndexError
+        with pytest.raises(ValueError, match="basis index"):
+            Ket.basis(2, index)
+
     def test_unit_normalizes(self):
         k = Ket.unit([3.0, 4.0])
         assert np.allclose(k.amplitudes, [0.6, 0.8])
@@ -107,6 +113,15 @@ class TestHermitianOperator:
     def test_rejects_bad_dims(self):
         with pytest.raises(DimensionMismatch):
             HermitianOperator(np.eye(4), dims=(2, 3))
+
+    @pytest.mark.parametrize("dims", [(2.5, 2), (True, 4), (2.0, 2)])
+    def test_rejects_non_integer_dims(self, dims):
+        # int() would truncate 2.5 to 2 and read True as 1, both factoring 4
+        with pytest.raises(ValueError, match="positive integers"):
+            HermitianOperator(np.eye(4), dims=dims)
+
+    def test_identity_of_a_numpy_integer(self):
+        assert HermitianOperator.identity(np.int64(4)).dims == (4,)
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError):

@@ -623,14 +623,14 @@ class TestGridStarts:
             assert np.isneginf(full[:90]).all()
 
 
-START_SEEDS = [*range(200), 2**32 - 1, 2**32 + 1, 2**64 + 1, 2**128 + 5]
+START_SEEDS = [*range(200), 2**32 - 1, 2**32 + 1, 2**64 + 1, 2**128 + 5, 2**200 + 7]
 
 
 class TestRestartStarts:
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
     def test_equal_to_spawn_loop(self, dims):
-        # seeds of one to five uint32 words: the five-word seed mixes a run
-        # word into the pool after the first four, as the spawn key is
+        # seeds of one to seven uint32 words: past four, the seed's later
+        # words move where the spawn key's hash constants start
         for seed in START_SEEDS:
             for restarts in (1, 24, 64):
                 ref_a, _ = stack_starts(spawn_loop_starts(seed, restarts, dims))
@@ -1203,6 +1203,12 @@ class TestGridOracle:
                 grid_oracle_sup(L, spec, side)
         with pytest.raises(ValueError, match="at least 2"):
             grid_oracle_sup(L, resolution=1)
+
+    @pytest.mark.parametrize("resolution", [10.0, True])
+    def test_rejects_non_integer_resolution(self, example, resolution):
+        # numpy's linspace would raise TypeError on 10.0
+        with pytest.raises(ValueError, match="an integer"):
+            grid_oracle_sup(example["L"], resolution=resolution)
 
     @pytest.mark.parametrize("constrained", [False, True])
     def test_qubit_pair_resolution_cap(self, example, monkeypatch, constrained):

@@ -38,6 +38,11 @@ carries one. Families:
                          worked and role-swapped instances, alpha0 on both,
                          detect with no alpha, -1 and -inf, the README scan
                          block, and scan of x = 2/3 and x = 1/2
+  alpha0                 42 compute_alpha0 values at the default config, as
+                         hex ("None" when every member is valid, the
+                         exception's name when one is raised): the worked
+                         and role-swapped instances and 40 default_rng(32)
+                         draws of L, C and c (as in qubit-pair)
 """
 
 import os
@@ -61,7 +66,13 @@ import numpy as np  # noqa: E402
 from test_analysis import _scan_cases  # noqa: E402
 from test_optimize import rand_herm, rand_herm_22, recipe_instance  # noqa: E402
 from uew import cli, expectation, fileio, optimize, threshold_scan  # noqa: E402
-from uew.optimize import OptimizerConfig, grid_oracle_sup, sup_product_constrained, sup_product_unconstrained  # noqa: E402
+from uew.optimize import (  # noqa: E402
+    OptimizerConfig,
+    compute_alpha0,
+    grid_oracle_sup,
+    sup_product_constrained,
+    sup_product_unconstrained,
+)
 from uew.states import DensityMatrix, Example31Config, build_example31  # noqa: E402
 from uew.witness import ConstraintSpec, HalfSpaceSide  # noqa: E402
 
@@ -153,6 +164,21 @@ def starts():
                 yield optimize._restart_starts(seed, restarts, dA).tobytes()
 
 
+def alpha0():
+    instances = worked_instances()
+    rng = np.random.default_rng(32)
+    for _ in range(40):
+        L, C = rand_herm_22(rng), rand_herm_22(rng)
+        instances.append((L, diagonal_spec(rng, C)))
+    for L, spec in instances:
+        try:
+            value = compute_alpha0(L, spec, OptimizerConfig())
+        except (ValueError, RuntimeError) as exc:  # EmptyFeasibleSet, AssumptionViolated, an inconsistent p_c
+            yield type(exc).__name__.encode()
+        else:
+            yield b"None" if value is None else float(value).hex().encode()
+
+
 def cli_runs():
     C, L, phi = build_example31(Example31Config())
     runs = [
@@ -199,6 +225,7 @@ FAMILIES = {
     "scan": scan,
     "starts": starts,
     "cli": cli_runs,
+    "alpha0": alpha0,
 }
 
 
