@@ -24,11 +24,11 @@ Three cooperating search mechanisms live here:
   one exact reduction (one party in closed form over its Bloch sphere cut
   by the constraint, the other by a coarse angle grid and compass search,
   with either party outer). The closed form takes one matmul per
-  orientation over the whole grid, and its circle branch runs only on the
-  rows that can reach the grid's top four (the grid oracle runs in blocks
-  of _CAP_BLOCK outer kets against a running best); each compass state
-  (orientation, angles, step) is evaluated once per solve, at
-  _COMPASS_LEVELS halvings of its step, and every row replays those
+  orientation over the whole grid and runs on every row, as it does on
+  the grid oracle's blocks of _CAP_BLOCK outer kets; both divide L and N
+  by powers of two first, so no square overflows or underflows; each
+  compass state (orientation, angles, step) is evaluated once per solve,
+  at _COMPASS_LEVELS halvings of its step, and every row replays those
   levels as a one-stencil-per-step search would, so values, argmaxes and
   step counts are those of that search. Beyond qubit pairs a
   constrained see-saw whose half steps are exact single-party
@@ -541,34 +541,28 @@ def _cap_cut(v, g0, u, band):
     """Row-wise geometry of the cap {unit n : g0 + u.n <= 0} against v.
 
     v and u are (N, 3); views of wider rows serve (see _coeff_columns).
-    Returns (nv, t, nu, uv, free, empty): |v|, the threshold t = -g0, |u|,
-    u.v, whether v/|v| satisfies the cut, and whether the cap is empty
-    (the cut circle itself is _cap_circle's). A norm that divides is
-    floored at the smallest normal double, _TINY, so a zero norm gives no
-    inf or nan. band, the _cut_slack of the cut that g0 + u.n
-    evaluates, is the one band: v/|v| is free up to band past the cut, and
-    a cap is empty only once the whole sphere lies more than band past it.
-    A zero u (the zero cut, band 0) leaves every row free at a threshold
-    of 0. The norms are _norm3's; u.v stays an einsum, whose 3-term
-    summation order is numpy's SIMD one, so a hand-written sum would
-    change its last bits. The kernels that call it hold one np.errstate
-    for it and their own formulas.
+    Returns (nv, t, nu, uv, free, empty, nu2, ratio, rise): |v|, the
+    threshold t = -g0, |u|, u.v, whether v/|v| satisfies the cut, whether
+    the cap is empty, and the cut circle: |u| floored at the smallest
+    normal double, _TINY, and the circle's height t/|u| and radius, both
+    clipped to the sphere. Every norm that divides is floored at _TINY, so
+    a zero norm gives no inf or nan. band, the _cut_slack of the cut that
+    g0 + u.n evaluates, is the one band: v/|v| is free up to band past the
+    cut, and a cap is empty only once the whole sphere lies more than band
+    past it. A zero u (the zero cut, band 0) leaves every row free at a
+    threshold of 0. The norms are _norm3's; u.v stays an einsum, whose
+    3-term summation order is numpy's SIMD one, so a hand-written sum
+    would change its last bits. The kernels that call it hold one
+    np.errstate for it and their own formulas.
     """
     nv, nu = _norm3(v), _norm3(u)
     t = -g0
     uv = np.einsum("ij,ij->i", u, v)
     free = uv / np.maximum(nv, _TINY) <= t + band
     empty = t < -nu - band
-    return nv, t, nu, uv, free, empty
-
-
-def _cap_circle(t, nu):
-    """(nu2, ratio, rise) of the cut circle, for the rows that reach a kernel:
-    |u| floored at _TINY, and the circle's height t/|u| and
-    radius, both clipped to the sphere."""
     nu2 = np.maximum(nu, _TINY)
     ratio = np.minimum(np.maximum(t / nu2, -1.0), 1.0)
-    return nu2, ratio, np.sqrt(np.maximum(1.0 - ratio**2, 0.0))
+    return nv, t, nu, uv, free, empty, nu2, ratio, np.sqrt(np.maximum(1.0 - ratio**2, 0.0))
 
 
 def _cap_max_values(w0, v, g0, u, band):
@@ -576,14 +570,13 @@ def _cap_max_values(w0, v, g0, u, band):
 
     Closed form: w0 + |v| where the free maximiser v/|v| satisfies the cut,
     otherwise the best point of the circle where the cut meets the sphere;
-    an empty cap has value -inf (edge rules and band in _cap_cut). The
-    qubit-pair grid and the grid oracle call it only on the rows whose
-    circle value can matter (_cap_bounds), and a compass round once for the
-    new states of both orientations.
+    an empty cap has value -inf (edge rules and band in _cap_cut). Every
+    row is computed on its own, so a scan over any rows (the qubit-pair
+    grid, a compass round's new states, the grid oracle) gives each row
+    the value it has alone.
     """
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        nv, t, nu, uv, free, empty = _cap_cut(v, g0, u, band)
-        nu2, _, rise = _cap_circle(t, nu)
+        nv, t, _, uv, free, empty, nu2, _, rise = _cap_cut(v, g0, u, band)
         along = uv / nu2**2
         # |v| sin(angle to u), from the difference vector: nv**2 - (uv/nu)**2
         # cancels to ~sqrt(eps)*|v| when v is nearly parallel to u.
@@ -600,8 +593,7 @@ def _cap_argmax(w0, v, g0, u, band):
     An empty cap has a nan row.
     """
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        nv, t, nu, _, free, empty = _cap_cut(v, g0, u, band)
-        nu2, ratio, rise = _cap_circle(t, nu)
+        nv, _, nu, _, free, empty, nu2, ratio, rise = _cap_cut(v, g0, u, band)
         n_free = v / nv[:, None]
         # the circle point towards v, in a frame (u/|u|, e1, e2) built from u
         # alone (Duff et al., JCGT 6, 2017): where v is (nearly) parallel to u,
@@ -649,64 +641,16 @@ def _inner_caps(S, n, band, kernel=_cap_max_values):
     )
 
 
-def _cap_bounds(P, band):
-    """(top, free, cut, reach) of the rows of P = n @ S, S one orientation of _orientations.
-
-    top = w0 + |v| is _cap_max_values' own value on the free rows (v/|v|
-    satisfies the cut and the cap is not empty); cut marks the rows that
-    are neither free nor empty, whose circle value is at most w0 + |v| in
-    exact arithmetic. Rounded, it can land a few eps (|w0| + |v|) above
-    top (up to 2.9 on 4e7 random near-tangent rows), so reach adds
-    16 eps (|w0| + |v|): no kernel value of a row exceeds its reach, and a
-    row whose reach cannot change a max or a top four needs no kernel call.
-    """
-    w0, v, g0, u = _coeff_columns(P)
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        nv, _, _, _, free, empty = _cap_cut(v, g0, u, band)
-    top = w0 + nv
-    reach = top + 16 * _EPS * (np.abs(w0) + nv)
-    return top, free & ~empty, ~(free | empty), reach
-
-
-def _pair_grid_caps(S, band):
-    """_inner_caps(S, _PAIR_BLOCH, band) wherever _top4 can read it.
-
-    The free rows take their value w0 + |v| (_cap_bounds). With tau the
-    4th-largest free value (-inf when fewer than 4 rows are free), only
-    the cut rows whose reach is at least tau go through _cap_max_values;
-    the other cut rows lie below 4 rows of value at least tau, so they get
-    -inf, as do the empty rows. The 4 best rows, their values and whether
-    any row is feasible are then those of the full kernel, bit for bit.
-    """
-    P = _PAIR_BLOCH @ S  # _PAIR_GRID fits one _CAP_BLOCK
-    top, free, cut, reach = _cap_bounds(P, band)
-    vals = np.where(free, top, -np.inf)
-    rows = np.flatnonzero(cut & (reach >= np.partition(vals, -4)[-4]))
-    if rows.size:
-        vals[rows] = _cap_max_values(*_coeff_columns(P[rows]), band)
-    return vals
-
-
 def _oracle_22(L, N, resolution):
-    """Max of _inner_caps over both orientations of a resolution grid, read through a running best.
+    """Max of _inner_caps over both orientations of a resolution grid.
 
-    Block by block, the free rows raise the best to their value w0 + |v|
-    (_cap_bounds), and only the cut rows whose reach exceeds it go through
-    _cap_max_values; the max is that of the full kernel, bit for bit.
+    L and N are first divided by powers of two (_pow2_unit), which moves
+    no maximiser and rounds nothing, and the max is scaled back exactly.
     """
+    (Lm, e), (Nm, _) = _pow2_unit(L.mat), _pow2_unit(N.mat)
     U = _qubit_bloch(*_qubit_angles(resolution, 2 * resolution - 1))
-    band = _cut_slack(N.mat)
-    best = -np.inf
-    for S in _orientations(L, N):
-        for lo in range(0, len(U), _CAP_BLOCK):
-            P = U[lo : lo + _CAP_BLOCK] @ S
-            top, free, cut, reach = _cap_bounds(P, band)
-            if free.any():
-                best = max(best, float(top[free].max()))
-            rows = np.flatnonzero(cut & (reach > best))
-            if rows.size:
-                best = max(best, float(_cap_max_values(*_coeff_columns(P[rows]), band).max()))
-    return best
+    band = _cut_slack(Nm)
+    return float(np.ldexp(max(_inner_caps(S, U, band).max() for S in _orientations(Lm, Nm)), e))
 
 
 def _party_ket_grid(d: int, resolution: int) -> np.ndarray:
@@ -754,12 +698,13 @@ def grid_oracle_sup(
     Independent of the see-saw path: no iteration, no restarts. The scan
     keeps the side <N> <= 0 of the cut N (_cut_operator), counting a point
     up to _cut_slack(N) past it as on it; without spec N is 0, which every
-    point satisfies. For qubit pairs the polar/azimuth grid
-    of one party is scanned exhaustively while the other party is maximized
-    in closed form over its Bloch sphere cut by N; both orientations are
-    scanned and the larger max wins. Higher local dimensions fall back to a
-    full pair grid with hyperspherical angles and relative phases. The value
-    is monotone non-decreasing under grid refinement with nested
+    point satisfies. For qubit pairs the polar/azimuth grid of one party
+    is scanned exhaustively while the other party is maximized in closed
+    form over its Bloch sphere cut by N, on every grid row, with L and N
+    divided by powers of two first (_oracle_22); both orientations are
+    scanned and the larger max wins. Higher local dimensions fall back to
+    a full pair grid with hyperspherical angles and relative phases. The
+    value is monotone non-decreasing under grid refinement with nested
     resolutions. A grid of more than _GENERIC_PAIR_CAP rows is refused
     before it is built.
     """
@@ -800,18 +745,36 @@ def _cut_operator(spec: ConstraintSpec, side: HalfSpaceSide) -> HermitianOperato
     return HermitianOperator(sense * (C.mat - spec.c * np.eye(C.dim)), dims=C.dims)  # one validation
 
 
+def _pow2_unit(mat):
+    """(mat / 2^e, e), 2^e the power of two that brings mat's largest real or
+    imaginary part into [0.5, 1); e = 0 for a zero mat.
+
+    Dividing by a power of two rounds nothing (short of parts that turn
+    subnormal), and a positive scaling of L or of N moves no maximiser, so
+    the qubit-pair solve and the grid oracle work on coefficients near 1,
+    whose squares neither overflow nor underflow at any scale that
+    HermitianOperator holds.
+    """
+    x = np.ascontiguousarray(mat, dtype=complex).view(float)
+    e = math.frexp(float(np.abs(x).max()))[1]
+    return np.ldexp(x, -e).view(complex), e
+
+
 def _cut_slack(mat) -> float:
     """How far past the cut <N> = 0 a product point still counts as on its side.
 
     mat is the cut's matrix N (either sign: only its norm is read). A point
     computed on the cut lands within rounding of it, on either side, and
     the rounding of <x|N|x> in dimension dim is of order dim * eps * |N|_F,
-    so the band scales with the operators. Every optimizer test of a
-    product point against the cut reads it: the stage-1 short-circuit, the
-    qubit cap kernels, the grid oracle, the random sample filter, the
-    constrained see-saw and _cut_top.
+    so the band scales with the operators. The norm is taken of mat divided
+    by a power of two (_pow2_unit) and scaled back exactly, so its squares
+    neither overflow nor underflow. Every optimizer test of a product point
+    against the cut reads it: the stage-1 short-circuit, the qubit cap
+    kernels, the grid oracle, the random sample filter, the constrained
+    see-saw and _cut_top.
     """
-    return len(mat) * _EPS * np.linalg.norm(mat)
+    scaled, e = _pow2_unit(mat)
+    return np.ldexp(len(mat) * _EPS * np.linalg.norm(scaled), e)
 
 
 def _top4(x):
@@ -835,13 +798,14 @@ def _qubit_pair_constrained(L, N):
     scanned on the outer party's _PAIR_GRID (polar angles with both poles,
     azimuths without the 2 pi endpoint) with either party outer: where the
     optimum shrinks the inner cut to a point, f has a curved ridge in that
-    orientation only. Only the grid rows that can reach an orientation's
-    top four go through the cap's circle branch (_pair_grid_caps).
-    The 4 best grid points of each orientation seed a compass search on
-    (theta, phi): each step moves to the first best of the 8 off-centre
-    points of the 3x3 stencil if it improves, else halves the step (the
-    centre is the row's own point, whose value the row holds, so it never
-    improves and is not evaluated), until the step is below
+    orientation only. Every grid row of both orientations goes through the
+    closed form (_inner_caps). L and N are first divided by powers of two
+    (_pow2_unit), which moves no maximiser and rounds nothing; the value is
+    read from L itself. The 4 best grid points of each orientation seed a
+    compass search on (theta, phi): each step moves to the first best of
+    the 8 off-centre points of the 3x3 stencil if it improves, else halves
+    the step (the centre is the row's own point, whose value the row holds,
+    so it never improves and is not evaluated), until the step is below
     COMPASS_STOP (Kolda, Lewis & Torczon, SIAM Rev. 45, 2003) or the row
     has run _COMPASS_MAX_STEPS steps. Most steps only halve, so one round
     evaluates a row's stencil at its step h and at h/2 ... h/2^(K-1),
@@ -859,9 +823,10 @@ def _qubit_pair_constrained(L, N):
     runs one stencil per round; raises EmptyFeasibleSet when no grid point
     is feasible.
     """
-    S = _orientations(L, N)
-    band = _cut_slack(N.mat)
-    vals = np.concatenate([_pair_grid_caps(s, band) for s in S])
+    (Lm, _), (Nm, _) = _pow2_unit(L.mat), _pow2_unit(N.mat)
+    S = _orientations(Lm, Nm)
+    band = _cut_slack(Nm)
+    vals = np.concatenate([_inner_caps(s, _PAIR_BLOCH, band) for s in S])
     if vals.max() == -np.inf:
         raise EmptyFeasibleSet("no product state on the qubit-pair grid satisfies the constraint side")
     # 4 starts per orientation, searched in lockstep

@@ -42,6 +42,7 @@ from uew.optimize import (
     _canonical_rows,
     _cap_argmax,
     _cap_max_values,
+    _coeff_columns,
     _condition,
     _conditioning,
     _cut_operator,
@@ -52,7 +53,6 @@ from uew.optimize import (
     _norm3,
     _oracle_22,
     _orientations,
-    _pair_grid_caps,
     _pair_grid_max,
     _party_ket_grid,
     _pauli_tensor_coeffs,
@@ -530,30 +530,30 @@ class TestGridStarts:
             assert _top4(x).tolist() == np.argsort(-x, kind="stable")[:4].tolist()
 
     @staticmethod
-    def assert_pruned_grid_is_exact(S, band):
-        """_pair_grid_caps gives the full kernel's _top4 rows, their bytes and
-        its empty check, and every value it computes is the kernel's."""
-        full, got = _inner_caps(S, _PAIR_BLOCH, band), _pair_grid_caps(S, band)
-        top = _top4(full)
-        assert _top4(got).tolist() == top.tolist()
-        assert got[top].tobytes() == full[top].tobytes()
-        assert (got.max() == -np.inf) == (full.max() == -np.inf)
-        kept = got > -np.inf
-        assert got[kept].tobytes() == full[kept].tobytes()
-        return full, got
+    def grid_caps(S, band):
+        """The qubit-pair grid's cap values on one orientation: row for row the
+        one-band formula, with _top4 the stable argsort's first four."""
+        full = _inner_caps(S, _PAIR_BLOCH, band)
+        ref = _one_band_cap_values(*_coeff_columns(_PAIR_BLOCH @ S), 0.0, 1, band)
+        assert full.tobytes() == ref.tobytes()
+        assert _top4(full).tolist() == np.argsort(-full, kind="stable")[:4].tolist()
+        return full
 
-    def test_pruned_grid_on_random_cuts(self):
+    def test_grid_top4_on_random_cuts(self):
+        # the top four hold free rows (w0 + |v|) and circle rows alike
         rng = np.random.default_rng(77)
-        pruned = 0
+        kinds = set()
         for k in range(60):
             L, C = rand_herm_22(rng), rand_herm_22(rng)
             d = np.diag(C.mat).real
             side = (HalfSpaceSide.LEQ, HalfSpaceSide.GEQ)[k % 2]
             N = _cut_operator(ConstraintSpec(C=C, c=float(rng.uniform(d.min(), d.max()))), side)
             for S in _orientations(L, N):
-                full, got = self.assert_pruned_grid_is_exact(S, _cut_slack(N.mat))
-                pruned += np.count_nonzero(got < full)
-        assert pruned > 0
+                full = self.grid_caps(S, _cut_slack(N.mat))
+                w0, v, _, _ = _coeff_columns(_PAIR_BLOCH @ S)
+                top = _top4(full)
+                kinds.update((full[top] == w0[top] + _norm3(v[top])).tolist())
+        assert kinds == {False, True}
 
     @staticmethod
     def parallel_S(c):
@@ -564,22 +564,21 @@ class TestGridStarts:
         S[0, 4], S[1, 4] = c, -1.0
         return S
 
-    def test_pruned_grid_with_few_or_no_free_rows(self):
+    def test_grid_top4_with_few_or_no_free_rows(self):
         # thresholds midway between the largest distinct n_x leave 1, 2, ...
         # rows free; c = 0.5 leaves none, and c = 3 empties every cap
         levels = np.unique(_PAIR_BLOCH[:, 1])[::-1][:6]
         free_counts = []
         for thr in (levels[:-1] + levels[1:]) / 2:
-            self.assert_pruned_grid_is_exact(self.parallel_S(thr - 1.0), 0.0)
+            self.grid_caps(self.parallel_S(thr - 1.0), 0.0)
             free_counts.append(np.count_nonzero(_PAIR_BLOCH[:, 1] >= thr))
         assert min(free_counts) < 4 <= max(free_counts)
-        full, _ = self.assert_pruned_grid_is_exact(self.parallel_S(0.5), 0.0)
-        assert np.isfinite(full).any()
-        full, got = self.assert_pruned_grid_is_exact(self.parallel_S(3.0), 0.0)
-        assert np.isneginf(full).all() and np.isneginf(got).all()
+        assert np.isfinite(self.grid_caps(self.parallel_S(0.5), 0.0)).any()
+        assert np.isneginf(self.grid_caps(self.parallel_S(3.0), 0.0)).all()
 
     def test_oracle_prune_is_the_full_kernel_max(self):
-        # the running best skips only cut rows whose reach cannot raise it
+        # the oracle is the full kernel's max over both orientations, bit for
+        # bit, also after it divides L and N by powers of two
         rng = np.random.default_rng(90)
         U = _qubit_bloch(*_qubit_angles(61, 121))
         for k in range(30):
@@ -590,7 +589,7 @@ class TestGridStarts:
             full = max(float(_inner_caps(S, U, _cut_slack(N.mat)).max()) for S in _orientations(L, N))
             assert _oracle_22(L, N, 61).hex() == full.hex()
 
-    def test_pruned_grid_with_ties_at_the_fourth_value(self):
+    def test_grid_top4_with_ties_at_the_fourth_value(self):
         # diagonal operators have Pauli coefficients in I and Z only, so every
         # grid row's value is exactly that of its polar angle: 90 rows tie
         rng = np.random.default_rng(8)
@@ -601,11 +600,11 @@ class TestGridStarts:
             for side in (HalfSpaceSide.LEQ, HalfSpaceSide.GEQ):
                 N = _cut_operator(ConstraintSpec(C=C, c=float(rng.uniform(d.min(), d.max()))), side)
                 for S in _orientations(L, N):
-                    full, _ = self.assert_pruned_grid_is_exact(S, _cut_slack(N.mat))
+                    full = self.grid_caps(S, _cut_slack(N.mat))
                     ties += np.count_nonzero(full == full[_top4(full)[3]]) > 1
         assert ties > 0
 
-    def test_pruned_grid_with_rows_free_and_empty_by_rounding(self):
+    def test_grid_top4_with_rows_free_and_empty_by_rounding(self):
         # v = -k u: u.v/|v| can round below -|u|, and a threshold t at that
         # quotient makes v/|v| free and the cap empty, with band 0; the polar
         # rows, n = (1, +-0, +-0, 1), all take S's first row
@@ -619,8 +618,7 @@ class TestGridStarts:
         for _ in range(10):
             S = np.zeros((4, 8))
             S[0], S[1:3] = np.concatenate([[10.0], v[0], [-t], u[0]]), rng.normal(size=(2, 8))
-            full, _ = self.assert_pruned_grid_is_exact(S, 0.0)
-            assert np.isneginf(full[:90]).all()
+            assert np.isneginf(self.grid_caps(S, 0.0)[:90]).all()
 
 
 START_SEEDS = [*range(200), 2**32 - 1, 2**32 + 1, 2**64 + 1, 2**128 + 5, 2**200 + 7]
@@ -1276,6 +1274,44 @@ class TestCutSlack:
             N = _cut_operator(spec, HalfSpaceSide.LEQ)
             assert expectation(spec.C, res.argmax) - spec.c <= _cut_slack(N.mat)
 
+    def test_qubit_pair_solve_and_oracle_at_powers_of_two(self):
+        # L times 2^a and the cut times 2^b keep the solve's argmax bytes and
+        # steps and scale its value and the oracle's by 2^a exactly; the
+        # band's and the cap kernel's squares overflowed at 2^600 and
+        # underflowed at 2^-600
+        rng = np.random.default_rng(600)
+        for k in range(6):
+            L, C = rand_herm_22(rng), rand_herm_22(rng)
+            d = np.diag(C.mat).real
+            spec = ConstraintSpec(C=C, c=float(rng.uniform(d.min(), d.max())))
+            side = (HalfSpaceSide.LEQ, HalfSpaceSide.GEQ)[k % 2]
+            N = _cut_operator(spec, side)
+            ref = _qubit_pair_constrained(L, N)
+            oracle = grid_oracle_sup(L, spec, side, resolution=61)
+            for a, b in ((600, -600), (-600, 600), (600, 600), (-600, -600)):
+                La, spec_b = 2.0**a * L, ConstraintSpec(C=2.0**b * C, c=2.0**b * spec.c)
+                N_b = _cut_operator(spec_b, side)
+                assert _cut_slack(N_b.mat) == 2.0**b * _cut_slack(N.mat)
+                got = _qubit_pair_constrained(La, N_b)
+                assert got[0] == 2.0**a * ref[0]
+                assert got[1].a.amplitudes.tobytes() == ref[1].a.amplitudes.tobytes()
+                assert got[1].b.amplitudes.tobytes() == ref[1].b.amplitudes.tobytes()
+                assert got[2:] == ref[2:]
+                assert grid_oracle_sup(La, spec_b, side, resolution=61) == 2.0**a * oracle
+
+    @pytest.mark.parametrize("s", [1e155, 1e-160, 1e-200])
+    def test_worked_instance_at_extreme_scales(self, example, cfg, s):
+        # at 1e155 the band was inf and the short-circuit returned g_s; at
+        # 1e-160 and 1e-200 the cap kernel's squares underflowed, giving p_c
+        # values of 0.1971 and 0.0502 and oracle values of 0.1900 and 0.0995
+        L, spec = _scaled_worked(example, s)
+        for side, exact in ((HalfSpaceSide.LEQ, PC_EXACT), (HalfSpaceSide.GEQ, GS_EXACT)):
+            res = sup_product_constrained(L, spec, side, cfg)
+            assert res.method == ("hybrid" if side is HalfSpaceSide.LEQ else "seesaw")
+            assert abs(res.value / s - exact) <= 1e-12
+            plain = grid_oracle_sup(example["L"], example["spec"], side, resolution=61)
+            assert abs(grid_oracle_sup(L, spec, side, resolution=61) / s - plain) <= 1e-12
+
     def test_an_argmax_inside_the_state_band_is_past_the_cut(self, example, cfg):
         # c 5e-10 inside the side that excludes the g_s argmax: within the
         # BOUNDARY_TOL band of halfspace_membership, but past the cut
@@ -1424,20 +1460,16 @@ class TestConstrained:
             d = np.diag(C.mat).real
             spec = ConstraintSpec(C=C, c=float(rng.uniform(d.min(), d.max())))
             cuts.append((L, _cut_operator(spec, (HalfSpaceSide.LEQ, HalfSpaceSide.GEQ)[k % 2])))
-        calls, marks = [], []
-        kernel, grid_caps = uew.optimize._cap_max_values, uew.optimize._pair_grid_caps
+        calls = []
+        kernel = uew.optimize._cap_max_values
 
         def spy(*args):
             calls.append(args[0])
             return kernel(*args)
 
-        def grid(*args):
-            out = grid_caps(*args)
-            marks.append(len(calls))
-            return out
-
+        # _inner_caps binds the kernel as its default argument
+        monkeypatch.setattr(uew.optimize._inner_caps, "__defaults__", (spy,))
         monkeypatch.setattr(uew.optimize, "_cap_max_values", spy)
-        monkeypatch.setattr(uew.optimize, "_pair_grid_caps", grid)
         for L, N in cuts:
             path = []
             ref = one_stencil_qubit_pair(L, N, path)
@@ -1445,8 +1477,10 @@ class TestConstrained:
                 monkeypatch.setattr(uew.optimize, "_COMPASS_LEVELS", levels)
                 calls.clear()
                 _assert_same_solve(_qubit_pair_constrained(L, N), ref)
+                # the grid is one kernel call per orientation, on every grid row
+                assert [len(P) for P in calls[:2]] == [len(_PAIR_BLOCH)] * 2
                 # every state a row visits needs its kernel rows at least once
-                rows = sum(len(P) for P in calls[marks[-1] :])
+                rows = sum(len(P) for P in calls[2:])
                 assert rows == 8 * levels * len(compass_states(path, levels))
 
     def test_generic_iterations_count_the_winning_rows_sweeps(self, monkeypatch):

@@ -20,6 +20,10 @@ carries one. Families:
                          sides; 104 default_rng(1) draws with L, C and c
                          scaled by 10^U(-6, 6) on both sides; the worked
                          and role-swapped instances on both sides
+  qubit-pair-scaled      the qubit-pair solves with L times 2**600 and C
+                         and c times 2**-600, each value divided by 2**600:
+                         equal to the qubit-pair line when the solve is
+                         exact under power-of-two scalings
   recipe                 96 sup_product_constrained solves: R(55,1,0.5),
                          R(77,3,0.25), R(91,0,0.8), k = 0..15, both sides
   oracle                 132 grid_oracle_sup values: 11 random operators
@@ -105,7 +109,9 @@ def worked_instances():
     return [(L, ConstraintSpec(C=C, c=0.01)), (C, ConstraintSpec(C=L, c=0.2))]
 
 
-def qubit_pair():
+def qubit_pair(l_scale=1.0, c_scale=1.0):
+    """The qubit-pair solves with L times l_scale and C and c times c_scale,
+    each value divided by l_scale."""
     instances = []
     rng = np.random.default_rng(2026)
     for _ in range(200):
@@ -118,9 +124,10 @@ def qubit_pair():
         instances.append((s * L, diagonal_spec(rng, C, s)))
     instances += worked_instances()
     for L, spec in instances:
+        L, spec = l_scale * L, ConstraintSpec(C=c_scale * spec.C, c=c_scale * spec.c)
         for side in SIDES:
             value, pk, converged, steps = optimize._qubit_pair_constrained(L, optimize._cut_operator(spec, side))
-            yield solve_record(value, pk, steps, converged)
+            yield solve_record(value / l_scale, pk, steps, converged)
 
 
 def recipe():
@@ -218,6 +225,7 @@ def cli_runs():
 
 FAMILIES = {
     "qubit-pair": qubit_pair,
+    "qubit-pair-scaled": lambda: qubit_pair(2.0**600, 2.0**-600),
     "recipe": recipe,
     "oracle": oracle,
     "unconstrained-2x2": lambda: unconstrained([(2, 2)]),
