@@ -41,7 +41,6 @@ BOUNDARY_TOL = 1e-9      # a state this close to Tr(rho C) = c is on the boundar
 SCAN_RESOLUTION = 1e-3   # the coarsest threshold_scan resolution, and its default
 # -- optimizers
 SEESAW_TOL = 1e-11       # a see-saw row retires once a sweep gains less than this
-COMPASS_STOP = 1e-13     # a compass search stops once its step in radians falls below this
 ALPHA0_FEAS_TOL = 1e-8   # a rotated bound this far below its supremum still counts as valid
 ALPHA0_WIDTH = 1e-6      # compute_alpha0 stops once its bracket is this narrow in alpha
 

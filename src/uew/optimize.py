@@ -24,13 +24,13 @@ Three cooperating search mechanisms live here:
   one exact reduction (one party in closed form over its Bloch sphere cut
   by the constraint, the other by a coarse angle grid and compass search,
   with either party outer). The closed form takes one matmul per
-  orientation over the whole grid and runs on every row, as it does on
-  the grid oracle's blocks of _CAP_BLOCK outer kets; both divide L and N
-  by powers of two first, so no square overflows or underflows; each
-  compass state (orientation, angles, step) is evaluated once per solve,
-  at _COMPASS_LEVELS halvings of its step, and every row replays those
-  levels as a one-stencil-per-step search would, so values, argmaxes and
-  step counts are those of that search. Beyond qubit pairs a
+  orientation over the whole grid and runs on every row; only the grid
+  oracle splits its grid into blocks of _CAP_BLOCK outer kets. Both divide
+  L and N by powers of two first, so no square overflows or underflows;
+  each compass state (orientation, angles, halving count) is evaluated
+  once per solve, at _COMPASS_LEVELS halvings of its step, and every row
+  replays those levels as a one-stencil-per-step search would, so values,
+  argmaxes and step counts are those of that search. Beyond qubit pairs a
   constrained see-saw whose half steps are exact single-party
   maximisations under the conditioned constraint, started from the best
   feasible points of a random sample and from the cut point of a
@@ -57,7 +57,6 @@ from numpy.random.bit_generator import ISeedSequence
 from .linalg import (
     ALPHA0_FEAS_TOL,
     ALPHA0_WIDTH,
-    COMPASS_STOP,
     PHASE_TOL,
     SEESAW_TOL,
     TIE_TOL,
@@ -77,7 +76,8 @@ _SEESAW_MAX_ITER = 500         # sweeps per see-saw row
 _PAIR_GRID = (45, 90)          # outer-party polar x azimuth grid of the qubit-pair solve
 _COMPASS_MAX_STEPS = 400       # stencils per qubit-pair compass search; a smooth f needs ~100
 _COMPASS_LEVELS = 5            # step halvings a compass round evaluates per new state
-_CAP_BLOCK = 4096              # outer kets per n @ S block of the caps, the whole _PAIR_GRID; 256 KiB
+_COMPASS_HALVINGS = 40         # pair-grid step halvings that end a compass row: pi/44 * 2^-40 rad is 6.5e-14
+_CAP_BLOCK = 4096              # outer kets per block of the grid oracle's scans; 256 KiB of n @ S
 _GENERIC_PAIR_CAP = 1 << 24    # max grid oracle rows: ket pairs, or one party's kets for a qubit pair
 _CONSTRAINED_STARTS = 16       # best feasible sample points the d >= 3 constrained see-saw starts from
 _MU_DOUBLINGS = 64             # multiplier doublings before a cut counts as unreached, in _cut_top and _dual_refine
@@ -629,28 +629,25 @@ def _coeff_columns(P):
     return P[:, 0], P[:, 1:4], P[:, 4], P[:, 5:]
 
 
-def _inner_caps(S, n, band, kernel=_cap_max_values):
-    """kernel on the inner party's cap at outer Bloch 4-vectors n, S one orientation of _orientations.
-
-    band is the cut's _cut_slack (see _cap_cut). Blocks of at most
-    _CAP_BLOCK rows keep each temporary small; a row's result does not
-    depend on the block it falls in.
-    """
-    return np.concatenate(
-        [kernel(*_coeff_columns(n[lo : lo + _CAP_BLOCK] @ S), band) for lo in range(0, len(n), _CAP_BLOCK)]
-    )
+def _scaled_orientations(L, N):
+    """(S, band, e): _orientations of L and N, each first divided by a power
+    of two (_pow2_unit), which moves no maximiser and rounds nothing, the
+    _cut_slack of the scaled N, and L's exponent e: the scaled L is L / 2^e."""
+    (Lm, e), (Nm, _) = _pow2_unit(L.mat), _pow2_unit(N.mat)
+    return _orientations(Lm, Nm), _cut_slack(Nm), e
 
 
 def _oracle_22(L, N, resolution):
-    """Max of _inner_caps over both orientations of a resolution grid.
-
-    L and N are first divided by powers of two (_pow2_unit), which moves
-    no maximiser and rounds nothing, and the max is scaled back exactly.
-    """
-    (Lm, e), (Nm, _) = _pow2_unit(L.mat), _pow2_unit(N.mat)
+    """Max of _cap_max_values over both orientations of a resolution grid,
+    in blocks of _CAP_BLOCK outer kets, with L and N scaled by
+    _scaled_orientations and the max scaled back exactly."""
+    S, band, e = _scaled_orientations(L, N)
     U = _qubit_bloch(*_qubit_angles(resolution, 2 * resolution - 1))
-    band = _cut_slack(Nm)
-    return float(np.ldexp(max(_inner_caps(S, U, band).max() for S in _orientations(Lm, Nm)), e))
+    best = -np.inf
+    for s in S:
+        for lo in range(0, len(U), _CAP_BLOCK):
+            best = max(best, float(_cap_max_values(*_coeff_columns(U[lo : lo + _CAP_BLOCK] @ s), band).max()))
+    return float(np.ldexp(best, e))
 
 
 def _party_ket_grid(d: int, resolution: int) -> np.ndarray:
@@ -700,9 +697,9 @@ def grid_oracle_sup(
     up to _cut_slack(N) past it as on it; without spec N is 0, which every
     point satisfies. For qubit pairs the polar/azimuth grid of one party
     is scanned exhaustively while the other party is maximized in closed
-    form over its Bloch sphere cut by N, on every grid row, with L and N
-    divided by powers of two first (_oracle_22); both orientations are
-    scanned and the larger max wins. Higher local dimensions fall back to
+    form over its Bloch sphere cut by N, on every grid row, block by block,
+    with L and N divided by powers of two (_oracle_22); both orientations
+    are scanned and the larger max wins. Higher local dimensions fall back to
     a full pair grid with hyperspherical angles and relative phases. The
     value is monotone non-decreasing under grid refinement with nested
     resolutions. A grid of more than _GENERIC_PAIR_CAP rows is refused
@@ -799,34 +796,33 @@ def _qubit_pair_constrained(L, N):
     azimuths without the 2 pi endpoint) with either party outer: where the
     optimum shrinks the inner cut to a point, f has a curved ridge in that
     orientation only. Every grid row of both orientations goes through the
-    closed form (_inner_caps). L and N are first divided by powers of two
-    (_pow2_unit), which moves no maximiser and rounds nothing; the value is
-    read from L itself. The 4 best grid points of each orientation seed a
-    compass search on (theta, phi): each step moves to the first best of
-    the 8 off-centre points of the 3x3 stencil if it improves, else halves
-    the step (the centre is the row's own point, whose value the row holds,
-    so it never improves and is not evaluated), until the step is below
-    COMPASS_STOP (Kolda, Lewis & Torczon, SIAM Rev. 45, 2003) or the row
-    has run _COMPASS_MAX_STEPS steps. Most steps only halve, so one round
-    evaluates a row's stencil at its step h and at h/2 ... h/2^(K-1),
-    K = _COMPASS_LEVELS, and replays the steps: the row moves at its first
-    improving level, or halves through every level it ran. h 0.5^m is
-    exact, so every candidate is the one a step-by-step search evaluates.
+    closed form, one _cap_max_values call per orientation, on L and N
+    scaled by _scaled_orientations; the value is read from L itself. The 4
+    best grid points of each orientation seed a compass search on
+    (theta, phi): each step moves to the first best of the 8 off-centre
+    points of the 3x3 stencil if it improves, else halves the step (the
+    centre is the row's own point, whose value the row holds, so it never
+    improves and is not evaluated), until the row has halved its step
+    _COMPASS_HALVINGS times (Kolda, Lewis & Torczon, SIAM Rev. 45, 2003) or
+    run _COMPASS_MAX_STEPS steps. A row holds its halving count h, its step
+    being 0.5^h grid steps, which is exact. Most steps only halve, so one
+    round evaluates a row's stencil at h ... h+K-1 halvings, K =
+    _COMPASS_LEVELS, and replays the steps: the row moves at its first
+    improving level, or halves through every level it ran, so every
+    candidate is the one a step-by-step search evaluates.
     A state's K*8 candidates depend on its (orientation, theta, phi, h)
     alone and the kernel works row by row, so each state reaches the
     kernel once per solve: the starts fall onto one trajectory within a
     few steps, and a round mostly evaluates only the states of the rows
     that moved. The cache lives for the solve; every row replays the
     cached levels against its own value and step count. Returns (value,
-    argmax, True, steps) at the best end point, steps being the most
-    stencil steps any row ran, which is the round count of a search that
-    runs one stencil per round; raises EmptyFeasibleSet when no grid point
-    is feasible.
+    argmax, converged, steps) at the best end point, converged if its row
+    ran all its halvings, and steps the most stencil steps any row ran (the
+    round count of one stencil per round); raises EmptyFeasibleSet when no
+    grid point is feasible.
     """
-    (Lm, _), (Nm, _) = _pow2_unit(L.mat), _pow2_unit(N.mat)
-    S = _orientations(Lm, Nm)
-    band = _cut_slack(Nm)
-    vals = np.concatenate([_inner_caps(s, _PAIR_BLOCH, band) for s in S])
+    S, band, _ = _scaled_orientations(L, N)
+    vals = np.concatenate([_cap_max_values(*_coeff_columns(_PAIR_BLOCH @ s), band) for s in S])
     if vals.max() == -np.inf:
         raise EmptyFeasibleSet("no product state on the qubit-pair grid satisfies the constraint side")
     # 4 starts per orientation, searched in lockstep
@@ -837,24 +833,23 @@ def _qubit_pair_constrained(L, N):
     step = np.array([np.pi / (tn - 1), 2 * np.pi / pn])
     stencil = step * np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1) if i or j])
     x = (step * np.stack(divmod(ks, pn), axis=1)).tolist()
-    h = [1.0] * len(ks)
+    h = [0] * len(ks)
     steps = [0] * len(ks)
-    K, width, widest = _COMPASS_LEVELS, len(stencil), float(step.max())
-    halvings = [0.5**m for m in range(K)]
-    # h (0.5^m stencil) is (h 0.5^m) stencil: scaling by 0.5^m is exact
-    levels = np.multiply.outer(halvings, stencil)
+    K, width = _COMPASS_LEVELS, len(stencil)
+    # the stencil halved 0 ... K-1 times; halving by ldexp is exact
+    levels = np.ldexp(stencil, -np.arange(K)[:, None, None])
     # (orientation, theta, phi, h) -> each level's first stencil maximum and the (theta, phi) at it
     seen = {}
     while True:
-        # a row runs while its next step is at least COMPASS_STOP and within _COMPASS_MAX_STEPS
-        live = [r for r in range(len(ks)) if h[r] * widest >= COMPASS_STOP and steps[r] < _COMPASS_MAX_STEPS]
+        live = [r for r in range(len(ks)) if h[r] < _COMPASS_HALVINGS and steps[r] < _COMPASS_MAX_STEPS]
         if not live:
             break
         keys = [(side[r], *x[r], h[r]) for r in live]
         new = sorted(set(keys).difference(seen))  # orientation 0 first, as the split below needs
         if new:
             state = np.array(new)
-            cand = (state[:, None, None, 1:3] + state[:, 3, None, None, None] * levels).reshape(-1, 2)
+            halved = np.ldexp(levels, -state[:, 3, None, None, None].astype(int))
+            cand = (state[:, None, None, 1:3] + halved).reshape(-1, 2)
             n = _qubit_bloch(cand[:, 0], cand[:, 1])
             # every level of the new states, at most 8 * _COMPASS_LEVELS * 8 kets, in one kernel call
             cut = np.count_nonzero(state[:, 0] == 0) * K * width
@@ -866,22 +861,23 @@ def _qubit_pair_constrained(L, N):
             best, to = seen[key]
             # level m is step steps + m + 1 of the row: it moves at its first
             # improving level, or halves through every level it runs
-            m, moved = 0, False
-            while m < K and h[r] * halvings[m] * widest >= COMPASS_STOP and steps[r] + m < _COMPASS_MAX_STEPS:
-                if best[m] > fx[r]:
-                    x[r], fx[r], moved = to[m], best[m], True
-                    break
+            run = min(K, _COMPASS_HALVINGS - h[r], _COMPASS_MAX_STEPS - steps[r])
+            m = 0
+            while m < run and not best[m] > fx[r]:
                 m += 1
+            moved = m < run
+            if moved:
+                x[r], fx[r] = to[m], best[m]
             steps[r] += m + moved
-            h[r] *= 0.5**m
+            h[r] += m
     s = int(np.argmax(fx))
     th, ph = np.array(x[s])[:, None]
     kets, n = _qubit_kets(th, ph), _qubit_bloch(th, ph)
     # only the winning row builds its maximiser
     outer = Ket.unit(kets[0])
-    inner = Ket.unit(_inner_caps(S[side[s]], n, band, _cap_argmax)[0])
+    inner = Ket.unit(_cap_argmax(*_coeff_columns(n @ S[side[s]]), band)[0])
     pk = ProductKet(a=inner, b=outer) if side[s] else ProductKet(a=outer, b=inner)
-    return expectation(L, pk), pk, True, max(steps)
+    return expectation(L, pk), pk, h[s] == _COMPASS_HALVINGS, max(steps)
 
 
 def _quad(x, M):
@@ -1094,7 +1090,7 @@ def sup_product_constrained(
     for qubit pairs, one party is maximised in closed form over its Bloch
     sphere cut by N and the other by the fixed _PAIR_GRID refined by
     compass search, with either party outer (_qubit_pair_constrained); the
-    result is converged whenever a grid point is feasible. Beyond qubit
+    result is converged when its compass row ran all its halvings. Beyond qubit
     pairs, a constrained see-saw runs from the 16 best feasible points of a
     random product sample and from the cut point of a multiplier root-find,
     which starts at the stage-1 optimum, continues from its bracket ends,

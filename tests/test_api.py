@@ -140,24 +140,26 @@ def test_every_import_is_read():
 
 
 def test_every_private_function_is_read():
-    # a helper whose last caller is deleted goes too: every module-level
-    # private function of uew is loaded somewhere in uew. _alpha_feasible is
-    # kept as the alpha-validity predicate that the acceptance tests call
+    # a helper, class or constant whose last reader is deleted goes too:
+    # every module-level private function, class and assigned name of uew
+    # is loaded somewhere in uew. _alpha_feasible is kept as the
+    # alpha-validity predicate that the acceptance tests call
     root = Path(uew.__file__).parent
     trees = [ast.parse(path.read_text()) for path in sorted(root.glob("*.py"))]
-    defined = [
-        stmt.name
-        for tree in trees
-        for stmt in tree.body
-        if isinstance(stmt, ast.FunctionDef) and stmt.name.startswith("_") and not stmt.name.startswith("__")
-    ]
+    defined = []
+    for stmt in (stmt for tree in trees for stmt in tree.body):
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            defined.append(stmt.name)
+        elif isinstance(stmt, ast.Assign):
+            defined += [node.id for target in stmt.targets for node in ast.walk(target) if isinstance(node, ast.Name)]
+    private = [name for name in defined if name.startswith("_") and not name.startswith("__")]
     read = {
         node.id if isinstance(node, ast.Name) else node.attr
         for tree in trees
         for node in ast.walk(tree)
         if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
     }
-    assert [name for name in defined if name not in read] == ["_alpha_feasible"]
+    assert [name for name in private if name not in read] == ["_alpha_feasible"]
 
 
 def test_only_the_state_side_imports_the_boundary_band():

@@ -11,14 +11,17 @@ import pytest
 
 import uew.analysis
 import uew.cli
+import uew.optimize
 from conftest import GS_EXACT, PC_EXACT
 from uew import (
     DensityMatrix,
     Example31Config,
+    HalfSpaceSide,
     HermitianOperator,
     OptimizerConfig,
     build_example31,
     noisy_member,
+    sup_product_constrained,
     sup_product_unconstrained,
 )
 from uew.cli import main
@@ -533,6 +536,25 @@ class TestNoConvergence:
         assert err == ""
         if command == "gs":
             assert grab(out, "converged") == "false"
+
+    def test_qubit_pair_step_cap_is_not_converged(self, files, example, monkeypatch, capsys):
+        # a compass row that the step cap stops before its last halving has
+        # not converged: at 10 steps the worked LEQ solve stops 8.3e-9 below
+        # 169/900, and the qubit-pair solve, the constrained supremum and
+        # `uew pc` all say so
+        monkeypatch.setattr(uew.optimize, "_COMPASS_MAX_STEPS", 10)
+        N = uew.optimize._cut_operator(example["spec"], HalfSpaceSide.LEQ)
+        value, _, converged, steps = uew.optimize._qubit_pair_constrained(example["L"], N)
+        assert converged is False and steps == 10
+        assert PC_EXACT - value == pytest.approx(8.3e-9, rel=0.01)
+        res = sup_product_constrained(example["L"], example["spec"], HalfSpaceSide.LEQ, OptimizerConfig(seed=0))
+        assert res.converged is False and res.value == value
+        code = main([
+            "pc", "--test", str(files["L"]), "--constraint", str(files["C"]),
+            "--cvalue", "1/100", "--side", "leq", "--seed", "0",
+        ])
+        capsys.readouterr()
+        assert code == 2
 
 
 def test_main_reuses_the_parser_built_at_import(monkeypatch, capsys):

@@ -9,6 +9,7 @@ from uew import (
     HalfSpaceSide,
     HermitianOperator,
     Ket,
+    OptimizerConfig,
     UewPair,
     VerdictLabel,
     Witness,
@@ -105,6 +106,44 @@ class TestBuildPairSoundness:
         rho = DensityMatrix.from_product(opt.argmax)
         verdict = detect(rho, pair)
         assert verdict.label is VerdictLabel.NOT_DETECTED, verdict
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: p_c~ bounds product states, not their mixtures")
+    def test_spares_a_separable_mixture_across_the_cut(self):
+        # ROADMAP item 1, step 1: the argmaxes of L + tC on either side of
+        # the crossing t* of <C> = c mix into a separable state on the cut
+        # with <L> = 2.4966282673, above the >= side's product bound
+        # p_c~ = 2.2211120, and the witness fires on it at -0.2736
+        rng = np.random.default_rng(5)
+        for _ in range(6):
+            L, C = _gaussian_herm_22(rng), _gaussian_herm_22(rng)
+        cfg = OptimizerConfig(seed=3, restarts=24)
+        c = expectation(C, sup_product_unconstrained(L, cfg).argmax) + 0.5
+
+        def end(t):
+            return t, sup_product_unconstrained(L + t * C, cfg).argmax
+
+        # <C> at the argmax of L + tC rises with t
+        lo, hi = end(1.2), end(1.4)
+        for _ in range(30):
+            mid = end((lo[0] + hi[0]) / 2)
+            if expectation(C, mid[1]) < c:
+                lo = mid
+            else:
+                hi = mid
+        assert lo[0] == pytest.approx(1.2985128, abs=1e-7)
+        c_lo, c_hi = expectation(C, lo[1]), expectation(C, hi[1])
+        w = (c_hi - c) / (c_hi - c_lo)
+        mix = lo[1].projector() * w + hi[1].projector() * (1.0 - w)
+        assert expectation(L, DensityMatrix(mix)) == pytest.approx(2.4966282673, abs=1e-9)
+        rho = DensityMatrix(mix * 0.999 + hi[1].projector() * 0.001)
+        verdict = detect(rho, _build_pair(L, ConstraintSpec(C=C, c=c), None, cfg))
+        assert verdict.label is VerdictLabel.NOT_DETECTED, verdict
+
+
+def _gaussian_herm_22(rng):
+    """(g + g^dagger)/2 on two qubits, g of complex normal entries."""
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    return HermitianOperator((g + g.conj().T) / 2, dims=(2, 2))
 
 
 class TestBuildFew:
